@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: the tier-1 build + test run from ROADMAP.md, the bench
+# Full local gate: the tier-1 build + test run from ROADMAP.md, a flake
+# catcher repeating the platform/fleet/obs/flight/prof suites, the bench
 # regression gate (BENCH_*.json vs bench/baselines/, >15% drift fails,
 # --strict: missing baselines fail rather than auto-seed), then an
 # AddressSanitizer+UBSan build running the chaos/soak, telemetry-trace,
@@ -10,9 +11,10 @@
 #
 # Usage: scripts/check.sh
 #          [--tier1-only | --bench-only | --bench-rebaseline | --tsan]
-#   --tier1-only        build + full ctest, skip bench gate and sanitizers
-#   --bench-only        build + bench regression gate, skip ctest and
-#                       sanitizers (the CI bench job)
+#   --tier1-only        build + full ctest, skip the flake catcher (CI runs
+#                       it as its own step), bench gate and sanitizers
+#   --bench-only        build + bench regression gate, skip ctest, the
+#                       flake catcher and sanitizers (the CI bench job)
 #   --bench-rebaseline  regenerate bench/baselines/ from this build and
 #                       exit (bench tables are deterministic — fixed seeds
 #                       — so the refreshed files are byte-stable)
@@ -90,6 +92,14 @@ fi
 if [[ "${1:-}" == "--tier1-only" ]]; then
   echo "OK (tier-1 only)"
   exit 0
+fi
+
+if [[ "${1:-}" != "--bench-only" ]]; then
+  # Flake catcher (its own step in CI's tier1 job): temp-path and
+  # ordering flakes show up under repetition.
+  echo "== flake catcher: platform + fleet + obs + flight + prof, until-fail:3 =="
+  ctest --test-dir build --output-on-failure -j "$JOBS" \
+        --repeat until-fail:3 -L 'platform|fleet|obs|flight|prof'
 fi
 
 echo "== bench regression gate =="

@@ -89,10 +89,8 @@ FleetOutcome run_fleet(const sim::FaultPlan& plan, const FleetConfig& config) {
   const int nshards = std::clamp(config.shards, 1, n);
   std::vector<fs::path> dirs;
   for (int i = 0; i < n; ++i) {
-    fs::path dir = fs::temp_directory_path() /
-                   util::format("vdap-fleet-%s-%d", config.dir_tag.c_str(), i);
-    fs::remove_all(dir);
-    dirs.push_back(std::move(dir));
+    dirs.emplace_back(make_temp_dir(
+        util::format("vdap-fleet-%s-%d", config.dir_tag.c_str(), i)));
   }
 
   FleetOutcome out;

@@ -1,6 +1,9 @@
 #include "core/platform.hpp"
 
+#include <cerrno>
+#include <cstdlib>
 #include <filesystem>
+#include <system_error>
 
 #include "telemetry/telemetry.hpp"
 #include "workload/apps.hpp"
@@ -9,15 +12,21 @@ namespace vdap::core {
 
 namespace fs = std::filesystem;
 
+std::string make_temp_dir(const std::string& prefix) {
+  std::string path =
+      (fs::temp_directory_path() / (prefix + "-XXXXXX")).string();
+  if (mkdtemp(path.data()) == nullptr) {
+    throw std::system_error(errno, std::generic_category(), "mkdtemp " + path);
+  }
+  return path;
+}
+
 OpenVdap::OpenVdap(sim::Simulator& sim, PlatformConfig config)
     : sim_(sim), config_(std::move(config)) {
   // --- storage --------------------------------------------------------------
   if (config_.ddi_dir.empty()) {
-    ddi_dir_ = (fs::temp_directory_path() /
-                ("openvdap-" + config_.vehicle_name + "-" +
-                 std::to_string(sim_.seed())))
-                   .string();
-    fs::remove_all(ddi_dir_);
+    ddi_dir_ = make_temp_dir("openvdap-" + config_.vehicle_name + "-" +
+                             std::to_string(sim_.seed()));
     owns_ddi_dir_ = true;
   } else {
     ddi_dir_ = config_.ddi_dir;

@@ -21,7 +21,8 @@ namespace vdap::core {
 struct PlatformConfig {
   std::string vehicle_name = "cav-0";
   std::uint64_t vehicle_secret = 0xC0FFEE;
-  /// DDI disk directory; empty = a fresh directory under the system temp.
+  /// DDI disk directory; empty = a fresh directory under the system temp
+  /// (make_temp_dir), removed with the platform.
   std::string ddi_dir;
   /// Populate the reference 1stHEP (CPU+GPU+FPGA+ASIC); otherwise the
   /// caller adds processors to board() and joins them manually.
@@ -42,6 +43,11 @@ struct PlatformConfig {
   /// Closed-loop SLO health (core/health.hpp); disabled by default.
   HealthOptions health;
 };
+
+/// Creates a new directory `<temp>/<prefix>-XXXXXX` with mkdtemp(3) and
+/// returns its path. The random suffix keeps processes that use the same
+/// prefix (same vehicle name and seed) out of each other's files.
+std::string make_temp_dir(const std::string& prefix);
 
 class OpenVdap {
  public:

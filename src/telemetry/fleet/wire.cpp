@@ -81,51 +81,88 @@ bool decode_events(const json::Value& v, WireFrame& out, std::string* error) {
   return true;
 }
 
+/// Writes the ',' before a list element unless it is the list's first,
+/// which directly follows the opening '{' or '['.
+void separate(std::string& out) {
+  if (out.back() != '{' && out.back() != '[') out.push_back(',');
+}
+
 }  // namespace
 
 std::string wire_encode(const WireFrame& frame) {
-  json::Object obj;
-  obj["v"] = frame.vehicle;
-  obj["seq"] = static_cast<std::int64_t>(frame.seq);
-  obj["t"] = frame.created;
+  // Keys in sorted (json::Object) order, empty sections omitted; the
+  // Wire.EncoderMatchesObjectEncoder test pins these bytes.
+  std::string out = "{";
   if (!frame.counters.empty()) {
-    json::Object counters;
-    for (const auto& [name, v] : frame.counters) counters[name] = v;
-    obj["counters"] = std::move(counters);
-  }
-  if (!frame.gauges.empty()) {
-    json::Object gauges;
-    for (const auto& [name, v] : frame.gauges) gauges[name] = v;
-    obj["gauges"] = std::move(gauges);
-  }
-  if (!frame.samples.empty()) {
-    json::Object samples;
-    for (const auto& [name, vec] : frame.samples) {
-      json::Array arr;
-      arr.reserve(vec.size());
-      for (const WireSample& s : vec) {
-        arr.push_back(json::Array{json::Value(s.first), json::Value(s.second)});
-      }
-      samples[name] = std::move(arr);
+    out += "\"counters\":{";
+    for (const auto& [name, v] : frame.counters) {
+      separate(out);
+      json::append_string(out, name);
+      out.push_back(':');
+      json::append_int(out, v);
     }
-    obj["samples"] = std::move(samples);
+    out += "},";
   }
   if (!frame.events.empty()) {
-    json::Array events;
+    out += "\"events\":[";
     for (const WireHealthEvent& ev : frame.events) {
-      json::Object e;
-      e["at"] = ev.at;
-      e["kind"] = ev.kind;
-      e["severity"] = ev.severity;
-      e["service"] = ev.service;
-      e["observed"] = ev.observed;
-      e["target"] = ev.target;
-      if (!ev.implicated_tier.empty()) e["tier"] = ev.implicated_tier;
-      events.push_back(std::move(e));
+      separate(out);
+      out += "{\"at\":";
+      json::append_int(out, ev.at);
+      out += ",\"kind\":";
+      json::append_string(out, ev.kind);
+      out += ",\"observed\":";
+      json::append_double(out, ev.observed);
+      out += ",\"service\":";
+      json::append_string(out, ev.service);
+      out += ",\"severity\":";
+      json::append_string(out, ev.severity);
+      out += ",\"target\":";
+      json::append_double(out, ev.target);
+      if (!ev.implicated_tier.empty()) {
+        out += ",\"tier\":";
+        json::append_string(out, ev.implicated_tier);
+      }
+      out.push_back('}');
     }
-    obj["events"] = std::move(events);
+    out += "],";
   }
-  return json::Value(std::move(obj)).dump();
+  if (!frame.gauges.empty()) {
+    out += "\"gauges\":{";
+    for (const auto& [name, v] : frame.gauges) {
+      separate(out);
+      json::append_string(out, name);
+      out.push_back(':');
+      json::append_double(out, v);
+    }
+    out += "},";
+  }
+  if (!frame.samples.empty()) {
+    out += "\"samples\":{";
+    for (const auto& [name, vec] : frame.samples) {
+      separate(out);
+      json::append_string(out, name);
+      out += ":[";
+      for (const WireSample& s : vec) {
+        separate(out);
+        out.push_back('[');
+        json::append_int(out, s.first);
+        out.push_back(',');
+        json::append_double(out, s.second);
+        out.push_back(']');
+      }
+      out.push_back(']');
+    }
+    out += "},";
+  }
+  out += "\"seq\":";
+  json::append_int(out, static_cast<std::int64_t>(frame.seq));
+  out += ",\"t\":";
+  json::append_int(out, frame.created);
+  out += ",\"v\":";
+  json::append_string(out, frame.vehicle);
+  out.push_back('}');
+  return out;
 }
 
 std::optional<WireFrame> wire_decode(std::string_view line,

@@ -10,10 +10,13 @@
 // Counters carry DELTAS since the previous frame (the aggregator
 // accumulates), gauges carry last values, samples carry (sim-time µs,
 // value) pairs, and events carry HealthEvents observed since the previous
-// frame. Encoding goes through json::Object (std::map), so a frame's bytes
-// are a deterministic function of its content. Decoding tolerates unknown
-// fields — newer vehicles may ship more than an older aggregator knows —
-// and reports malformed input as a clean error string, never a crash.
+// frame. wire_encode writes the bytes directly: keys in the canonical
+// sorted order json::Object would give ("v" last), numbers and strings
+// through util::json's writers. So a frame's bytes are a deterministic
+// function of its content, and the Wire.EncoderMatchesObjectEncoder test
+// pins them. Decoding tolerates unknown fields — newer vehicles may ship
+// more than an older aggregator knows — and reports malformed input as a
+// clean error string, never a crash.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +70,11 @@ std::optional<WireFrame> wire_decode(std::string_view line,
                                      std::string* error = nullptr);
 
 /// Cheap shard-routing peek: extracts the vehicle name from an encoded
-/// frame without a full JSON parse. Encoding goes through json::Object
-/// (sorted keys), so `"v"` is the LAST key of every frame line — scan
-/// backwards for its marker. Returns an empty view when the marker is
-/// absent; names containing JSON escapes come back raw. The result is a
+/// frame without a full JSON parse. wire_encode writes the sorted key
+/// order itself, so `"v"` is the LAST key of every frame line (pinned by
+/// the Wire.EncoderMatchesObjectEncoder test) — scan backwards for its
+/// marker. Returns an empty view when the marker is absent; names
+/// containing JSON escapes come back raw. The result is a
 /// deterministic routing KEY (every frame of a vehicle peeks identically),
 /// not necessarily the decoded name.
 std::string_view wire_peek_vehicle(std::string_view line);

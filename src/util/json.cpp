@@ -135,6 +135,11 @@ unsigned decode_utf8(std::string_view s, std::size_t& i) {
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
+  append_string(out, s);
+  return out;
+}
+
+void append_string(std::string& out, std::string_view s) {
   out.push_back('"');
   for (std::size_t i = 0; i < s.size();) {
     char c = s[i];
@@ -171,31 +176,43 @@ std::string escape(std::string_view s) {
     }
   }
   out.push_back('"');
-  return out;
 }
 
-namespace {
+void append_int(std::string& out, std::int64_t i) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), i);
+  out.append(buf, r.ptr);
+}
 
-void format_double(std::string& out, double d) {
-  if (std::isnan(d) || std::isinf(d)) {
+void append_double(std::string& out, double d) {
+  if (!std::isfinite(d)) {
     // JSON has no NaN/Inf; emit null (matches common lenient serializers).
     out += "null";
     return;
   }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  // Trim to the shortest representation that round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char probe[32];
-    std::snprintf(probe, sizeof(probe), "%.*g", prec, d);
-    double back = std::strtod(probe, nullptr);
-    if (back == d) {
-      out += probe;
-      return;
-    }
+  char* const end = buf + sizeof(buf);
+  // No P-digit text round-trips for P below the digit count of the
+  // shortest round-trip form, so start there.
+  char* p = std::to_chars(buf, end, d, std::chars_format::scientific).ptr;
+  int prec = 0;
+  for (const char* c = buf; c != p && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++prec;
   }
-  out += buf;
+  // `general` at precision P is exactly `%.Pg`. That correctly rounded
+  // text can still miss the rounding interval where it is asymmetric
+  // (exact powers of two, e.g. 2^-1017 needs 17 digits where the shortest
+  // form has 16), so step up until it parses back; %.17g always does.
+  for (;; ++prec) {
+    p = std::to_chars(buf, end, d, std::chars_format::general, prec).ptr;
+    if (prec >= 17) break;
+    double back = 0.0;
+    if (std::from_chars(buf, p, back).ec == std::errc() && back == d) break;
+  }
+  out.append(buf, p);
 }
+
+namespace {
 
 void dump_impl(const Value& v, std::string& out, int indent, int depth) {
   auto newline = [&](int d) {
@@ -206,9 +223,9 @@ void dump_impl(const Value& v, std::string& out, int indent, int depth) {
   switch (v.type()) {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += v.as_bool() ? "true" : "false"; break;
-    case Type::Int: out += std::to_string(v.as_int()); break;
-    case Type::Double: format_double(out, v.as_double()); break;
-    case Type::String: out += escape(v.as_string()); break;
+    case Type::Int: append_int(out, v.as_int()); break;
+    case Type::Double: append_double(out, v.as_double()); break;
+    case Type::String: append_string(out, v.as_string()); break;
     case Type::Array: {
       const Array& a = v.as_array();
       if (a.empty()) {
@@ -239,7 +256,7 @@ void dump_impl(const Value& v, std::string& out, int indent, int depth) {
         if (!first) out.push_back(',');
         first = false;
         newline(depth + 1);
-        out += escape(k);
+        append_string(out, k);
         out.push_back(':');
         if (indent >= 0) out.push_back(' ');
         dump_impl(e, out, indent, depth + 1);

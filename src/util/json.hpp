@@ -123,4 +123,16 @@ std::optional<Value> try_parse(std::string_view text);
 /// Escapes a string for embedding into JSON output (adds quotes).
 std::string escape(std::string_view s);
 
+// Streaming writers: append one scalar's JSON text to `out`. Value::dump()
+// is built on them, and so is the fleet wire encoder, which writes its
+// fixed layout without a Value tree; both format scalars identically.
+
+/// Appends `s` quoted and escaped, exactly as escape() returns it.
+void append_string(std::string& out, std::string_view s);
+/// Appends `i` in decimal.
+void append_int(std::string& out, std::int64_t i);
+/// Appends `d` as `%.Pg` with the smallest P in 1..17 whose text parses
+/// back to `d`; NaN and ±Inf (which JSON lacks) append `null`.
+void append_double(std::string& out, double d);
+
 }  // namespace vdap::json

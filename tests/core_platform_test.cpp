@@ -101,6 +101,25 @@ TEST(Platform, CollectorsFillDdi) {
   EXPECT_GT(resp.records.size(), 250u);  // ~10 Hz for 30 s
 }
 
+TEST(Platform, SameNameAndSeedKeepSeparateDdiDirs) {
+  // Two live platforms with one vehicle name and seed, as in concurrent
+  // test processes on default configs. Neither may lose its segment log
+  // to the other, so both read back everything they wrote.
+  sim::Simulator sim_a(42);
+  sim::Simulator sim_b(42);
+  PlatformConfig cfg;
+  cfg.start_collectors = true;
+  OpenVdap a(sim_a, cfg);
+  sim_a.run_until(sim::seconds(30));
+  OpenVdap b(sim_b, cfg);
+  sim_b.run_until(sim::seconds(15));
+  sim_a.run_until(sim::seconds(45));
+  auto ra = a.ddi().download_now({"vehicle/obd", 0, sim::seconds(45)});
+  auto rb = b.ddi().download_now({"vehicle/obd", 0, sim::seconds(15)});
+  EXPECT_GT(ra.records.size(), 400u);  // ~10 Hz for 45 s
+  EXPECT_GT(rb.records.size(), 130u);  // ~10 Hz for 15 s
+}
+
 TEST(Platform, ScenarioDrivesOffloadDecisions) {
   sim::Simulator sim(42);
   OpenVdap cav(sim);

@@ -6,8 +6,13 @@
 // exact under shipping-network impairment.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
+#include <string_view>
 
 #include "core/fleet.hpp"
 #include "net/impair.hpp"
@@ -15,6 +20,7 @@
 #include "telemetry/fleet/shipper.hpp"
 #include "telemetry/fleet/tsdb.hpp"
 #include "telemetry/fleet/wire.hpp"
+#include "util/json.hpp"
 
 namespace vdap {
 namespace {
@@ -24,8 +30,10 @@ using telemetry::fleet::FleetAnomaly;
 using telemetry::fleet::TimeSeriesStore;
 using telemetry::fleet::WireFrame;
 using telemetry::fleet::WireHealthEvent;
+using telemetry::fleet::WireSample;
 using telemetry::fleet::wire_decode;
 using telemetry::fleet::wire_encode;
+using telemetry::fleet::wire_peek_vehicle;
 
 // --- time-series store ------------------------------------------------------
 
@@ -185,6 +193,230 @@ TEST(Wire, MalformedInputsAreCleanErrors) {
     EXPECT_FALSE(f.has_value()) << line;
     EXPECT_FALSE(error.empty()) << line;
   }
+}
+
+// The json::Object encoder that wire_encode replaced, kept as the byte
+// reference: the frame is one json::Object, so keys serialize sorted and
+// "v" comes last.
+std::string object_encode(const WireFrame& frame) {
+  json::Object obj;
+  obj["v"] = frame.vehicle;
+  obj["seq"] = static_cast<std::int64_t>(frame.seq);
+  obj["t"] = frame.created;
+  if (!frame.counters.empty()) {
+    json::Object counters;
+    for (const auto& [name, v] : frame.counters) counters[name] = v;
+    obj["counters"] = std::move(counters);
+  }
+  if (!frame.gauges.empty()) {
+    json::Object gauges;
+    for (const auto& [name, v] : frame.gauges) gauges[name] = v;
+    obj["gauges"] = std::move(gauges);
+  }
+  if (!frame.samples.empty()) {
+    json::Object samples;
+    for (const auto& [name, vec] : frame.samples) {
+      json::Array arr;
+      for (const auto& s : vec) {
+        json::Array pair;
+        pair.emplace_back(s.first);
+        pair.emplace_back(s.second);
+        arr.emplace_back(std::move(pair));
+      }
+      samples[name] = std::move(arr);
+    }
+    obj["samples"] = std::move(samples);
+  }
+  if (!frame.events.empty()) {
+    json::Array events;
+    for (const WireHealthEvent& ev : frame.events) {
+      json::Object e;
+      e["at"] = ev.at;
+      e["kind"] = ev.kind;
+      e["severity"] = ev.severity;
+      e["service"] = ev.service;
+      e["observed"] = ev.observed;
+      e["target"] = ev.target;
+      if (!ev.implicated_tier.empty()) e["tier"] = ev.implicated_tier;
+      events.push_back(std::move(e));
+    }
+    obj["events"] = std::move(events);
+  }
+  return json::Value(std::move(obj)).dump();
+}
+
+/// Random frames built to stress the encoder: names mixing quotes,
+/// backslashes, control bytes, BMP, astral and invalid UTF-8; NaN/Inf
+/// values; empty sample vectors; events with and without a tier; negative
+/// times; seq above INT64_MAX; counters at the int64 limits.
+class HostileFrames {
+ public:
+  explicit HostileFrames(std::uint64_t seed) : rng_(seed) {}
+
+  WireFrame next() {
+    WireFrame f;
+    f.vehicle = chance(0.02) ? "" : name();
+    if (chance(0.05)) {
+      f.seq = rng_() | (std::uint64_t{1} << 63);  // above INT64_MAX
+    } else {
+      f.seq = chance(0.02) ? 0 : 1 + rng_() % 1000000;
+    }
+    f.created = time();
+    for (int n = below(4); n > 0; --n) f.counters[name()] = integer();
+    for (int n = below(4); n > 0; --n) f.gauges[name()] = value();
+    for (int n = below(4); n > 0; --n) {
+      std::vector<WireSample>& vec = f.samples[name()];  // may stay empty
+      for (int k = below(4); k > 0; --k) vec.emplace_back(time(), value());
+    }
+    for (int n = below(3); n > 0; --n) {
+      WireHealthEvent ev;
+      ev.at = time();
+      ev.kind = chance(0.02) ? "" : name();
+      ev.severity = name();
+      ev.service = chance(0.02) ? "" : name();
+      ev.observed = value();
+      ev.target = value();
+      if (chance(0.5)) ev.implicated_tier = name();
+      f.events.push_back(std::move(ev));
+    }
+    return f;
+  }
+
+ private:
+  int below(int n) {
+    return static_cast<int>(rng_() % static_cast<unsigned>(n));
+  }
+  bool chance(double p) {
+    return std::uniform_real_distribution<double>(0, 1)(rng_) < p;
+  }
+
+  std::string name() {
+    using namespace std::string_view_literals;
+    static constexpr std::string_view kPieces[] = {
+        "svc"sv, "."sv, "latency_ms"sv, "cav-"sv, "7"sv, " "sv, "/"sv,
+        "\""sv, "\\"sv, "\n"sv, "\t"sv, "\b"sv, "\f"sv, "\r"sv,
+        "\x01"sv, "\x1f"sv, "\x7f"sv, "\0"sv,               // control
+        "\xC3\xA9"sv, "\xE2\x82\xAC"sv, "\xEF\xBF\xBF"sv,   // BMP
+        "\xF0\x9F\x9A\x97"sv, "\xF4\x8F\xBF\xBF"sv,       // astral
+        "\"v\":\""sv};
+    static constexpr std::string_view kInvalidUtf8[] = {
+        "\x80"sv, "\xC3"sv, "\xC0\xAF"sv, "\xED\xA0\x80"sv,
+        "\xF5\x80\x80\x80"sv, "\xFF"sv, "\xE2\x82"sv};
+    std::string out;
+    for (int n = 1 + below(4); n > 0; --n) {
+      out += kPieces[rng_() % std::size(kPieces)];
+    }
+    if (chance(0.02)) out += kInvalidUtf8[rng_() % std::size(kInvalidUtf8)];
+    return out;
+  }
+
+  std::int64_t integer() {
+    switch (below(4)) {
+      case 0: return std::numeric_limits<std::int64_t>::min();
+      case 1: return std::numeric_limits<std::int64_t>::max();
+      case 2: return static_cast<std::int64_t>(rng_());
+      default: return below(2001) - 1000;
+    }
+  }
+
+  sim::SimTime time() {
+    const auto t = static_cast<sim::SimTime>(rng_() % 1000000000000ULL);
+    return chance(0.05) ? -t - 1 : t;
+  }
+
+  double value() {
+    if (chance(0.03)) {
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+      const double odd[] = {kNaN, kInf, -kInf};
+      return odd[below(3)];
+    }
+    switch (below(5)) {
+      case 0: return std::normal_distribution<double>(50.0, 20.0)(rng_);
+      case 1: return below(20001) - 10000;
+      case 2: return std::ldexp(1.0, below(2098) - 1074);
+      case 3: return chance(0.5) ? 0.0 : -0.0;
+      default: {
+        const double d = std::bit_cast<double>(rng_());
+        return std::isfinite(d) ? d : 1.5;
+      }
+    }
+  }
+
+  std::mt19937_64 rng_;
+};
+
+/// True when wire_decode can give `f` back: finite values, names the
+/// escaper keeps intact (valid UTF-8), and a header the decoder accepts.
+bool decodable(const WireFrame& f) {
+  auto intact = [](const std::string& s) {
+    return json::parse(json::escape(s)).as_string() == s;
+  };
+  constexpr auto kMaxSeq =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  if (f.vehicle.empty() || !intact(f.vehicle) || f.seq < 1 ||
+      f.seq > kMaxSeq || f.created < 0) {
+    return false;
+  }
+  for (const auto& [name, v] : f.counters) {
+    if (!intact(name)) return false;
+  }
+  for (const auto& [name, v] : f.gauges) {
+    if (!intact(name) || !std::isfinite(v)) return false;
+  }
+  for (const auto& [name, vec] : f.samples) {
+    if (!intact(name)) return false;
+    for (const WireSample& s : vec) {
+      if (!std::isfinite(s.second)) return false;
+    }
+  }
+  for (const WireHealthEvent& ev : f.events) {
+    if (ev.kind.empty() || ev.service.empty() || !intact(ev.kind) ||
+        !intact(ev.severity) || !intact(ev.service) ||
+        !intact(ev.implicated_tier) || !std::isfinite(ev.observed) ||
+        !std::isfinite(ev.target)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Wire, EncoderMatchesObjectEncoder) {
+  HostileFrames gen(20261017);
+  int round_trips = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const WireFrame f = i == 0 ? WireFrame{} : gen.next();
+    const std::string line = wire_encode(f);
+    ASSERT_EQ(line, object_encode(f)) << "frame " << i;
+    // "v" is the last key, so the backwards peek finds the real name.
+    const std::string quoted = json::escape(f.vehicle);
+    ASSERT_EQ(wire_peek_vehicle(line), quoted.substr(1, quoted.size() - 2))
+        << line;
+    if (!decodable(f)) continue;
+    std::string error;
+    const auto back = wire_decode(line, &error);
+    ASSERT_TRUE(back.has_value()) << error << ": " << line;
+    EXPECT_EQ(back->vehicle, f.vehicle);
+    EXPECT_EQ(back->seq, f.seq);
+    EXPECT_EQ(back->created, f.created);
+    EXPECT_EQ(back->counters, f.counters);
+    EXPECT_EQ(back->gauges, f.gauges);
+    EXPECT_EQ(back->samples, f.samples);
+    ASSERT_EQ(back->events.size(), f.events.size());
+    for (std::size_t k = 0; k < f.events.size(); ++k) {
+      EXPECT_EQ(back->events[k].at, f.events[k].at);
+      EXPECT_EQ(back->events[k].kind, f.events[k].kind);
+      EXPECT_EQ(back->events[k].severity, f.events[k].severity);
+      EXPECT_EQ(back->events[k].service, f.events[k].service);
+      EXPECT_EQ(back->events[k].observed, f.events[k].observed);
+      EXPECT_EQ(back->events[k].target, f.events[k].target);
+      EXPECT_EQ(back->events[k].implicated_tier, f.events[k].implicated_tier);
+    }
+    ++round_trips;
+  }
+  // The generator must keep both halves of the check busy.
+  EXPECT_GT(round_trips, 5000);
+  EXPECT_LT(round_trips, 15000);
 }
 
 // --- aggregator -------------------------------------------------------------

@@ -22,6 +22,10 @@ struct Fig3Case {
   double paper_power_w;
 };
 
+// Names each case (and its ctest entry) by device. Without it gtest prints
+// the struct's raw bytes, pointer included, so the names changed every build.
+void PrintTo(const Fig3Case& c, std::ostream* os) { *os << c.device; }
+
 class Fig3Calibration : public ::testing::TestWithParam<Fig3Case> {};
 
 TEST_P(Fig3Calibration, TimeAndPowerMatchPaper) {

@@ -125,6 +125,13 @@ struct Fig2Band {
   double frame_lo, frame_hi;
 };
 
+// Names each cell (and its ctest entry) e.g. "35mph-1080p". Without it gtest
+// prints the struct's raw bytes, uninitialised padding included, so the
+// names changed every build.
+void PrintTo(const Fig2Band& b, std::ostream* os) {
+  *os << b.mph << "mph-" << (b.hd1080 ? "1080p" : "720p");
+}
+
 class Fig2Bands : public ::testing::TestWithParam<Fig2Band> {};
 
 TEST_P(Fig2Bands, WithinBand) {

@@ -352,7 +352,10 @@ TEST(ProfReportTest, DiffTableNamesTheFramesThatAbsorbedTime) {
 
 core::FleetScaleConfig prof_sweep_config(int shards, int threads, bool prof) {
   core::FleetScaleConfig cfg;
-  cfg.vehicles = kSanitized ? 16 : 40;
+  // Sized so each run lasts long enough for the sampler to catch open
+  // scopes on a loaded 4-core box: at 40 vehicles, 4 of 30 runs under
+  // full CPU load folded nothing.
+  cfg.vehicles = kSanitized ? 16 : 120;
   cfg.seed = 11;
   cfg.shards = shards;
   cfg.threads = threads;

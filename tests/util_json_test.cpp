@@ -2,6 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
+#include <string_view>
+#include <vector>
+
 namespace vdap::json {
 namespace {
 
@@ -160,6 +172,142 @@ TEST(JsonParse, DoubleRoundTripPrecision) {
   for (double d : values) {
     Value v(d);
     EXPECT_DOUBLE_EQ(parse(v.dump()).as_double(), d) << d;
+  }
+}
+
+// --- number formatting --------------------------------------------------
+
+// The formatter append_double replaced, kept as the reference: the
+// smallest P in 1..16 whose %.Pg text strtod reads back, else %.17g.
+std::string trial_loop_format(double d) {
+  if (std::isnan(d) || std::isinf(d)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  for (int prec = 1; prec < 17; ++prec) {
+    char probe[32];
+    std::snprintf(probe, sizeof(probe), "%.*g", prec, d);
+    if (std::strtod(probe, nullptr) == d) return probe;
+  }
+  return buf;
+}
+
+/// Counts values whose dump() differs from the reference; reports the
+/// first few.
+int format_mismatches(const std::vector<double>& values) {
+  int bad = 0;
+  for (double d : values) {
+    const std::string got = Value(d).dump();
+    const std::string want = trial_loop_format(d);
+    if (got != want && ++bad <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(d)
+                    << ": dump() = " << got << ", trial loop = " << want;
+    }
+  }
+  return bad;
+}
+
+/// x, and x's neighbours toward -inf and +inf.
+void push_with_neighbours(std::vector<double>& out, double x) {
+  out.push_back(x);
+  out.push_back(std::nextafter(x, -std::numeric_limits<double>::infinity()));
+  out.push_back(std::nextafter(x, std::numeric_limits<double>::infinity()));
+}
+
+class JsonFormatRandomBits : public ::testing::TestWithParam<int> {};
+
+// 4 x 262144 = 1,048,576 uniformly random bit patterns: every exponent,
+// subnormals, NaN payloads and infinities included.
+TEST_P(JsonFormatRandomBits, MatchesTrialLoop) {
+  std::mt19937_64 rng(0x5eed0000u + static_cast<unsigned>(GetParam()));
+  std::vector<double> values(262144);
+  for (double& d : values) d = std::bit_cast<double>(rng());
+  EXPECT_EQ(format_mismatches(values), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Quarters, JsonFormatRandomBits,
+                         ::testing::Values(0, 1, 2, 3));
+
+TEST(JsonFormat, MatchesTrialLoopOnPowersOfTwo) {
+  // 2^e for every e a double can hold, subnormal powers included, both
+  // signs, each with both neighbours. The rounding interval of an exact
+  // power of two is asymmetric, which is where a shortest-digits
+  // formatter and %.Pg part ways.
+  std::vector<double> values;
+  for (int e = -1074; e <= 1023; ++e) {
+    push_with_neighbours(values, std::ldexp(1.0, e));
+    push_with_neighbours(values, -std::ldexp(1.0, e));
+  }
+  EXPECT_EQ(format_mismatches(values), 0);
+}
+
+TEST(JsonFormat, MatchesTrialLoopOnSubnormals) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values;
+  for (int k = 1; k <= 4096; ++k) {
+    values.push_back(k * tiny);
+    values.push_back(-k * tiny);
+  }
+  push_with_neighbours(values, DBL_MIN);  // the smallest normal
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    // Exponent bits zero, random mantissa and sign.
+    values.push_back(std::bit_cast<double>(rng() & 0x800fffffffffffffULL));
+  }
+  EXPECT_EQ(format_mismatches(values), 0);
+}
+
+TEST(JsonFormat, MatchesTrialLoopOnIntegers) {
+  std::vector<double> values;
+  for (int i = -100000; i <= 100000; ++i) values.push_back(i);
+  EXPECT_EQ(format_mismatches(values), 0);
+}
+
+TEST(JsonFormat, SpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values = {
+      0.0,     -0.0,     1e300,   -1e300,   1e-300,  -1e-300,
+      DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, 0.1,     1.0 / 3.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::quiet_NaN(), inf, -inf};
+  EXPECT_EQ(format_mismatches(values), 0);
+  EXPECT_EQ(Value(0.0).dump(), "0");
+  EXPECT_EQ(Value(-0.0).dump(), "-0");
+  EXPECT_EQ(Value(DBL_MAX).dump(), "1.7976931348623157e+308");
+  EXPECT_EQ(Value(std::numeric_limits<double>::denorm_min()).dump(), "5e-324");
+  EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).dump(), "null");
+  EXPECT_EQ(Value(inf).dump(), "null");
+  EXPECT_EQ(Value(-inf).dump(), "null");
+  EXPECT_EQ(Value(std::numeric_limits<std::int64_t>::min()).dump(),
+            "-9223372036854775808");
+  EXPECT_EQ(Value(std::numeric_limits<std::int64_t>::max()).dump(),
+            "9223372036854775807");
+}
+
+TEST(JsonFormat, PowersOfTwoWhereShortestDigitsDoNotRoundTrip) {
+  // At these powers of two the correctly rounded text at the shortest
+  // round-trip digit count lies outside the (asymmetric) rounding
+  // interval, so one more digit is needed. A formatter that stops at the
+  // shortest digit count prints 2^-1017 as 7.120236347223044e-307, which
+  // parses back to a different double.
+  struct Case {
+    int exp;
+    const char* text;
+  };
+  const Case cases[] = {{-1017, "7.1202363472230444e-307"},
+                        {-1007, "7.2911220195563975e-304"},
+                        {-957, "8.2090736025967525e-289"}};
+  for (const Case& c : cases) {
+    const double d = std::ldexp(1.0, c.exp);
+    EXPECT_EQ(Value(d).dump(), c.text) << "2^" << c.exp;
+    EXPECT_EQ(trial_loop_format(d), c.text) << "2^" << c.exp;
+    // The shortest round-trip form has 16 digits, yet %.16g misses.
+    char shortest[32];
+    char* end = std::to_chars(shortest, shortest + sizeof(shortest), d,
+                              std::chars_format::scientific).ptr;
+    EXPECT_EQ(std::string_view(shortest, end).find('e'), 17u) << "2^" << c.exp;
+    char sixteen[32];
+    std::snprintf(sixteen, sizeof(sixteen), "%.16g", d);
+    EXPECT_NE(std::strtod(sixteen, nullptr), d) << "2^" << c.exp;
   }
 }
 

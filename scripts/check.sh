@@ -97,9 +97,9 @@ fi
 if [[ "${1:-}" != "--bench-only" ]]; then
   # Flake catcher (its own step in CI's tier1 job): temp-path and
   # ordering flakes show up under repetition.
-  echo "== flake catcher: platform + fleet + obs + flight + prof, until-fail:3 =="
+  echo "== flake catcher: platform + fleet + ingest + obs + flight + prof, until-fail:3 =="
   ctest --test-dir build --output-on-failure -j "$JOBS" \
-        --repeat until-fail:3 -L 'platform|fleet|obs|flight|prof'
+        --repeat until-fail:3 -L 'platform|fleet|ingest|obs|flight|prof'
 fi
 
 echo "== bench regression gate =="

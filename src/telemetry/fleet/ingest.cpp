@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <optional>
 
 #include "telemetry/prof/profiler.hpp"
 #include "telemetry/telemetry.hpp"
@@ -33,6 +35,91 @@ double median_of(std::vector<double> values) {
 
 bool is_breach_kind(const std::string& kind) {
   return kind.find("breach") != std::string::npos;
+}
+
+/// Calls visit(element) for every element of the [first, last) ranges in
+/// `runs` in ascending name(element) order: a K-way heap merge, O(n log K).
+/// Each run must already be in name order and names must be unique across
+/// runs — a vehicle lives on exactly one shard.
+template <typename It, typename Name, typename Visit>
+void merge_by_name(std::vector<std::pair<It, It>> runs, Name name,
+                   Visit visit) {
+  std::erase_if(runs, [](const auto& run) { return run.first == run.second; });
+  auto later = [&name](const auto& a, const auto& b) {
+    return name(*b.first) < name(*a.first);
+  };
+  std::make_heap(runs.begin(), runs.end(), later);
+  while (!runs.empty()) {
+    std::pop_heap(runs.begin(), runs.end(), later);
+    auto& run = runs.back();
+    visit(*run.first);
+    if (++run.first == run.second) {
+      runs.pop_back();
+    } else {
+      std::push_heap(runs.begin(), runs.end(), later);
+    }
+  }
+}
+
+/// [begin, end) of every run in `runs`, for merge_by_name.
+template <typename Run>
+auto spans(std::vector<Run>& runs) {
+  std::vector<std::pair<typename Run::iterator, typename Run::iterator>> out;
+  out.reserve(runs.size());
+  for (Run& run : runs) out.emplace_back(run.begin(), run.end());
+  return out;
+}
+
+/// One vehicle's `range` row plus the sketch its quantiles came from. The
+/// quantile calls leave the sketch sorted, and that sorted sketch is what
+/// the fleet fold must merge (Histogram::merge thins by position).
+struct RangeRow {
+  QueryVehicleRow row;
+  util::Histogram sketch;
+};
+
+/// The vehicle's range row, or nothing when it never reported the metric.
+std::optional<RangeRow> range_row(const std::string& name,
+                                  const IngestShard::Vehicle& v,
+                                  const Query& query) {
+  const ColumnarSeries* series = v.store.series(query.metric);
+  if (series == nullptr) return std::nullopt;
+  RangeRow out{QueryVehicleRow{}, series->sketch(query.from, query.to)};
+  out.row.vehicle = name;
+  out.row.agg = series->range(query.from, query.to);
+  out.row.p50 = out.sketch.p50();
+  out.row.p95 = out.sketch.p95();
+  out.row.p99 = out.sketch.p99();
+  return out;
+}
+
+/// The vehicle's `near` hit, or nothing when it has no fresh fix within
+/// the radius.
+std::optional<QueryNearHit> near_hit(const std::string& name,
+                                     const IngestShard::Vehicle& v,
+                                     const Query& query) {
+  const ColumnarSeries* sx = v.store.series("loc.x");
+  const ColumnarSeries* sy = v.store.series("loc.y");
+  if (sx == nullptr || sy == nullptr) return std::nullopt;
+  auto fx = sx->last_at_or_before(query.at);
+  auto fy = sy->last_at_or_before(query.at);
+  if (!fx.has_value() || !fy.has_value()) return std::nullopt;
+  const sim::SimTime horizon =
+      query.at > query.within ? query.at - query.within : 0;
+  if (fx->first < horizon || fy->first < horizon) {
+    return std::nullopt;  // stale fix
+  }
+  const double dx = fx->second - query.x;
+  const double dy = fy->second - query.y;
+  const double dist = std::sqrt(dx * dx + dy * dy);
+  if (dist > query.radius) return std::nullopt;
+  QueryNearHit hit;
+  hit.vehicle = name;
+  hit.x = fx->second;
+  hit.y = fy->second;
+  hit.dist = dist;
+  hit.at = std::max(fx->first, fy->first);
+  return hit;
 }
 
 IngestOptions clamped(IngestOptions o) {
@@ -149,7 +236,7 @@ std::set<std::string> IngestShard::take_dirty() {
 
 void IngestShard::collect_means(
     const std::string& metric, sim::SimTime from, sim::SimTime to,
-    std::vector<std::pair<std::string, double>>* out) const {
+    std::vector<std::pair<const std::string*, double>>* out) const {
   const sim::SimDuration period = opts_.detect_period;
   const std::int64_t span = static_cast<std::int64_t>(ring_span_);
   for (const auto& [name, v] : vehicles_) {
@@ -169,7 +256,7 @@ void IngestShard::collect_means(
       sum += cell.second;
     }
     if (count > 0) {
-      out->emplace_back(name, sum / static_cast<double>(count));
+      out->emplace_back(&name, sum / static_cast<double>(count));
     }
   }
 }
@@ -221,20 +308,9 @@ std::size_t ShardedIngestBackend::ingest_batch(
       parts[static_cast<std::size_t>(shard_of(wire_peek_vehicle(line)))]
           .push_back(line);
     }
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      IngestShard* shard = shards_[s].get();
-      const std::vector<std::string_view>* part = &parts[s];
-      tasks.push_back([shard, part]() {
-        for (std::string_view line : *part) shard->ingest_line(line);
-      });
-    }
-    if (pool_ != nullptr) {
-      pool_->run(tasks);
-    } else {
-      for (auto& t : tasks) t();
-    }
+    for_each_shard([this, &parts](std::size_t s) {
+      for (std::string_view line : parts[s]) shards_[s]->ingest_line(line);
+    });
   }
   barrier();
   return static_cast<std::size_t>(frames_ingested() - before);
@@ -277,6 +353,7 @@ void ShardedIngestBackend::barrier() {
     std::set<std::string> d = s->take_dirty();
     dirty.insert(d.begin(), d.end());
   }
+  std::vector<const std::string*> metrics;  // metric-name order
   for (const std::string& metric : dirty) {
     bool excluded = false;
     for (const std::string& prefix : opts_.detect_exclude) {
@@ -285,24 +362,56 @@ void ShardedIngestBackend::barrier() {
         break;
       }
     }
-    if (!excluded) detect(metric);
+    if (!excluded) metrics.push_back(&metric);
+  }
+  if (!metrics.empty()) {
+    const sim::SimTime from = watermark_ > opts_.detect_window
+                                  ? watermark_ - opts_.detect_window
+                                  : 0;
+    // runs[m][s]: shard s's (vehicle, window mean) run for metrics[m].
+    using MeanRun = std::vector<std::pair<const std::string*, double>>;
+    std::vector<std::vector<MeanRun>> runs(
+        metrics.size(), std::vector<MeanRun>(shards_.size()));
+    for_each_shard([&](std::size_t s) {
+      PROF_SCOPE("ingest/detect");
+      for (std::size_t m = 0; m < metrics.size(); ++m) {
+        shards_[s]->collect_means(*metrics[m], from, watermark_, &runs[m][s]);
+      }
+    });
+    MeanRun means;
+    for (std::size_t m = 0; m < metrics.size(); ++m) {
+      // Vehicle-name order: the fold below must not depend on which shard
+      // a vehicle happens to live on.
+      means.clear();
+      merge_by_name(
+          spans(runs[m]),
+          [](const auto& e) -> const std::string& { return *e.first; },
+          [&means](const auto& e) { means.push_back(e); });
+      detect(*metrics[m], means);
+    }
   }
   mirror_metrics();
 }
 
-void ShardedIngestBackend::detect(const std::string& metric) {
-  PROF_SCOPE("ingest/detect");
-  const sim::SimTime from = watermark_ > opts_.detect_window
-                                ? watermark_ - opts_.detect_window
-                                : 0;
-  std::vector<std::pair<std::string, double>> means;
-  for (const auto& s : shards_) {
-    s->collect_means(metric, from, watermark_, &means);
+void ShardedIngestBackend::for_each_shard(
+    const std::function<void(std::size_t)>& fn) const {
+  if (pool_ == nullptr) {
+    for (std::size_t s = 0; s < shards_.size(); ++s) fn(s);
+    return;
   }
-  // Vehicle-name order: the fold below must not depend on which shard a
-  // vehicle happens to live on.
-  std::sort(means.begin(), means.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    tasks.push_back([&fn, s] { fn(s); });
+  }
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  pool_->run(tasks);
+}
+
+void ShardedIngestBackend::detect(
+    const std::string& metric,
+    const std::vector<std::pair<const std::string*, double>>& means) {
+  PROF_SCOPE("ingest/detect");
   ++detect_passes_;
   detect_scanned_ += means.size();
   if (means.size() < opts_.min_vehicles) return;
@@ -319,15 +428,15 @@ void ShardedIngestBackend::detect(const std::string& metric) {
   // must not produce unbounded scores from numeric dust.
   mad = std::max(mad, 0.005 * std::max(std::abs(med), 1e-6));
 
+  std::set<std::string>& active = active_[metric];
   for (const auto& [name, x] : means) {
     const double score = 0.6745 * std::abs(x - med) / mad;
-    const std::string key = metric + "|" + name;
-    const bool flagged = active_.count(key) > 0;
+    const bool flagged = active.count(*name) > 0;
     if (!flagged && score >= opts_.mad_threshold) {
-      active_.insert(key);
+      active.insert(*name);
       FleetAnomaly a;
       a.at = watermark_;
-      a.vehicle = name;
+      a.vehicle = *name;
       a.metric = metric;
       a.value = x;
       a.fleet_median = med;
@@ -335,7 +444,7 @@ void ShardedIngestBackend::detect(const std::string& metric) {
       anomalies_.push_back(a);
       if (sink_) sink_(anomalies_.back());
     } else if (flagged && score < opts_.mad_threshold * opts_.clear_factor) {
-      active_.erase(key);
+      active.erase(*name);
     }
   }
 }
@@ -375,8 +484,9 @@ void ShardedIngestBackend::mirror_metrics() {
     telemetry::count("fleet.ingest.detect.scanned",
                      delta(now.scanned, mirrored_.scanned));
   }
-  telemetry::gauge("fleet.ingest.vehicles",
-                   static_cast<double>(vehicles().size()));
+  std::size_t vehicles = 0;
+  for (const auto& s : shards_) vehicles += s->vehicles().size();
+  telemetry::gauge("fleet.ingest.vehicles", static_cast<double>(vehicles));
   mirrored_ = now;
 }
 
@@ -392,12 +502,17 @@ std::vector<std::string> ShardedIngestBackend::anomalous_vehicles() const {
 
 std::vector<std::pair<const std::string*, const IngestShard::Vehicle*>>
 ShardedIngestBackend::sorted_vehicles() const {
-  std::vector<std::pair<const std::string*, const IngestShard::Vehicle*>> out;
+  using It = std::map<std::string, IngestShard::Vehicle>::const_iterator;
+  std::vector<std::pair<It, It>> runs;
+  runs.reserve(shards_.size());
   for (const auto& s : shards_) {
-    for (const auto& [name, v] : s->vehicles()) out.emplace_back(&name, &v);
+    runs.emplace_back(s->vehicles().begin(), s->vehicles().end());
   }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  std::vector<std::pair<const std::string*, const IngestShard::Vehicle*>> out;
+  merge_by_name(
+      std::move(runs),
+      [](const auto& e) -> const std::string& { return e.first; },
+      [&out](const auto& e) { out.emplace_back(&e.first, &e.second); });
   return out;
 }
 
@@ -500,10 +615,9 @@ std::string ShardedIngestBackend::rollup_table() const {
       have_max = true;
       sketch.merge(series->sketch(0, sim::kTimeMax));
     }
-    std::size_t outliers = 0;
-    for (const std::string& key : active_) {
-      if (key.compare(0, metric.size() + 1, metric + "|") == 0) ++outliers;
-    }
+    auto flagged = active_.find(metric);
+    const std::size_t outliers =
+        flagged == active_.end() ? 0 : flagged->second.size();
     const double mean =
         count > 0 ? sum / static_cast<double>(count) : 0.0;
     table.add_row({metric, std::to_string(reporting), std::to_string(count),
@@ -547,71 +661,81 @@ std::string ShardedIngestBackend::vehicle_table() const {
 QueryResult ShardedIngestBackend::run_query(const Query& query) const {
   QueryResult r;
   r.query = query;
-  const auto vehicles = sorted_vehicles();
 
-  if (query.kind == Query::Kind::kRange) {
-    util::Histogram fleet_sketch;
-    fleet_sketch.set_sample_cap(opts_.block.sketch_cap);
-    bool have_minmax = false;
-    for (const auto& [name, v] : vehicles) {
-      if (!query.vehicle.empty() && *name != query.vehicle) continue;
-      const ColumnarSeries* series = v->store.series(query.metric);
-      if (series == nullptr) continue;
-      QueryVehicleRow row;
-      row.vehicle = *name;
-      row.agg = series->range(query.from, query.to);
-      util::Histogram sketch = series->sketch(query.from, query.to);
-      row.p50 = sketch.p50();
-      row.p95 = sketch.p95();
-      row.p99 = sketch.p99();
-      if (row.agg.count > 0) {
-        if (!have_minmax) {
-          r.fleet.min = row.agg.min;
-          r.fleet.max = row.agg.max;
-          have_minmax = true;
-        } else {
-          r.fleet.min = std::min(r.fleet.min, row.agg.min);
-          r.fleet.max = std::max(r.fleet.max, row.agg.max);
+  if (query.kind == Query::Kind::kNear) {
+    std::vector<std::vector<QueryNearHit>> hits(shards_.size());
+    for_each_shard([&](std::size_t s) {
+      PROF_SCOPE("ingest/query");
+      for (const auto& [name, v] : shards_[s]->vehicles()) {
+        if (auto hit = near_hit(name, v, query)) {
+          hits[s].push_back(std::move(*hit));
         }
-        r.fleet.count += row.agg.count;
-        r.fleet.sum += row.agg.sum;
       }
-      fleet_sketch.merge(sketch);
-      r.per_vehicle.push_back(std::move(row));
+    });
+    for (auto& h : hits) {
+      r.hits.insert(r.hits.end(), std::make_move_iterator(h.begin()),
+                    std::make_move_iterator(h.end()));
     }
-    r.p50 = fleet_sketch.p50();
-    r.p95 = fleet_sketch.p95();
-    r.p99 = fleet_sketch.p99();
+    // (dist, vehicle) is a total order, so the shard layout cannot show.
+    std::sort(r.hits.begin(), r.hits.end(),
+              [](const QueryNearHit& a, const QueryNearHit& b) {
+                if (a.dist != b.dist) return a.dist < b.dist;
+                return a.vehicle < b.vehicle;
+              });
     return r;
   }
 
-  for (const auto& [name, v] : vehicles) {
-    const ColumnarSeries* sx = v->store.series("loc.x");
-    const ColumnarSeries* sy = v->store.series("loc.y");
-    if (sx == nullptr || sy == nullptr) continue;
-    auto fx = sx->last_at_or_before(query.at);
-    auto fy = sy->last_at_or_before(query.at);
-    if (!fx.has_value() || !fy.has_value()) continue;
-    const sim::SimTime horizon =
-        query.at > query.within ? query.at - query.within : 0;
-    if (fx->first < horizon || fy->first < horizon) continue;  // stale fix
-    const double dx = fx->second - query.x;
-    const double dy = fy->second - query.y;
-    const double dist = std::sqrt(dx * dx + dy * dy);
-    if (dist > query.radius) continue;
-    QueryNearHit hit;
-    hit.vehicle = *name;
-    hit.x = fx->second;
-    hit.y = fy->second;
-    hit.dist = dist;
-    hit.at = std::max(fx->first, fy->first);
-    r.hits.push_back(std::move(hit));
+  // Rows fold in vehicle-name order: the fleet sum is a floating-point
+  // fold and the fleet sketch thins by position.
+  util::Histogram fleet_sketch;
+  fleet_sketch.set_sample_cap(opts_.block.sketch_cap);
+  bool have_minmax = false;
+  auto fold = [&](RangeRow& rr) {
+    const ColumnarSeries::RangeAgg& agg = rr.row.agg;
+    if (agg.count > 0) {
+      if (!have_minmax) {
+        r.fleet.min = agg.min;
+        r.fleet.max = agg.max;
+        have_minmax = true;
+      } else {
+        r.fleet.min = std::min(r.fleet.min, agg.min);
+        r.fleet.max = std::max(r.fleet.max, agg.max);
+      }
+      r.fleet.count += agg.count;
+      r.fleet.sum += agg.sum;
+    }
+    fleet_sketch.merge(rr.sketch);
+    r.per_vehicle.push_back(std::move(rr.row));
+  };
+  if (!query.vehicle.empty()) {
+    // A vehicle lives on one shard: K map lookups, on the calling thread
+    // (a pool wake-up would cost more than the lookup).
+    for (const auto& s : shards_) {
+      auto it = s->vehicles().find(query.vehicle);
+      if (it == s->vehicles().end()) continue;
+      if (auto rr = range_row(it->first, it->second, query)) fold(*rr);
+      break;
+    }
+  } else {
+    std::vector<std::vector<RangeRow>> rows(shards_.size());
+    for_each_shard([&](std::size_t s) {
+      PROF_SCOPE("ingest/query");
+      for (const auto& [name, v] : shards_[s]->vehicles()) {
+        if (auto rr = range_row(name, v, query)) {
+          rows[s].push_back(std::move(*rr));
+        }
+      }
+    });
+    merge_by_name(
+        spans(rows),
+        [](const RangeRow& rr) -> const std::string& {
+          return rr.row.vehicle;
+        },
+        fold);
   }
-  std::sort(r.hits.begin(), r.hits.end(),
-            [](const QueryNearHit& a, const QueryNearHit& b) {
-              if (a.dist != b.dist) return a.dist < b.dist;
-              return a.vehicle < b.vehicle;
-            });
+  r.p50 = fleet_sketch.p50();
+  r.p95 = fleet_sketch.p95();
+  r.p99 = fleet_sketch.p99();
   return r;
 }
 

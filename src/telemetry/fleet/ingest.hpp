@@ -19,15 +19,25 @@
 // pass became per-frame O(1) ring maintenance plus one O(V log V) MAD
 // pass per dirty metric at each barrier, so the detect-period ingest
 // throttle is gone (detect_period now only sets the ring resolution).
-// Detection runs on the coordinator at barriers with the shards
-// quiesced, over per-vehicle means gathered from the rings and sorted by
-// vehicle name — the same modified z-score math, MAD floor and
-// hysteresis as the reference aggregator.
+// Detection runs at barriers with the shards quiesced: every shard
+// gathers its per-vehicle window means from the rings (already in name
+// order, its vehicle map's order), the coordinator merges the K runs by
+// vehicle name and scores them — the same modified z-score math, MAD
+// floor and hysteresis as the reference aggregator.
+//
+// No read sorts the fleet by name: a vehicle-scoped `range` is K map
+// lookups (O(K log V)); fleet-wide `range`, `near` and detection's
+// window-mean pass run one task per shard and the caller folds the
+// per-shard runs in vehicle-name order (DESIGN.md §6g).
 //
 // Threading contract (ThreadSanitizer-checked by the `ingest` suite):
-//   * ingest_batch() partitions lines by vehicle key and runs the shards
-//     on an internal ThreadPool; the pool's barrier gives happens-before
-//     between shard work and everything after.
+//   * ingest_batch(), barrier() and run_query()'s fleet-wide reads run one
+//     task per shard on an internal ThreadPool (threads > 1) or inline;
+//     the pool's barrier gives happens-before between the shard tasks and
+//     the caller's fold. A mutex serializes use of the pool, whose run()
+//     is not reentrant.
+//   * run_query()/run_query_text() are const and read-only: any number of
+//     threads may query a quiesced backend at once.
 //   * Hosted callers invoke ingest_on_shard(s, line) only from code
 //     running shard s (e.g. a deliver callback on its sim shard) and
 //     barrier() only with every shard quiesced (an epoch barrier).
@@ -39,6 +49,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
@@ -55,8 +66,10 @@ namespace vdap::telemetry::fleet {
 struct IngestOptions {
   /// Ingest shards (vehicle-hash partitions).
   int shards = 1;
-  /// Worker threads driving standalone ingest_batch() (clamped to
-  /// [1, shards]); hosted mode runs on the caller's threads instead.
+  /// Worker threads running the per-shard tasks of standalone
+  /// ingest_batch(), barrier detection and fleet-wide queries (clamped
+  /// to [1, shards]); hosted mode uses 1 and ingests on the caller's
+  /// threads instead.
   int threads = 1;
   /// Per-(vehicle, metric) columnar series knobs.
   ColumnarSeries::Options block;
@@ -115,10 +128,11 @@ class IngestShard {
   /// Metrics that received samples since the last take_dirty().
   std::set<std::string> take_dirty();
   /// Appends (vehicle, trailing-window mean) for every vehicle of this
-  /// shard reporting `metric` within [from, to] (ring-slot granularity).
-  void collect_means(const std::string& metric, sim::SimTime from,
-                     sim::SimTime to,
-                     std::vector<std::pair<std::string, double>>* out) const;
+  /// shard reporting `metric` within [from, to] (ring-slot granularity),
+  /// in vehicle-name order. The names point into vehicles().
+  void collect_means(
+      const std::string& metric, sim::SimTime from, sim::SimTime to,
+      std::vector<std::pair<const std::string*, double>>* out) const;
 
   const std::map<std::string, Vehicle>& vehicles() const { return vehicles_; }
   const BlockPool& pool() const { return pool_; }
@@ -263,18 +277,27 @@ class ShardedIngestBackend {
     std::int64_t lag_us_peak = 0;
   };
 
-  void detect(const std::string& metric);
+  /// Runs fn(s) for every shard index s: one task per shard on pool_, or
+  /// inline when there is no pool. Returns when every task finished.
+  void for_each_shard(const std::function<void(std::size_t)>& fn) const;
+  /// Scores one metric's window means (vehicle-name order) and updates
+  /// the hysteresis state.
+  void detect(const std::string& metric,
+              const std::vector<std::pair<const std::string*, double>>& means);
   void mirror_metrics();
-  /// (name, vehicle) pairs across shards, sorted by vehicle name.
+  /// (name, vehicle) pairs across shards in vehicle-name order (a merge
+  /// of the shards' maps).
   std::vector<std::pair<const std::string*, const IngestShard::Vehicle*>>
   sorted_vehicles() const;
 
   IngestOptions opts_;
   std::vector<std::unique_ptr<IngestShard>> shards_;
   std::unique_ptr<sim::ThreadPool> pool_;
+  mutable std::mutex pool_mu_;  // held around pool_->run
   std::function<void(const FleetAnomaly&)> sink_;
   std::vector<FleetAnomaly> anomalies_;
-  std::set<std::string> active_;  // metric + "|" + vehicle (hysteresis)
+  /// Hysteresis: metric → currently flagged vehicles.
+  std::map<std::string, std::set<std::string>> active_;
   sim::SimTime watermark_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t detect_passes_ = 0;

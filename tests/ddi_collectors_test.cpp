@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
+#include <string>
 
 #include "ddi/ddi.hpp"
 
@@ -74,12 +76,13 @@ TEST(SocialFeed, PoissonStreamIsSeedDeterministic) {
 }
 
 TEST(CollectorToDdi, TtlHandOffMovesRecordsToDisk) {
-  fs::path dir = fs::temp_directory_path() / "vdap-collectors-ttl";
-  fs::remove_all(dir);
+  std::string dir =
+      (fs::temp_directory_path() / "vdap-collectors-ttl-XXXXXX").string();
+  ASSERT_NE(mkdtemp(dir.data()), nullptr) << dir;
   {
     sim::Simulator sim;
     DdiOptions opts;
-    opts.disk.dir = dir.string();
+    opts.disk.dir = dir;
     opts.staging_ttl = sim::seconds(10);
     opts.flush_period = sim::seconds(5);
     Ddi ddi(sim, opts);
@@ -109,12 +112,13 @@ TEST(CollectorToDdi, TtlHandOffMovesRecordsToDisk) {
 }
 
 TEST(CollectorToDdi, ForceFlushDrainsStagingCompletely) {
-  fs::path dir = fs::temp_directory_path() / "vdap-collectors-force";
-  fs::remove_all(dir);
+  std::string dir =
+      (fs::temp_directory_path() / "vdap-collectors-force-XXXXXX").string();
+  ASSERT_NE(mkdtemp(dir.data()), nullptr) << dir;
   {
     sim::Simulator sim;
     DdiOptions opts;
-    opts.disk.dir = dir.string();
+    opts.disk.dir = dir;
     Ddi ddi(sim, opts);
     WeatherFeed weather(sim, [&](DataRecord r) { ddi.upload(std::move(r)); });
     weather.start();

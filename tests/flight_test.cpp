@@ -18,6 +18,7 @@
 
 #include "core/fleet.hpp"
 #include "core/fleet_scale.hpp"
+#include "core/platform.hpp"
 #include "sim/sharded.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/session.hpp"
@@ -153,8 +154,7 @@ TEST(FlightFoldTest, SerializeParseRoundTrip) {
 
 TEST(FlightFoldTest, IncidentNowSnapshotsBundleAndReports) {
   FlightRecorder::Options opts;
-  opts.dir = std::filesystem::temp_directory_path() / "vdap-flight-unit";
-  std::filesystem::remove_all(opts.dir);
+  opts.dir = core::make_temp_dir("vdap-flight-unit");
   FlightRecorder fr(1, opts);
   fr.set_context(42, "unit-plan", json::Value());
   fr.ring(0).set_time_hint(sim::usec(90));

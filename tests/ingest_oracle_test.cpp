@@ -11,9 +11,11 @@
 //     detection oracle;
 //   * an in-test brute-force replay as ground truth for range/near
 //     query answers.
-// Plus the PR's two regression pins: exactly one impaired vehicle among
-// 10k is flagged by the unthrottled MAD pass, and the registry's ingest
-// counters prove detection scans O(V) per barrier, not O(V) per frame.
+// Plus the regression pins: exactly one impaired vehicle among 10k is
+// flagged by the unthrottled MAD pass, the registry's ingest counters
+// prove detection scans O(V) per barrier, not O(V) per frame, names
+// containing '|' keep their hysteresis state apart, and concurrent
+// read-only queries answer exactly as sequential ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,8 +24,10 @@
 #include <map>
 #include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "telemetry/fleet/aggregator.hpp"
@@ -191,6 +195,8 @@ TEST(IngestOracle, ByteIdenticalAcrossShardAndThreadMatrix) {
         "range metric=loc.x from=0.5min",
         "near x=0 y=0 r=40 at=" + std::to_string(spec.batches) +
             "s within=20s",
+        "range metric=svc.latency_ms vehicle=cav-9999",  // absent vehicle
+        "range metric=svc.absent vehicle=" + veh_name(0),  // absent metric
     };
 
     std::string reference;
@@ -333,8 +339,42 @@ TEST(IngestOracle, QueriesMatchBruteForceGroundTruth) {
           EXPECT_EQ(got.agg.min, mn) << vehicle;
           EXPECT_EQ(got.agg.max, mx) << vehicle;
         }
+
+        // The vehicle-scoped lookup answers with exactly the fleet-wide
+        // row for that vehicle.
+        Query one = q;
+        one.vehicle = vehicle;
+        const QueryResult scoped = backend.run_query(one);
+        ASSERT_EQ(scoped.per_vehicle.size(), 1u) << vehicle;
+        const QueryVehicleRow& solo = scoped.per_vehicle[0];
+        EXPECT_EQ(solo.vehicle, got.vehicle);
+        EXPECT_EQ(solo.agg.count, got.agg.count) << vehicle;
+        EXPECT_EQ(solo.agg.sum, got.agg.sum) << vehicle;
+        EXPECT_EQ(solo.agg.min, got.agg.min) << vehicle;
+        EXPECT_EQ(solo.agg.max, got.agg.max) << vehicle;
+        EXPECT_EQ(solo.p50, got.p50) << vehicle;
+        EXPECT_EQ(solo.p95, got.p95) << vehicle;
+        EXPECT_EQ(solo.p99, got.p99) << vehicle;
+        EXPECT_EQ(scoped.fleet.count, got.agg.count) << vehicle;
+        EXPECT_EQ(scoped.fleet.sum, got.agg.sum) << vehicle;
       }
       EXPECT_EQ(row, r.per_vehicle.size());
+
+      // An absent vehicle, and a present vehicle without the metric,
+      // answer with no rows and a zero fleet aggregate.
+      Query absent = q;
+      absent.vehicle = "cav-9999";
+      Query no_metric = q;
+      no_metric.vehicle = stream.truth.begin()->first;
+      no_metric.metric = "svc.absent";
+      for (const Query& empty : {absent, no_metric}) {
+        const QueryResult none = backend.run_query(empty);
+        EXPECT_TRUE(none.per_vehicle.empty()) << empty.vehicle;
+        EXPECT_EQ(none.fleet.count, 0u) << empty.vehicle;
+        EXPECT_EQ(none.fleet.sum, 0.0) << empty.vehicle;
+        EXPECT_EQ(none.fleet.min, 0.0) << empty.vehicle;
+        EXPECT_EQ(none.fleet.max, 0.0) << empty.vehicle;
+      }
     }
 
     // `near` against a brute-force replay of last_at_or_before semantics
@@ -480,6 +520,110 @@ TEST(IngestOracle, RegistryCountersProveDetectionScansLinearlyPerBarrier) {
 
   t.disable();
   t.reset();
+}
+
+// --- names containing '|' keep their hysteresis state apart ---------------
+
+/// The rollup table's outliers column, by metric.
+std::map<std::string, std::string> rollup_outliers(const std::string& table) {
+  std::map<std::string, std::string> out;
+  std::istringstream lines(table);
+  std::string line;
+  for (int n = 0; std::getline(lines, line); ++n) {
+    if (n < 3) continue;  // title, header, rule
+    std::istringstream cells(line);
+    std::string metric, cell, last;
+    cells >> metric;
+    while (cells >> cell) last = cell;
+    out[metric] = last;
+  }
+  return out;
+}
+
+TEST(IngestOracle, PipeInNamesKeepsHysteresisApart) {
+  IngestOptions opts;
+  opts.shards = 2;
+  ShardedIngestBackend backend(opts);
+  // One batch: `odd` reports `metric` at 90 against three vehicles near 10.
+  auto batch = [&backend](std::uint64_t seq, const std::string& metric,
+                          const std::string& odd) {
+    const sim::SimTime t = sim::seconds(static_cast<int>(seq));
+    std::vector<std::string> lines;
+    for (const auto& [vehicle, value] :
+         std::vector<std::pair<std::string, double>>{
+             {odd, 90.0}, {"v1", 10.0}, {"v2", 10.2}, {"v3", 9.8}}) {
+      WireFrame frame;
+      frame.vehicle = vehicle;
+      frame.seq = seq;
+      frame.created = t;
+      frame.samples[metric].push_back({t, value});
+      lines.push_back(wire_encode(frame));
+    }
+    std::vector<std::string_view> views(lines.begin(), lines.end());
+    backend.ingest_batch(views);
+  };
+  // (a|x, y) and (a, x|y) would share one "metric|vehicle" key.
+  batch(1, "a|x", "y");
+  batch(2, "a", "x|y");
+
+  ASSERT_EQ(backend.anomalies().size(), 2u) << backend.anomaly_table();
+  EXPECT_EQ(backend.anomalies()[0].metric, "a|x");
+  EXPECT_EQ(backend.anomalies()[0].vehicle, "y");
+  EXPECT_EQ(backend.anomalies()[1].metric, "a");
+  EXPECT_EQ(backend.anomalies()[1].vehicle, "x|y");
+  const std::map<std::string, std::string> outliers =
+      rollup_outliers(backend.rollup_table());
+  EXPECT_EQ(outliers, (std::map<std::string, std::string>{{"a", "1"},
+                                                          {"a|x", "1"}}))
+      << backend.rollup_table();
+}
+
+// --- concurrent read-only queries ------------------------------------------
+
+TEST(IngestOracle, ConcurrentQueriesMatchSequential) {
+  StreamSpec spec;
+  spec.seed = 505;
+  spec.vehicles = 24;
+  spec.batches = 20;
+  const Stream stream = make_stream(spec);
+  IngestOptions opts;
+  opts.shards = 4;
+  opts.threads = 4;
+  opts.block.block_samples = 16;
+  ShardedIngestBackend backend(opts);
+  feed(&backend, stream);
+
+  const std::vector<std::string> queries = {
+      "range metric=svc.latency_ms",
+      "range metric=svc.latency_ms from=5s to=15s",
+      "range metric=loc.x",
+      "near x=0 y=0 r=60 at=20s within=20s",
+      "near x=100 y=-50 r=80 at=12s within=5s",
+  };
+  std::vector<std::string> sequential;
+  for (const std::string& q : queries) {
+    std::string error;
+    sequential.push_back(backend.run_query_text(q, &error));
+    ASSERT_FALSE(sequential.back().empty()) << q << ": " << error;
+  }
+
+  // Two readers share the quiesced backend, and so its thread pool.
+  int mismatches[2] = {0, 0};
+  auto reader = [&](int id) {
+    for (int rep = 0; rep < 20; ++rep) {
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        if (backend.run_query_text(queries[i]) != sequential[i]) {
+          ++mismatches[id];
+        }
+      }
+    }
+  };
+  std::thread a(reader, 0);
+  std::thread b(reader, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches[0], 0);
+  EXPECT_EQ(mismatches[1], 0);
 }
 
 // --- columnar series / store / pool units ----------------------------------

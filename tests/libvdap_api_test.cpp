@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstdlib>
 #include <filesystem>
+#include <string>
+#include <system_error>
 
 #include "hw/catalog.hpp"
 
@@ -57,7 +61,7 @@ TEST(ApiRouter, MultipleParams) {
 class LibVdapTest : public ::testing::Test {
  protected:
   LibVdapTest()
-      : dir_(fs::temp_directory_path() / "vdap-api-test"),
+      : dir_(make_dir()),
         cpu_(sim_, hw::catalog::core_i7_6700()),
         ddi_(sim_, make_opts()) {
     reg_.join(&cpu_);
@@ -66,8 +70,18 @@ class LibVdapTest : public ::testing::Test {
   }
   ~LibVdapTest() override { fs::remove_all(dir_); }
 
+  /// A fresh `<temp>/vdap-api-test-XXXXXX` per fixture (mkdtemp), so
+  /// concurrent runs of this binary never share one.
+  static fs::path make_dir() {
+    std::string dir =
+        (fs::temp_directory_path() / "vdap-api-test-XXXXXX").string();
+    if (mkdtemp(dir.data()) == nullptr) {
+      throw std::system_error(errno, std::generic_category(), "mkdtemp " + dir);
+    }
+    return dir;
+  }
+
   ddi::DdiOptions make_opts() {
-    fs::remove_all(dir_);
     ddi::DdiOptions o;
     o.disk.dir = dir_.string();
     return o;

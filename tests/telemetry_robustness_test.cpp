@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -614,9 +615,10 @@ TEST(FlightParseBack, RandomGarbageNeverCrashes) {
 
 TEST(FlightParseBack, BrokenBundleDirsAreCleanRenderErrors) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "vdap-flight-robust";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  std::string made =
+      (fs::temp_directory_path() / "vdap-flight-robust-XXXXXX").string();
+  ASSERT_NE(mkdtemp(made.data()), nullptr) << made;
+  const fs::path dir = made;
   auto write = [&dir](const char* name, const std::string& bytes) {
     std::ofstream f(dir / name, std::ios::binary);
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));

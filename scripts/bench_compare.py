@@ -8,8 +8,9 @@ rows}, ...]} (bench/bench_output.hpp). The tables are paper-shaped
 simulation results, deterministic for the fixed seeds baked into each
 bench, so against up-to-date baselines every cell matches exactly.
 
-The gate compares numeric cells (relative drift, symmetric so both
-directions of surprise fail) and ignores non-numeric cells. On failure it
+The gate compares numeric cells by relative drift (symmetric, so both
+directions of surprise fail) and every non-numeric cell — digests,
+yes/no verdicts, percentages such as "93.5%" — exactly. On failure it
 prints, besides the failing cells, a per-metric drift report covering
 EVERY compared key — percentage and direction — so one glance separates a
 systematic shift from a targeted regression; --report prints the same
@@ -149,13 +150,16 @@ def compare_tables(name, base, cand, threshold, failures, comparisons):
                 failures.append(f"{where} row {label!r} width changed")
                 continue
             for col, (b, c) in enumerate(zip(brow, crow)):
-                bn, cn = as_number(b), as_number(c)
-                if bn is None or cn is None:
-                    continue
-                d = drift(bn, cn)
                 header = bt.get("header", [])
                 col_name = header[col] if col < len(header) else str(col)
                 key = f"{name}: {title!r} row {label!r} col {col_name!r}"
+                bn, cn = as_number(b), as_number(c)
+                if bn is None or cn is None:
+                    if b != c:
+                        failures.append(f"{key}: {b!r} -> {c!r} "
+                                        f"(text cell changed)")
+                    continue
+                d = drift(bn, cn)
                 comparisons.append((key, b, c, d, cn - bn))
                 if d > threshold:
                     failures.append(f"{key}: {b} -> {c} ({d:.1%} drift)")

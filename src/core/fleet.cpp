@@ -8,12 +8,10 @@
 #include <string_view>
 #include <utility>
 
+#include "core/fleet_scale.hpp"
 #include "core/platform.hpp"
 #include "net/impair.hpp"
 #include "sim/sharded.hpp"
-#include "telemetry/domains.hpp"
-#include "telemetry/export.hpp"
-#include "telemetry/shard_report.hpp"
 #include "util/strings.hpp"
 
 namespace vdap::core {
@@ -95,19 +93,13 @@ FleetOutcome run_fleet(const sim::FaultPlan& plan, const FleetConfig& config) {
 
   FleetOutcome out;
   {
+    // The simulator owns the observability planes (DESIGN.md §6h–§6j).
+    // Setup code below runs unbound (its instrumentation is skipped);
+    // epoch work records into the shards' planes and the quiesced
+    // sections between runs into the coordinator's.
     sim::ShardedSimulator ssim(
-        config.seed,
-        sim::ShardedSimulator::Options{nshards, config.threads, config.epoch});
-
-    // Per-shard capture domains (DESIGN.md §6h). Setup code below runs
-    // unbound (its instrumentation is skipped); epoch work records into
-    // shard domains and the quiesced sections between runs into the
-    // coordinator domain.
-    std::unique_ptr<telemetry::DomainSet> domains;
-    if (config.capture) {
-      domains = std::make_unique<telemetry::DomainSet>(nshards);
-      ssim.set_capture(domains.get());
-    }
+        config.seed, sim::ShardedSimulator::Options{nshards, config.threads,
+                                                    config.epoch, config});
 
     // Each shard owns a full copy of the shipping network. Tier-named
     // fault targets impair every copy identically (same plan, same
@@ -274,10 +266,7 @@ FleetOutcome run_fleet(const sim::FaultPlan& plan, const FleetConfig& config) {
     }
 
     // --- flight recorder (DESIGN.md §6i) ---------------------------------
-    std::unique_ptr<telemetry::FlightRecorder> flight;
-    if (config.flight) {
-      flight = std::make_unique<telemetry::FlightRecorder>(
-          nshards + 1, config.flight_opts);
+    if (telemetry::FlightRecorder* flight = ssim.planes().flight()) {
       // The manifest context excludes shards/threads: bundle bytes must
       // not depend on execution geometry.
       json::Object cj;
@@ -298,7 +287,6 @@ FleetOutcome run_fleet(const sim::FaultPlan& plan, const FleetConfig& config) {
         }
         m["anomalous_vehicles"] = std::move(av);
       });
-      ssim.set_flight(flight.get());
       // Every injector replays the same plan with the same jitter streams,
       // so shard 0's injector records activations for everyone — each
       // window edge appears in the black box exactly once regardless of
@@ -311,20 +299,6 @@ FleetOutcome run_fleet(const sim::FaultPlan& plan, const FleetConfig& config) {
           telemetry::incident("scripted", "fleet");
         });
       }
-    }
-
-    // --- continuous profiling plane (DESIGN.md §6j) ----------------------
-    // Attached before the first run_until so pool workers register their
-    // wait slots on spawn. Slot layout per ShardedSimulator::set_prof:
-    // shards, coordinator, then one slot per spawned pool worker.
-    std::unique_ptr<telemetry::prof::Profiler> prof;
-    if (config.prof) {
-      prof = std::make_unique<telemetry::prof::Profiler>(
-          static_cast<std::size_t>(nshards) + 1 +
-              static_cast<std::size_t>(ssim.threads()),
-          config.prof_opts);
-      ssim.set_prof(prof.get());
-      prof->start();
     }
 
     // --- load: every vehicle runs the same staggered schedule ------------
@@ -393,42 +367,28 @@ FleetOutcome run_fleet(const sim::FaultPlan& plan, const FleetConfig& config) {
 
     // --- run under fire, then heal and drain -----------------------------
     // Direct mutations (heal, flush, stop) happen between run_until calls,
-    // i.e. at epoch barriers with every shard quiesced.
-    // Quiesced sections record into the coordinator domain (counters sum
-    // identically regardless of which domain records them).
-    telemetry::Domain* coord =
-        domains != nullptr ? domains->coordinator_domain() : nullptr;
-    telemetry::FlightRing* coord_ring =
-        flight != nullptr ? &flight->ring(nshards) : nullptr;
-    telemetry::Domain* prev = nullptr;
-    telemetry::FlightRing* prev_ring = nullptr;
+    // i.e. at epoch barriers with every shard quiesced. They record into
+    // the coordinator's planes (counters sum identically regardless of
+    // which domain records them).
     ssim.run_until(config.run_until);
-    if (coord != nullptr) prev = telemetry::bind_domain(coord);
-    if (coord_ring != nullptr) {
-      coord_ring->set_time_hint(ssim.now());
-      prev_ring = telemetry::bind_flight(coord_ring);
+    {
+      telemetry::BindScope bind(ssim.planes().coordinator(ssim.now()));
+      for (ShardWorld& w : worlds) w.imp->restore_all();
+      for (auto& car : cars) car->elastic().reevaluate();
     }
-    for (ShardWorld& w : worlds) w.imp->restore_all();
-    for (auto& car : cars) car->elastic().reevaluate();
-    if (coord_ring != nullptr) telemetry::bind_flight(prev_ring);
-    if (coord != nullptr) telemetry::bind_domain(prev);
     ssim.run_until(config.run_until + sim::seconds(20));
-    if (coord != nullptr) prev = telemetry::bind_domain(coord);
-    if (coord_ring != nullptr) {
-      coord_ring->set_time_hint(ssim.now());
-      prev_ring = telemetry::bind_flight(coord_ring);
+    {
+      telemetry::BindScope bind(ssim.planes().coordinator(ssim.now()));
+      for (auto& t : tickers) t.stop();
+      for (auto& car : cars) {
+        car->elastic().abandon_hung();
+        if (HealthController* health = car->health()) health->flush();
+      }
+      for (auto& shipper : shippers) {
+        shipper->stop();
+        shipper->flush_now();
+      }
     }
-    for (auto& t : tickers) t.stop();
-    for (auto& car : cars) {
-      car->elastic().abandon_hung();
-      if (HealthController* health = car->health()) health->flush();
-    }
-    for (auto& shipper : shippers) {
-      shipper->stop();
-      shipper->flush_now();
-    }
-    if (coord_ring != nullptr) telemetry::bind_flight(prev_ring);
-    if (coord != nullptr) telemetry::bind_domain(prev);
     ssim.run_until(config.run_until + sim::seconds(20) + config.drain);
 
     // --- snapshot --------------------------------------------------------
@@ -470,66 +430,8 @@ FleetOutcome run_fleet(const sim::FaultPlan& plan, const FleetConfig& config) {
     // streams, so shard 0's trace is THE trace.
     out.fault_trace = worlds[0].inj->trace_lines();
 
-    if (domains != nullptr) {
-      domains->merge_epoch();  // anything recorded after the last barrier
-      out.chrome_trace = domains->chrome_trace();
-      const telemetry::MetricsRegistry merged = domains->merged_metrics();
-      out.metrics_jsonl =
-          telemetry::metrics_snapshot_json(merged, ssim.now()).dump() + "\n";
-      out.trace_events = domains->events();
-      out.open_spans = domains->open_spans();
-      out.metric_keys = merged.counters().all().size() +
-                        merged.gauges().size() + merged.histograms().size();
-      ssim.set_capture(nullptr);
-    }
-    if (flight != nullptr) {
-      flight->fold_barrier(ssim.now());  // anything after the last barrier
-      out.flight_folded = flight->folded_records();
-      out.flight_triggers = flight->triggers_seen();
-      out.flight_scratch_dropped = flight->scratch_dropped();
-      out.flight_rings = flight->serialize_rings();
-      out.flight_bundles = flight->bundles();
-      ssim.set_flight(nullptr);
-    }
-    if (prof != nullptr) {
-      prof->stop();
-      const telemetry::prof::ProfileData pd = prof->collect();
-      out.profile_jsonl = telemetry::prof::profile_jsonl(pd);
-      out.profile_folded = telemetry::prof::profile_folded(pd);
-      out.prof_samples = pd.samples;
-      ssim.set_prof(nullptr);
-    }
-    std::vector<telemetry::ShardRuntimeRow> rows;
-    rows.reserve(static_cast<std::size_t>(nshards));
-    for (int s = 0; s < nshards; ++s) {
-      const sim::ShardedSimulator::ShardRuntime& rt =
-          ssim.runtime()[static_cast<std::size_t>(s)];
-      const fleet::IngestShard& is = backend.shard(s);
-      telemetry::ShardRuntimeRow row;
-      row.shard = s;
-      row.epochs = ssim.epochs_run();
-      row.events = rt.events;
-      row.busy_s = rt.busy_s;
-      row.wait_s = rt.wait_s;
-      row.queue_peak = rt.queue_peak;
-      row.wheel_peak = rt.wheel_peak;
-      row.overflow_peak = rt.overflow_peak;
-      row.frames = is.frames_ingested();
-      row.samples = is.samples_ingested();
-      row.ring_late = is.ring_late();
-      row.decode_errors = is.decode_errors();
-      row.backlog_peak = backend.backlog_peak(s);
-      row.lag_us_peak = backend.lag_us_peak(s);
-      row.pool_hits = is.pool().column_reuses() + is.pool().buffer_reuses();
-      row.pool_misses = is.pool().column_allocs() + is.pool().buffer_allocs();
-      row.pool_free = is.pool().columns_free() + is.pool().buffers_free();
-      if (flight != nullptr) {
-        row.flight_records = flight->ring(s).appended();
-        row.flight_dropped = flight->ring(s).dropped_total();
-      }
-      rows.push_back(row);
-    }
-    out.shards_jsonl = telemetry::shards_report_jsonl(rows);
+    ssim.planes().collect(ssim.now(), out);
+    out.shards_jsonl = shards_report(ssim, &backend);
   }
   for (const fs::path& dir : dirs) fs::remove_all(dir);
   return out;

@@ -27,12 +27,32 @@
 #include "sim/faults.hpp"
 #include "telemetry/fleet/ingest.hpp"
 #include "telemetry/fleet/shipper.hpp"
-#include "telemetry/flight.hpp"
-#include "telemetry/prof/profiler.hpp"
+#include "telemetry/planes.hpp"
 
 namespace vdap::core {
 
-struct FleetConfig {
+/// The observability planes come from telemetry::ObsOptions (DESIGN.md
+/// §6h–§6j), with these contracts on this path:
+///   * capture — the full platform duplicates some instrumentation per
+///     shard world (shared shipping topology, tier links), so exports are
+///     byte-identical across *thread* counts for a fixed shard count, but
+///     scale with the shard count; frames and tables stay
+///     geometry-invariant regardless.
+///   * flight — for the same reason this path defaults mirror_metrics and
+///     mirror_spans OFF and records the entity-partitioned streams
+///     instead: health edges (one per vehicle), fault activations (shard
+///     0's injector only — every injector is armed with the same plan, so
+///     its trace IS the trace) and explicit incidents. The bundle bytes
+///     are then geometry-invariant per (seed, plan) whenever
+///     flight_scratch_dropped == 0.
+///   * prof — wall plane only; every deterministic output is
+///     byte-identical with the sampler on or off.
+struct FleetConfig : telemetry::ObsOptions {
+  FleetConfig() {
+    flight_opts.mirror_metrics = false;
+    flight_opts.mirror_spans = false;
+  }
+
   int vehicles = 6;
   std::uint64_t seed = 7;
   /// Sharded execution (DESIGN.md §6f): vehicles are partitioned
@@ -73,42 +93,6 @@ struct FleetConfig {
   /// against the fused store after the drain; rendered tables land in
   /// FleetOutcome::query_results in the same order.
   std::vector<std::string> queries;
-  /// Capture telemetry while running: per-shard domains merged at epoch
-  /// barriers (DESIGN.md §6h). Unlike run_fleet_scale, the full platform
-  /// duplicates some instrumentation per shard world (shared shipping
-  /// topology, tier links), so exports are byte-identical across *thread*
-  /// counts for a fixed shard count, but scale with the shard count; the
-  /// frames/tables above stay geometry-invariant regardless.
-  bool capture = false;
-  /// Always-on flight recorder (DESIGN.md §6i). The full platform mirrors
-  /// metrics from per-shard-world infrastructure (shared topology copies,
-  /// tier links), so this path defaults mirror_metrics OFF and records the
-  /// entity-partitioned streams instead: health edges (one per vehicle),
-  /// fault activations (shard 0's injector only — every injector is armed
-  /// with the same plan, so its trace IS the trace) and explicit
-  /// incidents. With those streams the bundle bytes are geometry-invariant
-  /// per (seed, plan) whenever flight_scratch_dropped == 0.
-  bool flight = false;
-  telemetry::FlightRecorder::Options flight_opts = flight_default_opts();
-  /// Schedule telemetry::incident("scripted") on shard 0 at this sim time
-  /// (0 = off).
-  sim::SimTime flight_incident_at = 0;
-
-  static telemetry::FlightRecorder::Options flight_default_opts() {
-    telemetry::FlightRecorder::Options o;
-    o.mirror_metrics = false;
-    o.mirror_spans = false;
-    return o;
-  }
-
-  /// Continuous profiling plane (DESIGN.md §6j): attach a sampling
-  /// profiler to the run and export collapsed-stack artifacts
-  /// (profile_jsonl / profile_folded in the outcome). Purely wall-plane:
-  /// the sampler only reads seqlock-published tag stacks, so every
-  /// deterministic output above is byte-identical with prof on or off —
-  /// the `prof` test suite proves it across the shard × thread matrix.
-  bool prof = false;
-  telemetry::prof::ProfOptions prof_opts;
 };
 
 struct FleetVehicleStats {
@@ -123,7 +107,9 @@ struct FleetVehicleStats {
   std::uint64_t completed_ok = 0;
 };
 
-struct FleetOutcome {
+/// The observability artifacts come from telemetry::ObsArtifacts; see
+/// FleetConfig for their invariance contracts.
+struct FleetOutcome : telemetry::ObsArtifacts {
   // Aggregator-side report (byte-identical per (seed, plan)).
   std::string rollup_table;
   std::string anomaly_table;
@@ -154,31 +140,6 @@ struct FleetOutcome {
   std::uint64_t epochs = 0;        // lock-step barriers crossed
   std::uint64_t epoch_batches = 0; // non-empty cross-shard frame batches
   std::vector<std::string> fault_trace;
-
-  // Capture-plane artifacts (empty / zero unless config.capture); see
-  // FleetConfig::capture for the invariance contract.
-  std::string chrome_trace;
-  std::string metrics_jsonl;
-  std::uint64_t trace_events = 0;
-  std::uint64_t open_spans = 0;
-  std::uint64_t metric_keys = 0;
-
-  /// Runtime-plane shard report (always produced; wall-clock derived).
-  std::string shards_jsonl;
-
-  // Flight-recorder plane (zero / empty unless config.flight); see
-  // FleetConfig::flight for the invariance contract.
-  std::uint64_t flight_folded = 0;
-  std::uint64_t flight_triggers = 0;
-  std::uint64_t flight_scratch_dropped = 0;
-  std::string flight_rings;
-  std::vector<telemetry::FlightRecorder::Bundle> flight_bundles;
-
-  // Profiling plane (empty / zero unless config.prof); wall-clock
-  // sampled, diagnostic only — see FleetConfig::prof.
-  std::string profile_jsonl;
-  std::string profile_folded;
-  std::uint64_t prof_samples = 0;
 };
 
 /// Canned plan: slow every processor of vehicle `vehicle_index` to

@@ -7,8 +7,6 @@
 
 #include "net/topology.hpp"
 #include "sim/sharded.hpp"
-#include "telemetry/domains.hpp"
-#include "telemetry/export.hpp"
 #include "telemetry/fleet/wire.hpp"
 #include "telemetry/shard_report.hpp"
 #include "util/strings.hpp"
@@ -46,9 +44,10 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
   const int nshards = std::clamp(config.shards, 1, n);
   const int per_tick = std::max(config.samples_per_tick, 1);
 
+  // The simulator owns the observability planes (DESIGN.md §6h–§6j).
   sim::ShardedSimulator ssim(
-      config.seed,
-      sim::ShardedSimulator::Options{nshards, config.threads, config.epoch});
+      config.seed, sim::ShardedSimulator::Options{nshards, config.threads,
+                                                  config.epoch, config});
 
   std::vector<std::unique_ptr<net::Topology>> topos;
   for (int s = 0; s < nshards; ++s) {
@@ -71,22 +70,10 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
     });
   }
 
-  // Per-shard capture domains: worker shards record into their own domain,
-  // merged deterministically at every epoch barrier (DESIGN.md §6h).
-  std::unique_ptr<telemetry::DomainSet> domains;
-  if (config.capture) {
-    domains = std::make_unique<telemetry::DomainSet>(nshards);
-    ssim.set_capture(domains.get());
-  }
-
-  // Flight recorder (DESIGN.md §6i): one scratch ring per shard plus a
-  // coordinator ring, folded canonically at every epoch barrier. The
-  // manifest context deliberately excludes shards/threads — bundle bytes
-  // must not depend on execution geometry.
-  std::unique_ptr<telemetry::FlightRecorder> flight;
-  if (config.flight) {
-    flight = std::make_unique<telemetry::FlightRecorder>(nshards + 1,
-                                                         config.flight_opts);
+  // Flight recorder (DESIGN.md §6i). The manifest context deliberately
+  // excludes shards/threads — bundle bytes must not depend on execution
+  // geometry.
+  if (telemetry::FlightRecorder* flight = ssim.planes().flight()) {
     json::Object cj;
     cj["vehicles"] = static_cast<std::int64_t>(n);
     cj["run_until"] = config.run_until;
@@ -103,7 +90,6 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
             static_cast<std::int64_t>(b->anomalies().size());
       });
     }
-    ssim.set_flight(flight.get());
     if (config.flight_incident_at > 0) {
       // Sim-clock trigger on shard 0: the bundle it snapshots is a pure
       // function of (seed, config), identical across the matrix.
@@ -112,19 +98,6 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
       });
     }
     if (config.flight_crash_dump) flight->arm_crash_dump();
-  }
-
-  // Continuous profiling plane (DESIGN.md §6j). Attached before the first
-  // run_until so pool workers register their wait slots on spawn; slot
-  // layout per ShardedSimulator::set_prof (shards, coordinator, workers).
-  std::unique_ptr<telemetry::prof::Profiler> prof;
-  if (config.prof) {
-    prof = std::make_unique<telemetry::prof::Profiler>(
-        static_cast<std::size_t>(nshards) + 1 +
-            static_cast<std::size_t>(ssim.threads()),
-        config.prof_opts);
-    ssim.set_prof(prof.get());
-    prof->start();
   }
 
   // All vehicle state lives in one flat vector sized up front, so the
@@ -193,27 +166,17 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
 
   out.events_fired += ssim.run_until(config.run_until);
   // Quiesced at an epoch barrier: stop the producers, cut the final
-  // frames, then drain the transport. Metrics this section records (flush
-  // counters) go to the coordinator domain; counters sum identically no
-  // matter which domain records them, so geometry invariance holds. The
-  // coordinator flight ring binds the same way, stamped with barrier time.
-  telemetry::Domain* prev = nullptr;
-  telemetry::FlightRing* prev_ring = nullptr;
-  if (domains != nullptr) {
-    prev = telemetry::bind_domain(domains->coordinator_domain());
+  // frames, then drain the transport. What this section records (flush
+  // counters) goes to the coordinator's planes; counters sum identically
+  // no matter which domain records them, so geometry invariance holds.
+  {
+    telemetry::BindScope bind(ssim.planes().coordinator(ssim.now()));
+    for (VehicleState& v : vehicles) {
+      v.tick.stop();
+      v.shipper->stop();
+      v.shipper->flush_now();
+    }
   }
-  if (flight != nullptr) {
-    telemetry::FlightRing& coord = flight->ring(nshards);
-    coord.set_time_hint(ssim.now());
-    prev_ring = telemetry::bind_flight(&coord);
-  }
-  for (VehicleState& v : vehicles) {
-    v.tick.stop();
-    v.shipper->stop();
-    v.shipper->flush_now();
-  }
-  if (flight != nullptr) telemetry::bind_flight(prev_ring);
-  if (domains != nullptr) telemetry::bind_domain(prev);
   out.events_fired += ssim.run_until(config.run_until + config.drain);
   out.epochs = ssim.epochs_run();
 
@@ -256,45 +219,17 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
       static_cast<unsigned long long>(out.decode_errors),
       static_cast<unsigned long long>(out.digest));
 
-  // Capture plane: merged exports, byte-identical across the matrix.
-  if (domains != nullptr) {
-    domains->merge_epoch();  // anything recorded after the last barrier
-    out.chrome_trace = domains->chrome_trace();
-    const telemetry::MetricsRegistry merged = domains->merged_metrics();
-    out.metrics_jsonl =
-        telemetry::metrics_snapshot_json(merged, ssim.now()).dump() + "\n";
-    out.trace_events = domains->events();
-    out.open_spans = domains->open_spans();
-    out.metric_keys = merged.counters().all().size() + merged.gauges().size() +
-                      merged.histograms().size();
-    ssim.set_capture(nullptr);
-  }
+  ssim.planes().collect(ssim.now(), out);
+  out.shards_jsonl = shards_report(ssim, backend.get());
+  return out;
+}
 
-  // Flight plane: end-of-run master serialization plus any bundles the
-  // run's triggers snapshotted. A final fold picks up anything recorded
-  // after the last barrier.
-  if (flight != nullptr) {
-    flight->fold_barrier(ssim.now());
-    out.flight_folded = flight->folded_records();
-    out.flight_triggers = flight->triggers_seen();
-    out.flight_scratch_dropped = flight->scratch_dropped();
-    out.flight_rings = flight->serialize_rings();
-    out.flight_bundles = flight->bundles();
-    ssim.set_flight(nullptr);
-  }
-  if (prof != nullptr) {
-    prof->stop();
-    const telemetry::prof::ProfileData pd = prof->collect();
-    out.profile_jsonl = telemetry::prof::profile_jsonl(pd);
-    out.profile_folded = telemetry::prof::profile_folded(pd);
-    out.prof_samples = pd.samples;
-    ssim.set_prof(nullptr);
-  }
-
-  // Runtime plane: one report row per shard (wall-clock — diagnostic only).
+std::string shards_report(sim::ShardedSimulator& ssim,
+                          const fleet::ShardedIngestBackend* backend) {
+  telemetry::FlightRecorder* flight = ssim.planes().flight();
   std::vector<telemetry::ShardRuntimeRow> rows;
-  rows.reserve(static_cast<std::size_t>(nshards));
-  for (int s = 0; s < nshards; ++s) {
+  rows.reserve(static_cast<std::size_t>(ssim.shards()));
+  for (int s = 0; s < ssim.shards(); ++s) {
     const sim::ShardedSimulator::ShardRuntime& rt =
         ssim.runtime()[static_cast<std::size_t>(s)];
     telemetry::ShardRuntimeRow row;
@@ -324,8 +259,7 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
     }
     rows.push_back(row);
   }
-  out.shards_jsonl = telemetry::shards_report_jsonl(rows);
-  return out;
+  return telemetry::shards_report_jsonl(rows);
 }
 
 }  // namespace vdap::core

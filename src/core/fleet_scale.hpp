@@ -24,8 +24,7 @@
 #include "sim/time.hpp"
 #include "telemetry/fleet/ingest.hpp"
 #include "telemetry/fleet/shipper.hpp"
-#include "telemetry/flight.hpp"
-#include "telemetry/prof/profiler.hpp"
+#include "telemetry/planes.hpp"
 
 namespace vdap::sim {
 class ShardedSimulator;
@@ -33,7 +32,13 @@ class ShardedSimulator;
 
 namespace vdap::core {
 
-struct FleetScaleConfig {
+/// The observability planes come from telemetry::ObsOptions (DESIGN.md
+/// §6h–§6j). On this path every deterministic plane export — the capture
+/// trace and metrics, the flight rings and sim-clock-triggered bundles
+/// (while flight_scratch_dropped == 0) — is byte-identical across the
+/// shard × thread matrix per (seed, rest-of-config), and no plane moves
+/// the digest.
+struct FleetScaleConfig : telemetry::ObsOptions {
   int vehicles = 1000;
   std::uint64_t seed = 7;
   /// Sharded execution knobs (see FleetConfig): output is byte-identical
@@ -55,39 +60,18 @@ struct FleetScaleConfig {
   /// are byte-for-byte unaffected unless this is set.
   bool ingest_backend = false;
   telemetry::fleet::IngestOptions ingest;
-  /// Capture telemetry while running: per-shard domains bound on the
-  /// worker shards, merged deterministically at epoch barriers (DESIGN.md
-  /// §6h). The exported artifacts below are byte-identical across the
-  /// shard × thread matrix per (seed, rest-of-config); the digest path is
-  /// unaffected either way.
-  bool capture = false;
-  /// Always-on flight recorder (DESIGN.md §6i): one fixed-memory scratch
-  /// ring per shard plus a coordinator ring, folded into a canonical
-  /// master ring at every epoch barrier. Works with capture off; the
-  /// digest path is byte-for-byte unaffected either way.
-  bool flight = false;
-  telemetry::FlightRecorder::Options flight_opts;
-  /// Schedule telemetry::incident("scripted") on shard 0 at this sim time
-  /// (0 = off). Because the trigger rides the sim clock, the resulting
-  /// bundle is byte-identical across the shard × thread matrix.
-  sim::SimTime flight_incident_at = 0;
   /// Arm the fatal-signal crash dump (requires flight_opts.dir): on
   /// SIGSEGV/SIGABRT/... an async-signal-safe handler streams the raw
   /// rings and a minimal manifest to <dir>/incident-crash/.
   bool flight_crash_dump = false;
-  /// Continuous profiling plane (DESIGN.md §6j): run a sampling profiler
-  /// alongside the fleet and export collapsed-stack artifacts
-  /// (profile_jsonl / profile_folded below). Wall-plane only — the digest,
-  /// capture and flight outputs are byte-for-byte unaffected either way.
-  bool prof = false;
-  telemetry::prof::ProfOptions prof_opts;
   /// Test hook: runs after all wiring (recorder bound, vehicles built)
   /// and before the first run_until — e.g. the death test schedules a
   /// mid-run abort here.
   std::function<void(sim::ShardedSimulator&)> prepare;
 };
 
-struct FleetScaleOutcome {
+/// The observability artifacts come from telemetry::ObsArtifacts.
+struct FleetScaleOutcome : telemetry::ObsArtifacts {
   int vehicles = 0;
   int shards = 0;
   int threads = 0;
@@ -119,37 +103,14 @@ struct FleetScaleOutcome {
   std::uint64_t detect_scanned = 0;
   /// One-line deterministic ingest summary ("" when the backend is off).
   std::string ingest_summary;
-
-  // Capture-plane artifacts (empty / zero unless config.capture). All of
-  // them are part of the byte-identity contract.
-  std::string chrome_trace;   // merged Chrome trace-event JSON
-  std::string metrics_jsonl;  // one metrics snapshot line (end of run)
-  std::uint64_t trace_events = 0;
-  std::uint64_t open_spans = 0;  // must drain to 0
-  std::uint64_t metric_keys = 0;
-
-  /// Runtime-plane shard report (always produced; wall-clock derived —
-  /// NOT byte-identical, see telemetry/shard_report.hpp).
-  std::string shards_jsonl;
-
-  // Flight-recorder plane (zero / empty unless config.flight). The
-  // deterministic pieces — flight_rings, bundle manifests and rings —
-  // are part of the byte-identity contract whenever
-  // flight_scratch_dropped == 0; runtime.jsonl inside bundles is not.
-  std::uint64_t flight_folded = 0;
-  std::uint64_t flight_triggers = 0;
-  std::uint64_t flight_scratch_dropped = 0;
-  /// End-of-run serialization of the master ring (VFR1 wire format).
-  std::string flight_rings;
-  std::vector<telemetry::FlightRecorder::Bundle> flight_bundles;
-
-  // Profiling plane (empty / zero unless config.prof); wall-clock
-  // sampled, diagnostic only — never part of the byte-identity contract.
-  std::string profile_jsonl;   // meta line + per-slot collapsed stacks
-  std::string profile_folded;  // merged flamegraph.pl input
-  std::uint64_t prof_samples = 0;
 };
 
 FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config);
+
+/// The runtime-plane shards.jsonl of a sharded run: one row per shard from
+/// the simulator's runtime statistics and flight rings, plus the hosted
+/// ingest backend's counters when there is one.
+std::string shards_report(sim::ShardedSimulator& ssim,
+                          const telemetry::fleet::ShardedIngestBackend* backend);
 
 }  // namespace vdap::core

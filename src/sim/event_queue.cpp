@@ -171,44 +171,4 @@ EventQueue::Fired EventQueue::pop() {
   return fired;
 }
 
-// --- HeapEventQueue (reference oracle) --------------------------------------
-
-EventId HeapEventQueue::push(SimTime at, EventFn fn) {
-  EventId id = next_id_++;
-  fns_.push_back(std::move(fn));
-  cancelled_.push_back(false);
-  assert(fns_.size() == next_id_);
-  heap_.push(Entry{at, id});
-  ++live_count_;
-  return id;
-}
-
-bool HeapEventQueue::cancel(EventId id) {
-  if (id >= next_id_ || cancelled_[id] || !fns_[id]) return false;
-  cancelled_[id] = true;
-  fns_[id] = nullptr;  // release captured state promptly
-  --live_count_;
-  return true;
-}
-
-void HeapEventQueue::drop_cancelled() {
-  while (!heap_.empty() && cancelled_[heap_.top().id]) heap_.pop();
-}
-
-SimTime HeapEventQueue::next_time() {
-  drop_cancelled();
-  return heap_.empty() ? kTimeMax : heap_.top().at;
-}
-
-HeapEventQueue::Fired HeapEventQueue::pop() {
-  drop_cancelled();
-  assert(!heap_.empty());
-  Entry e = heap_.top();
-  heap_.pop();
-  Fired fired{e.at, e.id, std::move(fns_[e.id])};
-  fns_[e.id] = nullptr;
-  --live_count_;
-  return fired;
-}
-
 }  // namespace vdap::sim

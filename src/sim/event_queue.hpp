@@ -4,25 +4,20 @@
 // sequence number breaks ties), which makes simulations deterministic and
 // lets components rely on happens-before within a timestep.
 //
-// Two implementations share the interface:
+// EventQueue is a two-level bucketed calendar queue: a wheel of
+// fixed-width time buckets covers the near future (push/pop are O(1)
+// amortized; a bucket is sorted once, when the cursor reaches it), and a
+// binary heap holds everything beyond the horizon, migrating into the
+// wheel as the window advances. Event callbacks live in a slot-recycling
+// pool, so memory stays proportional to the number of *pending* events
+// instead of growing with every event ever pushed — the property that
+// lets a 100k-vehicle shard run for minutes.
 //
-//   * EventQueue — a two-level bucketed calendar queue: a wheel of
-//     fixed-width time buckets covers the near future (push/pop are O(1)
-//     amortized; a bucket is sorted once, when the cursor reaches it), and
-//     a binary heap holds everything beyond the horizon, migrating into
-//     the wheel as the window advances. Event callbacks live in a
-//     slot-recycling pool, so memory stays proportional to the number of
-//     *pending* events instead of growing with every event ever pushed —
-//     the property that lets a 100k-vehicle shard run for minutes.
-//
-//   * HeapEventQueue — the original std::priority_queue implementation,
-//     kept as the reference oracle: tests/sharded_test.cpp drives both
-//     through randomized push/cancel/pop sequences and asserts identical
-//     behavior.
-//
-// Both order events by (time, push sequence); EventQueue's ids additionally
-// encode a generation so a recycled slot cannot be cancelled through a
-// stale handle.
+// Events are ordered by (time, push sequence); ids additionally encode a
+// generation so a recycled slot cannot be cancelled through a stale
+// handle. tests/sharded_test.cpp drives the queue against the original
+// std::priority_queue implementation, kept there as the reference oracle,
+// through randomized push/cancel/pop sequences.
 #pragma once
 
 #include <cstdint>
@@ -117,41 +112,6 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_count_ = 0;
-};
-
-/// The original binary-heap event queue (see file comment). Same interface
-/// and firing order as EventQueue; ids are plain insertion indices.
-class HeapEventQueue {
- public:
-  EventId push(SimTime at, EventFn fn);
-  bool cancel(EventId id);
-
-  bool empty() const { return live_count_ == 0; }
-  std::size_t size() const { return live_count_; }
-
-  SimTime next_time();
-
-  using Fired = EventQueue::Fired;
-  Fired pop();
-
- private:
-  struct Entry {
-    SimTime at;
-    EventId id;
-    bool operator>(const Entry& other) const {
-      if (at != other.at) return at > other.at;
-      return id > other.id;
-    }
-  };
-
-  void drop_cancelled();
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  // Callbacks are stored out of the heap so cancel() is O(1).
-  std::vector<EventFn> fns_;          // indexed by id
-  std::vector<bool> cancelled_;       // indexed by id
-  EventId next_id_ = 0;
   std::size_t live_count_ = 0;
 };
 

@@ -5,11 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "telemetry/domains.hpp"
-#include "telemetry/flight.hpp"
-#include "telemetry/prof/profiler.hpp"
-#include "telemetry/telemetry.hpp"
-
 namespace vdap::sim {
 
 ShardedSimulator::ShardedSimulator(std::uint64_t seed, Options options)
@@ -28,46 +23,22 @@ ShardedSimulator::ShardedSimulator(std::uint64_t seed, Options options)
     shards_.push_back(Shard{std::make_unique<Simulator>(seed), {}, 0, 0.0});
   }
   runtime_.resize(shards_.size());
+  planes_ = std::make_unique<telemetry::Planes>(opts_.obs, opts_.shards,
+                                                opts_.threads);
+  if (telemetry::FlightRecorder* flight = planes_->flight()) {
+    // Scratch ring i reads shard i's live clock so metric mirrors (which
+    // have no caller timestamp) stay precise and deterministic.
+    for (int i = 0; i < shards(); ++i) {
+      flight->ring(i).set_clock(
+          shards_[static_cast<std::size_t>(i)].sim->now_ptr());
+    }
+  }
 }
 
 void ShardedSimulator::post(int from_shard, SimTime at, std::uint64_t key,
                             std::string payload) {
   shards_[static_cast<std::size_t>(from_shard)].outbox.push_back(
       ShardMessage{at, key, std::move(payload)});
-}
-
-void ShardedSimulator::set_flight(telemetry::FlightRecorder* flight) {
-  flight_ = flight;
-  if (flight_ == nullptr) return;
-  if (flight_->domains() != shards() + 1) {
-    throw std::invalid_argument(
-        "sharded: flight recorder has " + std::to_string(flight_->domains()) +
-        " rings for " + std::to_string(shards()) +
-        " shards (+1 coordinator)");
-  }
-  // Scratch ring i reads shard i's live clock so metric mirrors (which
-  // have no caller timestamp) stay precise and deterministic.
-  for (int i = 0; i < shards(); ++i) {
-    flight_->ring(i).set_clock(
-        shards_[static_cast<std::size_t>(i)].sim->now_ptr());
-  }
-}
-
-void ShardedSimulator::set_prof(telemetry::prof::Profiler* prof) {
-  if (prof != nullptr &&
-      prof->slots() < static_cast<std::size_t>(shards()) + 1) {
-    throw std::invalid_argument(
-        "sharded: profiler has " + std::to_string(prof->slots()) +
-        " slots for " + std::to_string(shards()) + " shards (+1 coordinator)");
-  }
-  // Changing the binding while workers exist would leave them parked in a
-  // "pool/wait" scope holding pointers into the OLD profiler's slots —
-  // freed as soon as the caller destroys it. Joining the pool here drains
-  // those scopes while the slots are still alive (callers detach with
-  // set_prof(nullptr) before destroying the profiler); the next run_until
-  // respawns workers against the new binding.
-  if (prof != prof_ && pool_ != nullptr) pool_.reset();
-  prof_ = prof;
 }
 
 bool ShardedSimulator::idle() const {
@@ -101,11 +72,7 @@ void ShardedSimulator::collect_runtime() {
   // is "how much sooner than the slowest shard it finished" — the epoch
   // ends for everyone when the slowest worker arrives.
   double max_busy = 0.0;
-  double min_busy = shards_.empty() ? 0.0 : shards_[0].epoch_busy;
-  for (const Shard& s : shards_) {
-    max_busy = std::max(max_busy, s.epoch_busy);
-    min_busy = std::min(min_busy, s.epoch_busy);
-  }
+  for (const Shard& s : shards_) max_busy = std::max(max_busy, s.epoch_busy);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& s = shards_[i];
     ShardRuntime& rt = runtime_[i];
@@ -116,16 +83,11 @@ void ShardedSimulator::collect_runtime() {
     rt.overflow_peak =
         std::max(rt.overflow_peak, s.sim->queue().overflow_entries());
   }
-  if (capture_ != nullptr) {
-    const double imbalance =
-        max_busy > 0.0 ? (max_busy - min_busy) / max_busy : 0.0;
-    mirror_runtime_metrics(max_busy, imbalance);
-  }
-  if (flight_ != nullptr) {
+  if (telemetry::FlightRecorder* flight = planes_->flight()) {
     // Shard-runtime snapshots land in the recorder's wall-clock ring —
     // rendered as runtime.jsonl in incident bundles, never part of the
     // deterministic rings.vfr surface.
-    telemetry::FlightRing& rt = flight_->runtime_ring();
+    telemetry::FlightRing& rt = flight->runtime_ring();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       rt.append(telemetry::make_flight_record(
           telemetry::FlightKind::kRuntime, now_,
@@ -136,50 +98,7 @@ void ShardedSimulator::collect_runtime() {
   }
 }
 
-void ShardedSimulator::mirror_runtime_metrics(double epoch_wall_s,
-                                              double epoch_imbalance) {
-  // Runtime plane only: wall-clock-derived values go into the DomainSet's
-  // runtime registry, never into the deterministic capture domains.
-  telemetry::MetricsRegistry& r = capture_->runtime();
-  r.observe("sharded.epoch.wall_s", epoch_wall_s);
-  r.observe("sharded.epoch.imbalance", epoch_imbalance);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const ShardRuntime& rt = runtime_[i];
-    const std::string shard = std::to_string(i);
-    r.set_gauge("sharded.shard.busy_s", {{"shard", shard}}, rt.busy_s);
-    r.set_gauge("sharded.shard.wait_s", {{"shard", shard}}, rt.wait_s);
-    r.set_gauge("sharded.shard.queue_peak", {{"shard", shard}},
-                static_cast<double>(rt.queue_peak));
-    r.set_gauge("sharded.shard.wheel_peak", {{"shard", shard}},
-                static_cast<double>(rt.wheel_peak));
-    r.set_gauge("sharded.shard.overflow_peak", {{"shard", shard}},
-                static_cast<double>(rt.overflow_peak));
-  }
-}
-
 std::size_t ShardedSimulator::run_until(SimTime until) {
-  if (opts_.threads > 1 && telemetry::Telemetry::enabled()) {
-    // The truly-unsupported combination: a legacy telemetry::Session binds
-    // the process-global domain to the calling thread, and the calling
-    // thread *participates* in shard work (ThreadPool::run). The Session
-    // would capture whichever shards scheduling happened to hand it —
-    // nondeterministic and racy. Per-shard capture has no such problem.
-    throw std::logic_error(
-        "sharded: a legacy telemetry::Session (process-global capture) "
-        "cannot observe threads > 1 — it would record a scheduling-"
-        "dependent subset of shard work; attach per-shard domains with "
-        "set_capture(telemetry::DomainSet) or run with threads = 1");
-  }
-  if (capture_ != nullptr && capture_->shards() != shards()) {
-    throw std::invalid_argument(
-        "sharded: capture DomainSet has " + std::to_string(capture_->shards()) +
-        " domains for " + std::to_string(shards()) + " shards");
-  }
-  if (flight_ != nullptr && flight_->domains() != shards() + 1) {
-    throw std::invalid_argument(
-        "sharded: flight recorder has " + std::to_string(flight_->domains()) +
-        " rings for " + std::to_string(shards()) + " shards (+1 coordinator)");
-  }
   if (until == kTimeMax) {
     // Lock-step epochs need a finite horizon (an idle shard still has to
     // reach every barrier); callers drain with explicit horizons instead.
@@ -188,14 +107,9 @@ std::size_t ShardedSimulator::run_until(SimTime until) {
   if (pool_ == nullptr) {
     // Worker-registration hooks give each spawned worker its own prof
     // slot, so barrier waits ("pool/wait") show up in sampled profiles.
-    // The hooks read prof_ at worker spawn: attach the profiler before
-    // the first run_until (the pool is created lazily right here).
     ThreadPool::WorkerHooks hooks;
     hooks.on_start = [this](std::size_t w) {
-      if (prof_ != nullptr) {
-        telemetry::prof::bind_prof(
-            prof_->slot(static_cast<std::size_t>(shards()) + 1 + w));
-      }
+      telemetry::prof::bind_prof(planes_->worker_slot(w));
     };
     hooks.on_exit = [](std::size_t) { telemetry::prof::bind_prof(nullptr); };
     pool_ = std::make_unique<ThreadPool>(opts_.threads, std::move(hooks));
@@ -209,34 +123,18 @@ std::size_t ShardedSimulator::run_until(SimTime until) {
     tasks.reserve(shards_.size());
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       Shard* shard = &shards_[i];
-      telemetry::Domain* domain =
-          capture_ != nullptr ? capture_->shard_domain(static_cast<int>(i))
-                              : nullptr;
-      telemetry::FlightRing* ring =
-          flight_ != nullptr ? &flight_->ring(static_cast<int>(i)) : nullptr;
-      telemetry::prof::ProfSlot* pslot =
-          prof_ != nullptr ? prof_->slot(i) : nullptr;
-      tasks.push_back([shard, epoch_end, domain, ring, pslot] {
+      const telemetry::Binding bind = planes_->shard(static_cast<int>(i));
+      tasks.push_back([shard, epoch_end, bind] {
         const auto t0 = std::chrono::steady_clock::now();
-        // Bind the shard's domain for the duration of its epoch so every
-        // instrumentation site below records into per-shard storage. The
-        // previous binding is restored because the calling thread also
-        // works tasks and must leave with its own binding intact. The
-        // flight ring and prof slot bind the same way (independently —
-        // the black box and the sampler work with capture off too).
-        telemetry::Domain* prev = nullptr;
-        telemetry::FlightRing* prev_ring = nullptr;
-        telemetry::prof::ProfSlot* prev_prof = nullptr;
-        if (domain != nullptr) prev = telemetry::bind_domain(domain);
-        if (ring != nullptr) prev_ring = telemetry::bind_flight(ring);
-        if (pslot != nullptr) prev_prof = telemetry::prof::bind_prof(pslot);
         {
+          // Bound on every run, null planes included: instrumentation
+          // below records into per-shard storage only, never into the
+          // running thread's own binding, which the scope restores (the
+          // calling thread works tasks too).
+          telemetry::BindScope scope(bind);
           PROF_SCOPE("sim/epoch");
           shard->fired += shard->sim->run_until(epoch_end);
         }
-        if (pslot != nullptr) telemetry::prof::bind_prof(prev_prof);
-        if (ring != nullptr) telemetry::bind_flight(prev_ring);
-        if (domain != nullptr) telemetry::bind_domain(prev);
         shard->epoch_busy =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                 .count();
@@ -247,42 +145,14 @@ std::size_t ShardedSimulator::run_until(SimTime until) {
     ++epochs_;
     collect_runtime();
     // The epoch sink mutates shards from the coordinator thread; its
-    // instrumentation lands in the coordinator domain and is merged with
-    // the shard domains right after. Its flight records land in the
-    // coordinator ring, timestamped with the barrier's epoch end.
-    telemetry::Domain* prev = nullptr;
-    telemetry::FlightRing* prev_ring = nullptr;
-    telemetry::prof::ProfSlot* prev_prof = nullptr;
-    if (capture_ != nullptr) {
-      prev = telemetry::bind_domain(capture_->coordinator_domain());
-    }
-    if (flight_ != nullptr) {
-      telemetry::FlightRing& coord = flight_->ring(shards());
-      coord.set_time_hint(epoch_end);
-      prev_ring = telemetry::bind_flight(&coord);
-    }
-    if (prof_ != nullptr) {
-      prev_prof = telemetry::prof::bind_prof(
-          prof_->slot(static_cast<std::size_t>(shards())));
-    }
+    // records land in the coordinator's domain and ring (timestamped with
+    // the epoch end) and are merged with the shards' right after.
+    telemetry::BindScope scope(planes_->coordinator(epoch_end));
     {
       PROF_SCOPE("sim/exchange");
       exchange(epoch_end);
     }
-    if (flight_ != nullptr) telemetry::bind_flight(prev_ring);
-    if (capture_ != nullptr) {
-      telemetry::bind_domain(prev);
-      PROF_SCOPE("sim/merge");
-      capture_->merge_epoch();
-    }
-    // Fold every scratch ring into the master ring in canonical content
-    // order and service any incident trigger raised this epoch — the
-    // shards are quiesced, so this is race-free and deterministic.
-    if (flight_ != nullptr) {
-      PROF_SCOPE("flight/fold");
-      flight_->fold_barrier(epoch_end);
-    }
-    if (prof_ != nullptr) telemetry::prof::bind_prof(prev_prof);
+    planes_->barrier(epoch_end);
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = shards_[i];

@@ -25,16 +25,16 @@
 //     then the merged batch order is a pure function of (seed, plan).
 //     tests/sharded_test.cpp sweeps shard counts 1/2/8 x thread counts to
 //     prove both properties for the fleet scenarios.
-//   * Telemetry: attach a telemetry::DomainSet with set_capture() and each
-//     worker shard records into its own domain (bound thread-locally around
-//     its epoch), merged deterministically at every barrier — so captured
+//   * Observability: the simulator owns a telemetry::Planes built from
+//     Options::obs (capture domains, flight recorder, profiler). Every
+//     shard task runs under its shard's BindScope and every barrier under
+//     the coordinator's, so shard i records into its own domain, ring and
+//     prof slot, merged deterministically at every barrier — captured
 //     exports stay byte-identical across the shard × thread matrix
-//     (DESIGN.md §6h). The one refused combination is a live legacy
-//     telemetry::Session (process-global domain) with threads > 1: the
-//     calling thread participates in shard work, so the Session would
-//     capture a scheduling-dependent subset of events.
+//     (DESIGN.md §6h). A plane that is off binds null, so shard work never
+//     records into the calling thread's own binding (a live Session, say).
 //
-// Beyond capture, the runner always keeps per-shard *runtime* statistics
+// Beyond the planes, the runner always keeps per-shard *runtime* statistics
 // (wall-clock busy/wait at barriers, event-queue occupancy peaks) — see
 // runtime(); these are diagnostic and never part of the deterministic
 // surface.
@@ -48,15 +48,7 @@
 
 #include "sim/simulator.hpp"
 #include "sim/thread_pool.hpp"
-
-namespace vdap::telemetry {
-class DomainSet;
-class FlightRecorder;
-}  // namespace vdap::telemetry
-
-namespace vdap::telemetry::prof {
-class Profiler;
-}  // namespace vdap::telemetry::prof
+#include "telemetry/planes.hpp"
 
 namespace vdap::sim {
 
@@ -78,6 +70,8 @@ class ShardedSimulator {
     /// Lock-step epoch length; cross-shard messages are exchanged at
     /// multiples of this.
     SimDuration epoch_length = seconds(1);
+    /// Observability planes, sized to the shard and thread counts above.
+    telemetry::ObsOptions obs;
   };
 
   /// Called once per epoch barrier with all messages the epoch produced,
@@ -106,38 +100,11 @@ class ShardedSimulator {
 
   void set_epoch_sink(EpochSink sink) { sink_ = std::move(sink); }
 
-  /// Attaches per-shard telemetry domains (one per shard — enforced at
-  /// run_until). While attached, shard i's epoch work records into
-  /// capture->shard_domain(i), the epoch sink records into the coordinator
-  /// domain, and domains are merged at every barrier. Pass nullptr to
-  /// detach. The DomainSet must outlive the runs it captures.
-  void set_capture(telemetry::DomainSet* capture) { capture_ = capture; }
-  telemetry::DomainSet* capture() const { return capture_; }
-
-  /// Attaches an always-on flight recorder (DESIGN.md §6i). It must own
-  /// shards()+1 rings: shard i's epoch work records into ring i (clocked
-  /// by that shard's simulator), the epoch sink into ring shards() (the
-  /// coordinator ring, time-hinted with each epoch end), and the
-  /// recorder folds + services incident triggers at every barrier.
-  /// Independent of set_capture — the black box works with capture off.
-  /// Pass nullptr to detach; the recorder must outlive the runs.
-  void set_flight(telemetry::FlightRecorder* flight);
-  telemetry::FlightRecorder* flight() const { return flight_; }
-
-  /// Attaches a sampling profiler (DESIGN.md §6j). Slot layout: shard i's
-  /// epoch work publishes into slot i, the coordinator's barrier sections
-  /// into slot shards(), and pool worker w (spawned worker threads only)
-  /// into slot shards()+1+w — the profiler must own at least shards()+1
-  /// slots; worker slots beyond its size are simply not registered.
-  /// Purely wall-plane: the sampler only reads seqlock-published stacks,
-  /// so sim outputs stay byte-identical with the profiler on or off.
-  /// Attach before the first run_until so pool workers register on spawn.
-  /// Detach with set_prof(nullptr) BEFORE destroying the profiler: a
-  /// binding change joins any live pool workers (their parked "pool/wait"
-  /// scopes hold pointers into the old profiler's slots), and the next
-  /// run_until respawns them against the new binding.
-  void set_prof(telemetry::prof::Profiler* prof);
-  telemetry::prof::Profiler* prof() const { return prof_; }
+  /// The run's observability planes. Shard i's epoch work records into
+  /// planes().shard(i); the exchange, epoch sink and barrier merge into
+  /// planes().coordinator(). Quiesced code between run_until calls binds
+  /// the coordinator itself.
+  telemetry::Planes& planes() { return *planes_; }
 
   /// Per-shard runtime statistics, accumulated across every run_until call
   /// (wall-clock derived — diagnostic only, never deterministic).
@@ -175,17 +142,16 @@ class ShardedSimulator {
 
   void exchange(SimTime epoch_end);
   void collect_runtime();
-  void mirror_runtime_metrics(double epoch_wall_s, double epoch_imbalance);
 
   std::uint64_t seed_;
   Options opts_;
   std::vector<Shard> shards_;
   std::vector<ShardRuntime> runtime_;
+  // Declared before pool_ so the pool joins first: parked workers hold
+  // "pool/wait" scopes that point into the profiler's slots.
+  std::unique_ptr<telemetry::Planes> planes_;
   std::unique_ptr<ThreadPool> pool_;
   EpochSink sink_;
-  telemetry::DomainSet* capture_ = nullptr;
-  telemetry::FlightRecorder* flight_ = nullptr;
-  telemetry::prof::Profiler* prof_ = nullptr;
   SimTime now_ = kTimeZero;
   std::uint64_t epochs_ = 0;
 };

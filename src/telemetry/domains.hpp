@@ -1,8 +1,9 @@
 // Per-shard telemetry domains for a sharded run (DESIGN.md §6h).
 //
-// sim::ShardedSimulator binds shard i's Domain on whichever pool thread
-// runs shard i's epoch, and the coordinator Domain around the barrier
-// itself (message exchange, epoch sinks, ingest mirrors). At every epoch
+// telemetry::Planes owns the DomainSet of a sharded run (planes.hpp):
+// shard i's Domain is bound on whichever pool thread runs shard i's
+// epoch, and the coordinator Domain around the barrier itself (message
+// exchange, epoch sinks, ingest mirrors). At every epoch
 // barrier — all shards quiesced — merge_epoch() drains each domain's new
 // trace events and appends them to a master log in a canonical order that
 // is a pure function of the event *multiset*, so the merged export is
@@ -13,12 +14,6 @@
 // Metrics stay cumulative inside each domain; merged_metrics() folds them
 // on demand in shard-index order (then the coordinator). Counters are
 // int64 sums, so the merged values are geometry-exact.
-//
-// The DomainSet also carries a *runtime* registry — wall-clock-derived
-// introspection of the sharded runtime (barrier waits, queue occupancy,
-// ingest lag). It is deliberately not part of the deterministic capture
-// surface; it feeds the shards report (shard_report.hpp), never the
-// byte-identity tests.
 #pragma once
 
 #include <cstddef>
@@ -60,11 +55,6 @@ class DomainSet {
   /// coordinator domain.
   MetricsRegistry merged_metrics() const;
 
-  /// Runtime-plane registry (wall-clock sharded-runtime introspection);
-  /// excluded from the deterministic capture surface above.
-  MetricsRegistry& runtime() { return runtime_; }
-  const MetricsRegistry& runtime() const { return runtime_; }
-
  private:
   struct Entry {
     Domain domain;
@@ -76,7 +66,6 @@ class DomainSet {
   std::vector<std::unique_ptr<Entry>> shards_;
   Entry coordinator_;
   Tracer master_;
-  MetricsRegistry runtime_;
   std::uint64_t next_span_ = 1;
 };
 

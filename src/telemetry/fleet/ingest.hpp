@@ -41,8 +41,8 @@
 //   * Hosted callers invoke ingest_on_shard(s, line) only from code
 //     running shard s (e.g. a deliver callback on its sim shard) and
 //     barrier() only with every shard quiesced (an epoch barrier).
-//   * The process-wide telemetry registry is touched only at barriers,
-//     on the coordinating thread.
+//   * The calling thread's bound telemetry domain is touched only at
+//     barriers, on the coordinating thread.
 #pragma once
 
 #include <cstdint>

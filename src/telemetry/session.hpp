@@ -1,11 +1,10 @@
 // One telemetry capture, scoped to one simulation run.
 //
-// Construction resets the process-wide registry/tracer and enables
-// collection; destruction disables it again. Captures must not nest (the
-// registry is process-wide — see telemetry.hpp); the constructor enforces
-// this. Periodic JSONL metric snapshots ride on Simulator::every, so they
-// land at deterministic sim times and appear in the event stream like any
-// other scheduled work.
+// A Session owns a fresh Domain and binds it on the constructing thread;
+// destruction unbinds it. Captures must not nest: the constructor refuses
+// a thread that already has a domain bound. Periodic JSONL metric
+// snapshots ride on Simulator::every, so they land at deterministic sim
+// times and appear in the event stream like any other scheduled work.
 //
 // Header-only on purpose: the telemetry library proper depends only on
 // util + sim/time; the Simulator coupling below compiles into the caller,
@@ -26,29 +25,25 @@ namespace vdap::telemetry {
 class Session {
  public:
   explicit Session(sim::Simulator& sim) : sim_(sim) {
-    if (Telemetry::enabled()) {
-      throw std::logic_error("telemetry session already active");
-    }
     if (bound_domain() != nullptr) {
       throw std::logic_error(
-          "a telemetry domain is already bound on this thread (sharded "
-          "capture live?) — Session would shadow it");
+          "a telemetry domain is already bound on this thread (another "
+          "Session or a sharded capture live?) — Session would shadow it");
     }
-    Telemetry::instance().reset();
-    Telemetry::instance().enable();
+    bind_domain(&domain_);
   }
 
   ~Session() {
     stop_snapshots();
     if (flight_prev_set_) bind_flight(flight_prev_);
-    Telemetry::instance().disable();
+    if (bound_domain() == &domain_) bind_domain(nullptr);
   }
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
   /// Binds a flight ring to this thread for the session's lifetime (the
-  /// single-simulator analogue of ShardedSimulator::set_flight): every
+  /// single-simulator analogue of a sharded run's flight plane): every
   /// instrumentation site below also mirrors into the black box. The
   /// previous binding is restored on destruction. Pass nullptr to detach.
   void attach_flight(FlightRing* ring) {
@@ -74,7 +69,8 @@ class Session {
 
   /// Takes one snapshot now (also called by the periodic schedule).
   void snapshot() {
-    lines_.push_back(metrics_snapshot_json(metrics(), sim_.now()).dump());
+    lines_.push_back(
+        metrics_snapshot_json(domain_.metrics(), sim_.now()).dump());
   }
 
   /// JSONL metric snapshots collected so far, one JSON object per line.
@@ -89,13 +85,17 @@ class Session {
   }
 
   /// Chrome trace-event JSON of everything recorded so far.
-  std::string chrome_trace() const { return chrome_trace_json(tracer()); }
+  std::string chrome_trace() const {
+    return chrome_trace_json(domain_.tracer());
+  }
 
   /// End-of-run text report (util::TextTable per metric family).
-  std::string text_report() const { return metrics_text_report(metrics()); }
+  std::string text_report() const {
+    return metrics_text_report(domain_.metrics());
+  }
 
   /// Spans opened but never closed — must be 0 after a full drain.
-  std::size_t open_spans() const { return tracer().open_spans(); }
+  std::size_t open_spans() const { return domain_.tracer().open_spans(); }
 
   bool write_chrome_trace(const std::string& path) const {
     return write_text_file(path, chrome_trace());
@@ -106,6 +106,7 @@ class Session {
 
  private:
   sim::Simulator& sim_;
+  Domain domain_;
   std::optional<sim::Simulator::PeriodicHandle> handle_;
   std::vector<std::string> lines_;
   FlightRing* flight_prev_ = nullptr;

@@ -127,14 +127,6 @@ std::vector<TraceEvent> Tracer::take_events() {
   return out;
 }
 
-void Tracer::clear() {
-  events_.clear();
-  tracks_.clear();
-  track_ids_.clear();
-  open_.clear();
-  next_span_ = 1;
-}
-
 std::string labeled(std::string_view name, Labels labels) {
   if (labels.size() == 0) return std::string(name);
   // Sort label keys so the same set always canonicalizes identically.
@@ -181,11 +173,6 @@ void MetricsRegistry::reset() {
   counters_.reset();
   gauges_.clear();
   hists_.clear();
-}
-
-Telemetry& Telemetry::instance() {
-  static Telemetry t;
-  return t;
 }
 
 }  // namespace vdap::telemetry

@@ -1,6 +1,6 @@
 // Platform-wide telemetry: structured span tracing timestamped on the sim
-// clock plus a process-wide metrics registry (counters / gauges /
-// histograms with label support).
+// clock plus a metrics registry (counters / gauges / histograms with label
+// support), recorded into the Domain the calling thread has bound.
 //
 // Design constraints (DESIGN.md §6c):
 //   * Determinism — telemetry must never perturb a run. No wall-clock
@@ -14,11 +14,12 @@
 //     path. Each simulator shard is single-threaded, so no atomics are
 //     needed inside a Domain.
 //   * Domain-scoped capture — instrumentation records into the Domain
-//     (tracer + registry pair) bound to the *current thread*. A legacy
-//     telemetry::Session (session.hpp) binds the process-global domain for
-//     one single-threaded run; sim::ShardedSimulator binds one Domain per
+//     (tracer + registry pair) bound to the *current thread*. A
+//     telemetry::Session (session.hpp) binds a Domain it owns for one
+//     single-threaded run; sim::ShardedSimulator binds one Domain per
 //     worker shard for the duration of each epoch and merges them
-//     deterministically at the barrier (domains.hpp, DESIGN.md §6h).
+//     deterministically at the barrier (planes.hpp, domains.hpp,
+//     DESIGN.md §6h).
 //
 // The trace model follows the Chrome trace-event format so exports load
 // directly into Perfetto / chrome://tracing (see export.hpp):
@@ -108,8 +109,6 @@ class Tracer {
   /// through the typed methods above.
   void absorb(TraceEvent ev) { events_.push_back(std::move(ev)); }
 
-  void clear();
-
  private:
   struct OpenSpan {
     std::string cat;
@@ -135,7 +134,7 @@ using Labels =
 /// Builds the canonical labeled metric key.
 std::string labeled(std::string_view name, Labels labels);
 
-/// Process-wide named metrics: monotonic counters, last-value gauges and
+/// Named metrics: monotonic counters, last-value gauges and
 /// sample histograms (built on util::CounterSet / util::Histogram). Like
 /// Tracer, the registry assumes the caller checked telemetry::on().
 class MetricsRegistry {
@@ -207,12 +206,6 @@ class Domain {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Drops all recorded events and metrics (start of a fresh capture).
-  void reset() {
-    tracer_.clear();
-    metrics_.reset();
-  }
-
  private:
   Tracer tracer_;
   MetricsRegistry metrics_;
@@ -264,56 +257,15 @@ void flight_metric(std::string_view name, std::int64_t by);
 void flight_observe(std::string_view name, double value);
 void flight_gauge(std::string_view name, double value);
 
-/// The process-global legacy domain, used by single-threaded captures
-/// (telemetry::Session). enable() binds it on the calling thread; the
-/// enabled() flag survives so sim::ShardedSimulator can diagnose the one
-/// genuinely unsupported combination (a live Session + worker threads).
-class Telemetry {
- public:
-  static Telemetry& instance();
-
-  /// True while a legacy Session holds the global capture.
-  static bool enabled() { return enabled_; }
-
-  void enable() {
-    enabled_ = true;
-    bind_domain(&domain_);
-  }
-  void disable() {
-    enabled_ = false;
-    if (bound_domain() == &domain_) bind_domain(nullptr);
-  }
-
-  Tracer& tracer() { return domain_.tracer(); }
-  MetricsRegistry& metrics() { return domain_.metrics(); }
-  Domain& domain() { return domain_; }
-
-  /// Drops all recorded events and metrics (start of a fresh capture).
-  void reset() { domain_.reset(); }
-
- private:
-  Telemetry() = default;
-  static inline bool enabled_ = false;
-  Domain domain_;
-};
-
 // --- instrumentation-site helpers -----------------------------------------
 
 /// The guard every instrumentation site starts with.
 inline bool on() { return internal::tls_domain != nullptr; }
 
-/// Accessors used by instrumentation after an on() check. When no domain is
-/// bound they fall back to the global domain — preserving the pre-domain
-/// behaviour of unguarded call sites (records land in global storage and are
-/// dropped by the next capture's reset) instead of dereferencing null.
-inline Tracer& tracer() {
-  Domain* d = internal::tls_domain;
-  return d != nullptr ? d->tracer() : Telemetry::instance().tracer();
-}
-inline MetricsRegistry& metrics() {
-  Domain* d = internal::tls_domain;
-  return d != nullptr ? d->metrics() : Telemetry::instance().metrics();
-}
+/// The bound domain's tracer and registry. Call only after an on() check:
+/// with nothing bound there is no domain to return.
+inline Tracer& tracer() { return internal::tls_domain->tracer(); }
+inline MetricsRegistry& metrics() { return internal::tls_domain->metrics(); }
 
 /// Guarded one-liners for sites that only bump a metric. Each also
 /// mirrors the delta into the calling thread's flight ring (when one is

@@ -212,13 +212,6 @@ TEST(FlightFoldTest, TriggerOverwrittenFallbackStillSnapshots) {
             std::string::npos);
 }
 
-TEST(ShardedFlightTest, RejectsWrongDomainCount) {
-  sim::ShardedSimulator ssim(7, sim::ShardedSimulator::Options{2, 1,
-                                                               sim::seconds(1)});
-  FlightRecorder fr(2);  // needs shards + 1 = 3
-  EXPECT_THROW(ssim.set_flight(&fr), std::invalid_argument);
-}
-
 TEST(SessionFlightTest, AttachFlightMirrorsMetrics) {
   sim::Simulator sim(7);
   FlightRecorder fr(1);

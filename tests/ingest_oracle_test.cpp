@@ -35,6 +35,7 @@
 #include "telemetry/fleet/ingest.hpp"
 #include "telemetry/fleet/query.hpp"
 #include "telemetry/fleet/wire.hpp"
+#include "telemetry/planes.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/strings.hpp"
 
@@ -479,9 +480,8 @@ TEST(IngestOracle, ExactlyOneImpairedVehicleAmongTenThousandIsFlagged) {
 TEST(IngestOracle, RegistryCountersProveDetectionScansLinearlyPerBarrier) {
   const int kVehicles = 200;
   const int kBatches = 10;
-  Telemetry& t = Telemetry::instance();
-  t.reset();
-  t.enable();
+  Domain domain;
+  BindScope bind({&domain, nullptr, nullptr});
 
   IngestOptions opts;
   opts.shards = 4;
@@ -502,7 +502,7 @@ TEST(IngestOracle, RegistryCountersProveDetectionScansLinearlyPerBarrier) {
     backend.ingest_batch(views);
   }
 
-  const MetricsRegistry& m = t.metrics();
+  const MetricsRegistry& m = domain.metrics();
   // One pass per (barrier, dirty metric); every pass examines each
   // vehicle's window mean exactly once. The PR-4 per-frame behaviour
   // would have scanned batches × V × V means — two orders of magnitude
@@ -517,9 +517,6 @@ TEST(IngestOracle, RegistryCountersProveDetectionScansLinearlyPerBarrier) {
   EXPECT_EQ(m.counter_value("fleet.ingest.duplicates"), 0);
   EXPECT_EQ(m.gauge_value("fleet.ingest.vehicles"),
             static_cast<double>(kVehicles));
-
-  t.disable();
-  t.reset();
 }
 
 // --- names containing '|' keep their hysteresis state apart ---------------

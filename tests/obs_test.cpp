@@ -17,6 +17,7 @@
 #include "core/fleet_scale.hpp"
 #include "sim/sharded.hpp"
 #include "telemetry/domains.hpp"
+#include "telemetry/planes.hpp"
 #include "telemetry/session.hpp"
 #include "telemetry/shard_report.hpp"
 
@@ -115,25 +116,60 @@ TEST(DomainSetTest, MergedMetricsFoldAllDomains) {
   const telemetry::MetricsRegistry merged = set.merged_metrics();
   EXPECT_EQ(merged.counter_value("frames"), 12);
   ASSERT_NE(merged.histogram("lat"), nullptr);
-  // The runtime registry is a separate plane: nothing leaked into it.
-  EXPECT_TRUE(set.runtime().counters().all().empty());
 }
 
-// --- thread-local binding + legacy Session ----------------------------------
+// --- thread-local binding + Session -----------------------------------------
 
-TEST(DomainBindingTest, AccessorsFallBackToGlobalWhenUnbound) {
+// There is no global domain to fall back on: the accessors are the bound
+// domain's, and the guarded helpers record nothing while unbound.
+TEST(DomainBindingTest, AccessorsReadTheBoundDomain) {
   ASSERT_EQ(telemetry::bound_domain(), nullptr);
   EXPECT_FALSE(telemetry::on());
-  EXPECT_EQ(&telemetry::tracer(),
-            &telemetry::Telemetry::instance().tracer());
-
   Domain mine;
-  Domain* prev = telemetry::bind_domain(&mine);
-  EXPECT_EQ(prev, nullptr);
-  EXPECT_TRUE(telemetry::on());
-  EXPECT_EQ(&telemetry::tracer(), &mine.tracer());
-  telemetry::bind_domain(prev);
+  {
+    telemetry::BindScope bind({&mine, nullptr, nullptr});
+    EXPECT_TRUE(telemetry::on());
+    EXPECT_EQ(&telemetry::tracer(), &mine.tracer());
+    EXPECT_EQ(&telemetry::metrics(), &mine.metrics());
+    telemetry::count("bound");
+  }
   EXPECT_FALSE(telemetry::on());
+  telemetry::count("unbound");
+  EXPECT_EQ(mine.metrics().counter_value("bound"), 1);
+  EXPECT_EQ(mine.metrics().counter_value("unbound"), 0);
+}
+
+// Nested scopes restore every plane of the binding they shadowed —
+// including an all-null binding shadowing a live one.
+TEST(BindScopeTest, NestedScopesRestoreEveryPlane) {
+  Domain d1;
+  Domain d2;
+  telemetry::FlightRing r1(4);
+  telemetry::FlightRing r2(4);
+  telemetry::prof::ProfSlot p1;
+  telemetry::prof::ProfSlot p2;
+  auto expect_bound = [](Domain* d, telemetry::FlightRing* r,
+                         telemetry::prof::ProfSlot* p) {
+    EXPECT_EQ(telemetry::bound_domain(), d);
+    EXPECT_EQ(telemetry::bound_flight(), r);
+    EXPECT_EQ(telemetry::prof::bound_prof(), p);
+  };
+  expect_bound(nullptr, nullptr, nullptr);
+  {
+    telemetry::BindScope outer({&d1, &r1, &p1});
+    expect_bound(&d1, &r1, &p1);
+    {
+      telemetry::BindScope inner({&d2, &r2, &p2});
+      expect_bound(&d2, &r2, &p2);
+      {
+        telemetry::BindScope off({});
+        expect_bound(nullptr, nullptr, nullptr);
+      }
+      expect_bound(&d2, &r2, &p2);
+    }
+    expect_bound(&d1, &r1, &p1);
+  }
+  expect_bound(nullptr, nullptr, nullptr);
 }
 
 TEST(DomainBindingTest, SessionRefusesToShadowABoundDomain) {
@@ -147,20 +183,15 @@ TEST(DomainBindingTest, SessionRefusesToShadowABoundDomain) {
   EXPECT_TRUE(telemetry::on());
 }
 
-TEST(ShardedCaptureTest, RefusesMismatchedDomainCount) {
-  sim::ShardedSimulator ssim(7, {2, 1, sim::seconds(1)});
-  DomainSet wrong(3);
-  ssim.set_capture(&wrong);
-  EXPECT_THROW(ssim.run_until(sim::seconds(1)), std::invalid_argument);
-}
-
-// The old blanket ban is gone: worker threads + DomainSet capture is the
-// supported combination (only a live legacy Session still refuses —
-// sharded_test covers that).
+// Worker threads + per-shard capture: the simulator sizes its own domains
+// from the shard count, and each shard's work lands in its own domain.
 TEST(ShardedCaptureTest, ThreadsWithDomainCaptureRun) {
-  sim::ShardedSimulator ssim(7, {2, 2, sim::seconds(1)});
-  DomainSet domains(2);
-  ssim.set_capture(&domains);
+  telemetry::ObsOptions obs;
+  obs.capture = true;
+  sim::ShardedSimulator ssim(7, {2, 2, sim::seconds(1), obs});
+  ASSERT_NE(ssim.planes().capture(), nullptr);
+  DomainSet& domains = *ssim.planes().capture();
+  EXPECT_EQ(domains.shards(), 2);
   for (int s = 0; s < 2; ++s) {
     ssim.shard(s).at(sim::msec(100), [s, &ssim] {
       if (telemetry::on()) {

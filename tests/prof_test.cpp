@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/fleet_scale.hpp"
+#include "sim/sharded.hpp"
 #include "telemetry/prof/profiler.hpp"
 #include "telemetry/prof/report.hpp"
 #include "telemetry/telemetry.hpp"
@@ -229,6 +231,35 @@ TEST(ProfSamplerTest, IntervalIsClampedAgainstBusySpin) {
   EXPECT_EQ(prof.interval_us(), 50u);
 }
 
+// --- simulator-owned profiler ------------------------------------------------
+
+// The simulator owns its profiler and declares it before the pool, so a
+// prof-on simulator can be destroyed while its worker is parked in a
+// "pool/wait" scope — no detach call — and the scope unwinds before the
+// slot it points into goes away (ASan runs this under the `prof` label).
+TEST(ProfShardedTest, DestroyedWithLivePoolNeedsNoDetach) {
+  telemetry::ObsOptions obs;
+  obs.prof = true;
+  obs.prof_opts.interval_us = 100;
+  auto ssim = std::make_unique<sim::ShardedSimulator>(
+      7, sim::ShardedSimulator::Options{2, 2, sim::seconds(1), obs});
+  Profiler* prof = ssim->planes().prof();
+  ASSERT_NE(prof, nullptr);
+  EXPECT_TRUE(prof->running());
+  // Slot layout: 2 shards, the coordinator, then one per thread.
+  EXPECT_EQ(prof->slots(), 5u);
+  ssim->shard(1).at(sim::msec(10), [] {});
+  EXPECT_EQ(ssim->run_until(sim::seconds(2)), 1u);
+  // Wait until the spawned worker (slot 3) is parked in "pool/wait".
+  std::array<TagId, kMaxProfDepth> stack{};
+  for (int i = 0; i < 500 && prof->slot(3)->snapshot(stack) < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(prof->slot(3)->snapshot(stack), 1);
+  EXPECT_EQ(tag_name(stack[0]), "pool/wait");
+  ssim.reset();
+}
+
 TEST(ProfOptionsTest, EnvOverrideParsesPositiveIntegersOnly) {
   ASSERT_EQ(setenv("VDAP_PROF_INTERVAL_US", "250", 1), 0);
   EXPECT_EQ(ProfOptions::from_env().interval_us, 250u);
@@ -397,8 +428,8 @@ TEST(ProfSweepTest, SamplerNeverMovesDeterministicOutputs) {
       ASSERT_TRUE(parse_profile_jsonl(out.profile_jsonl, &parsed, &error))
           << error;
       EXPECT_EQ(parsed.samples, out.prof_samples);
-      // Slot layout (ShardedSimulator::set_prof): shards + coordinator +
-      // one per pool worker (the runner clamps threads to the shard count).
+      // Slot layout (telemetry::Planes): shards + coordinator + one per
+      // thread (the simulator clamps threads to the shard count).
       EXPECT_EQ(parsed.slots,
                 static_cast<std::size_t>(shards + 1 + std::min(shards, threads)));
     }

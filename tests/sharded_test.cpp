@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cassert>
+#include <functional>
 #include <map>
+#include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,10 +27,76 @@
 namespace {
 
 using namespace vdap;
+using sim::EventId;
 using sim::EventQueue;
-using sim::HeapEventQueue;
+using sim::SimTime;
 
 // --- calendar queue vs heap oracle ------------------------------------------
+
+// The original binary-heap event queue, kept as the reference oracle: same
+// interface and firing order as EventQueue; ids are plain insertion
+// indices.
+class HeapEventQueue {
+ public:
+  EventId push(SimTime at, sim::EventFn fn) {
+    EventId id = next_id_++;
+    fns_.push_back(std::move(fn));
+    cancelled_.push_back(false);
+    assert(fns_.size() == next_id_);
+    heap_.push(Entry{at, id});
+    ++live_count_;
+    return id;
+  }
+
+  bool cancel(EventId id) {
+    if (id >= next_id_ || cancelled_[id] || !fns_[id]) return false;
+    cancelled_[id] = true;
+    fns_[id] = nullptr;  // release captured state promptly
+    --live_count_;
+    return true;
+  }
+
+  bool empty() const { return live_count_ == 0; }
+  std::size_t size() const { return live_count_; }
+
+  SimTime next_time() {
+    drop_cancelled();
+    return heap_.empty() ? sim::kTimeMax : heap_.top().at;
+  }
+
+  using Fired = EventQueue::Fired;
+  Fired pop() {
+    drop_cancelled();
+    assert(!heap_.empty());
+    Entry e = heap_.top();
+    heap_.pop();
+    Fired fired{e.at, e.id, std::move(fns_[e.id])};
+    fns_[e.id] = nullptr;
+    --live_count_;
+    return fired;
+  }
+
+ private:
+  struct Entry {
+    SimTime at;
+    EventId id;
+    bool operator>(const Entry& other) const {
+      if (at != other.at) return at > other.at;
+      return id > other.id;
+    }
+  };
+
+  void drop_cancelled() {
+    while (!heap_.empty() && cancelled_[heap_.top().id]) heap_.pop();
+  }
+
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  // Callbacks are stored out of the heap so cancel() is O(1).
+  std::vector<sim::EventFn> fns_;  // indexed by id
+  std::vector<bool> cancelled_;    // indexed by id
+  EventId next_id_ = 0;
+  std::size_t live_count_ = 0;
+};
 
 // Drives the bucketed calendar queue and the reference heap queue through
 // one identical randomized schedule of push/cancel/pop and asserts they
@@ -154,7 +223,7 @@ TEST(ThreadPoolTest, RunsEveryTaskAcrossBatches) {
 // --- sharded simulator mechanics --------------------------------------------
 
 TEST(ShardedSimulatorTest, EpochsAdvanceInLockStep) {
-  sim::ShardedSimulator ssim(7, {4, 1, sim::seconds(1)});
+  sim::ShardedSimulator ssim(7, {4, 1, sim::seconds(1), {}});
   std::vector<int> fired_shards;
   for (int s = 0; s < 4; ++s) {
     ssim.shard(s).at(sim::msec(100) * (s + 1),
@@ -169,7 +238,7 @@ TEST(ShardedSimulatorTest, EpochsAdvanceInLockStep) {
 }
 
 TEST(ShardedSimulatorTest, MergesEpochMessagesByTimeThenKey) {
-  sim::ShardedSimulator ssim(7, {3, 1, sim::seconds(1)});
+  sim::ShardedSimulator ssim(7, {3, 1, sim::seconds(1), {}});
   std::vector<std::string> order;
   ssim.set_epoch_sink([&order](sim::SimTime,
                                std::vector<sim::ShardMessage>&& batch) {
@@ -187,18 +256,37 @@ TEST(ShardedSimulatorTest, MergesEpochMessagesByTimeThenKey) {
 }
 
 TEST(ShardedSimulatorTest, RefusesOpenEndedHorizon) {
-  sim::ShardedSimulator ssim(7, {2, 1, sim::seconds(1)});
+  sim::ShardedSimulator ssim(7, {2, 1, sim::seconds(1), {}});
   EXPECT_THROW(ssim.run_until(sim::kTimeMax), std::invalid_argument);
 }
 
-// Only the LEGACY Session (which binds the process-global domain on a
-// thread that participates in pool work) still refuses worker threads;
-// per-shard DomainSet capture across threads is covered by obs_test.
-TEST(ShardedSimulatorTest, RefusesThreadsWithLiveTelemetry) {
+// Every shard task and barrier binds the simulator's planes — null when a
+// plane is off — so a Session on the calling thread, which works shard
+// tasks too, records none of the shard or epoch-sink work at any thread
+// count. (Per-shard capture across threads is covered by obs_test.)
+TEST(ShardedSimulatorTest, CallerSessionNeverSeesShardWork) {
   sim::Simulator host(7);
   telemetry::Session session(host);
-  sim::ShardedSimulator ssim(7, {2, 2, sim::seconds(1)});
-  EXPECT_THROW(ssim.run_until(sim::seconds(1)), std::logic_error);
+  for (int threads : {1, 2}) {
+    sim::ShardedSimulator ssim(7, {2, threads, sim::seconds(1), {}});
+    for (int s = 0; s < 2; ++s) {
+      ssim.shard(s).at(sim::msec(100), [] { telemetry::count("shard.work"); });
+    }
+    int sink_calls = 0;
+    ssim.set_epoch_sink(
+        [&sink_calls](sim::SimTime, std::vector<sim::ShardMessage>&&) {
+          ++sink_calls;
+          telemetry::count("sink.work");
+        });
+    std::size_t fired = 0;
+    EXPECT_NO_THROW(fired = ssim.run_until(sim::seconds(2)))
+        << "threads=" << threads;
+    EXPECT_EQ(fired, 2u) << "threads=" << threads;
+    EXPECT_EQ(sink_calls, 2) << "threads=" << threads;
+  }
+  ASSERT_TRUE(telemetry::on());
+  EXPECT_EQ(telemetry::metrics().counter_value("shard.work"), 0);
+  EXPECT_EQ(telemetry::metrics().counter_value("sink.work"), 0);
 }
 
 // --- byte-identity sweeps ----------------------------------------------------

@@ -14,29 +14,26 @@
 namespace vdap::telemetry {
 namespace {
 
-// Every test runs against the process-wide instance, so scope state tightly.
+// Every test records into a fresh domain bound for its duration.
 class TelemetryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    Telemetry::instance().reset();
-    Telemetry::instance().enable();
-  }
-  void TearDown() override {
-    Telemetry::instance().disable();
-    Telemetry::instance().reset();
-  }
+  void SetUp() override { prev_ = bind_domain(&domain_); }
+  void TearDown() override { bind_domain(prev_); }
+
+  Domain domain_;
+  Domain* prev_ = nullptr;
 };
 
 TEST_F(TelemetryTest, DisabledByDefaultOutsideASession) {
-  Telemetry::instance().disable();
+  bind_domain(nullptr);
   EXPECT_FALSE(on());
   // Guarded helpers are no-ops when off.
   count("x");
   observe("y", 1.0);
   gauge("z", 2.0);
-  EXPECT_EQ(metrics().counter_value("x"), 0);
-  EXPECT_EQ(metrics().histogram("y"), nullptr);
-  EXPECT_DOUBLE_EQ(metrics().gauge_value("z"), 0.0);
+  EXPECT_EQ(domain_.metrics().counter_value("x"), 0);
+  EXPECT_EQ(domain_.metrics().histogram("y"), nullptr);
+  EXPECT_DOUBLE_EQ(domain_.metrics().gauge_value("z"), 0.0);
 }
 
 TEST_F(TelemetryTest, TrackInterningIsStable) {

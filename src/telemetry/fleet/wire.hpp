@@ -14,9 +14,14 @@
 // sorted order json::Object would give ("v" last), numbers and strings
 // through util::json's writers. So a frame's bytes are a deterministic
 // function of its content, and the Wire.EncoderMatchesObjectEncoder test
-// pins them. Decoding tolerates unknown fields — newer vehicles may ship
-// more than an older aggregator knows — and reports malformed input as a
-// clean error string, never a crash.
+// pins them. wire_decode reads a line in one pass of json::Lexer straight
+// into a WireFrame, with no json::Value tree, and keeps the old
+// tree decoder's behaviour exactly (DESIGN.md §6e; pinned by the
+// WireDecoderDifferential tests): last of duplicate keys wins, errors come
+// in that decoder's order, and unknown fields are tolerated, since newer
+// vehicles may ship more than an older aggregator knows. Malformed input,
+// nesting past json::kMaxDepth included, is a clean error string, never a
+// crash.
 #pragma once
 
 #include <cstdint>

@@ -35,6 +35,9 @@ std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
 }
 
 void copy_field(char* dst, std::size_t cap, std::string_view src) {
+  // An empty view's data() may be null, which memcpy must not see even
+  // for zero bytes.
+  if (src.empty()) return;
   const std::size_t n = std::min(src.size(), cap - 1);
   std::memcpy(dst, src.data(), n);
   // The tail (including the terminator) is already zero: the caller

@@ -1,18 +1,16 @@
 #include "util/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace vdap::json {
 
 std::int64_t Value::as_int() const {
   if (const auto* i = std::get_if<std::int64_t>(&data_)) return *i;
-  if (const auto* d = std::get_if<double>(&data_)) {
-    return static_cast<std::int64_t>(*d);
-  }
+  if (const auto* d = std::get_if<double>(&data_)) return double_to_int(*d);
   throw std::runtime_error("json: value is not a number");
 }
 
@@ -268,195 +266,135 @@ void dump_impl(const Value& v, std::string& out, int indent, int depth) {
   }
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value parse_document() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("json parse error at offset " +
-                             std::to_string(pos_) + ": " + why);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  char next() {
-    char c = peek();
-    ++pos_;
-    return c;
-  }
-
-  void expect(char c) {
-    if (next() != c) fail(std::string("expected '") + c + "'");
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  Value parse_value() {
-    skip_ws();
-    char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Value(parse_string());
-      case 't':
-        if (consume_literal("true")) return Value(true);
-        fail("invalid literal");
-      case 'f':
-        if (consume_literal("false")) return Value(false);
-        fail("invalid literal");
-      case 'n':
-        if (consume_literal("null")) return Value(nullptr);
-        fail("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  Value parse_object() {
-    expect('{');
-    Object o;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
+/// `depth` is the nesting level of the container holding the value.
+Value parse_value(Lexer& in, int depth) {
+  switch (in.peek_value()) {
+    case '{': {
+      Object o;
+      if (in.begin('{', depth + 1)) {
+        do {
+          // Copied first: the right side of `=` runs before the left, and
+          // reading the value may reuse the buffer the key's view is in.
+          std::string key(in.key());
+          o[std::move(key)] = parse_value(in, depth + 1);
+        } while (in.more('}'));
+      }
       return Value(std::move(o));
     }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      o[std::move(key)] = parse_value();
-      skip_ws();
-      char c = next();
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-    return Value(std::move(o));
-  }
-
-  Value parse_array() {
-    expect('[');
-    Array a;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
+    case '[': {
+      Array a;
+      if (in.begin('[', depth + 1)) {
+        do {
+          a.push_back(parse_value(in, depth + 1));
+        } while (in.more(']'));
+      }
       return Value(std::move(a));
     }
-    while (true) {
-      a.push_back(parse_value());
-      skip_ws();
-      char c = next();
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']' in array");
+    case '"': return Value(in.string());
+    case 't': in.literal("true"); return Value(true);
+    case 'f': in.literal("false"); return Value(false);
+    case 'n': in.literal("null"); return Value(nullptr);
+    default: {
+      const Number n = in.number();
+      return n.is_int ? Value(n.i) : Value(n.d);
     }
-    return Value(std::move(a));
   }
-
-  std::string parse_string() {
-    skip_ws();
-    expect('"');
-    std::string out;
-    while (true) {
-      char c = next();
-      if (c == '"') break;
-      if (c == '\\') {
-        char esc = next();
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = next();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("invalid \\u escape");
-            }
-            // Encode the BMP code point as UTF-8.
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default: fail("invalid escape sequence");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
-  Value parse_number() {
-    std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    bool is_double = false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_double = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    std::string_view tok = text_.substr(start, pos_ - start);
-    if (tok.empty() || tok == "-") fail("invalid number");
-    if (!is_double) {
-      std::int64_t i = 0;
-      auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), i);
-      if (ec == std::errc() && p == tok.data() + tok.size()) return Value(i);
-    }
-    double d = std::strtod(std::string(tok).c_str(), nullptr);
-    return Value(d);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+}
 
 }  // namespace
+
+void Lexer::fail(const char* why) const {
+  throw std::runtime_error("json parse error at offset " +
+                           std::to_string(pos_) + ": " + why);
+}
+
+void Lexer::fail_expected(char c) const {
+  const std::string why = std::string("expected '") + c + "'";
+  fail(why.c_str());
+}
+
+std::string_view Lexer::escaped_string(std::size_t start) {
+  unescaped_.assign(text_.substr(start, pos_ - start));
+  while (true) {
+    const char c = next();
+    if (c == '"') break;
+    if (c != '\\') {
+      unescaped_.push_back(c);
+      continue;
+    }
+    switch (next()) {
+      case '"': unescaped_.push_back('"'); break;
+      case '\\': unescaped_.push_back('\\'); break;
+      case '/': unescaped_.push_back('/'); break;
+      case 'n': unescaped_.push_back('\n'); break;
+      case 't': unescaped_.push_back('\t'); break;
+      case 'r': unescaped_.push_back('\r'); break;
+      case 'b': unescaped_.push_back('\b'); break;
+      case 'f': unescaped_.push_back('\f'); break;
+      case 'u': {
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = next();
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else fail("invalid \\u escape");
+        }
+        // Encode the BMP code point as UTF-8.
+        if (code < 0x80) {
+          unescaped_.push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          unescaped_.push_back(static_cast<char>(0xC0 | (code >> 6)));
+          unescaped_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          unescaped_.push_back(static_cast<char>(0xE0 | (code >> 12)));
+          unescaped_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          unescaped_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        break;
+      }
+      default: fail("invalid escape sequence");
+    }
+  }
+  return unescaped_;
+}
+
+double Lexer::to_double(std::string_view tok) {
+  // Both parses are correctly rounded, so they agree wherever from_chars
+  // reads the whole token. It stops early or fails on the lenient tokens
+  // ("+5", "1e", "1-2") and out of range ("1e999"); strtod reads those.
+  double d = 0.0;
+  const char* last = tok.data() + tok.size();
+  const auto [p, ec] = std::from_chars(tok.data(), last, d);
+  if (ec == std::errc() && p == last) return d;
+  return std::strtod(std::string(tok).c_str(), nullptr);
+}
+
+void Lexer::skip(int depth) {
+  switch (peek_value()) {
+    case '{':
+      if (begin('{', depth + 1)) {
+        do {
+          key();
+          skip(depth + 1);
+        } while (more('}'));
+      }
+      return;
+    case '[':
+      if (begin('[', depth + 1)) {
+        do {
+          skip(depth + 1);
+        } while (more(']'));
+      }
+      return;
+    case '"': string(); return;
+    case 't': literal("true"); return;
+    case 'f': literal("false"); return;
+    case 'n': literal("null"); return;
+    default: number(); return;
+  }
+}
 
 std::string Value::dump() const {
   std::string out;
@@ -470,7 +408,12 @@ std::string Value::pretty() const {
   return out;
 }
 
-Value parse(std::string_view text) { return Parser(text).parse_document(); }
+Value parse(std::string_view text) {
+  Lexer in(text);
+  Value v = parse_value(in, 0);
+  in.end();
+  return v;
+}
 
 std::optional<Value> try_parse(std::string_view text) {
   try {

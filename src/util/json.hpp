@@ -1,4 +1,4 @@
-// Minimal JSON value type, parser, and serializer.
+// Minimal JSON value type, lexer, parser, and serializer.
 //
 // OpenVDAP uses JSON as the interchange format between libvdap's RESTful API,
 // the DDI service layer, and external feeds (weather/traffic/social). The
@@ -6,8 +6,10 @@
 // beyond the BMP (sufficient for platform telemetry and API payloads).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -55,6 +57,7 @@ class Value {
   bool is_object() const { return type() == Type::Object; }
 
   bool as_bool() const { return get<bool>("bool"); }
+  /// A double converts as double_to_int does.
   std::int64_t as_int() const;
   double as_double() const;
   const std::string& as_string() const { return get<std::string>("string"); }
@@ -114,11 +117,186 @@ class Value {
 };
 
 /// Parses `text` as JSON. Throws std::runtime_error with position info on
-/// malformed input; trailing non-whitespace is an error.
+/// malformed input; trailing non-whitespace is an error, and so is
+/// container nesting deeper than kMaxDepth.
 Value parse(std::string_view text);
 
 /// Parse variant that returns std::nullopt instead of throwing.
 std::optional<Value> try_parse(std::string_view text);
+
+/// Container nesting parse() accepts; the outermost container is level 1.
+/// Deeper input is a parse error instead of a stack overflow.
+inline constexpr int kMaxDepth = 512;
+
+/// Truncates `d` toward zero, as Value::as_int reads a double. NaN and
+/// values outside the int64 range give INT64_MIN, the value x86-64's
+/// truncating conversion returns, instead of undefined behaviour.
+constexpr std::int64_t double_to_int(double d) {
+  // -2^63 and 2^63 are exact doubles.
+  if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
+    return static_cast<std::int64_t>(d);
+  }
+  return std::numeric_limits<std::int64_t>::min();
+}
+
+/// One number as the lexer reads it: an int when its token is an optional
+/// '-' and digits that fit int64, else a double.
+struct Number {
+  bool is_int = false;
+  std::int64_t i = 0;
+  double d = 0.0;
+
+  std::int64_t as_int() const { return is_int ? i : double_to_int(d); }
+  double as_double() const { return is_int ? static_cast<double>(i) : d; }
+};
+
+/// The JSON lexer under parse(), for readers that walk a known document
+/// shape straight into their own types without a Value tree (the fleet
+/// wire decoder). One cursor over the text. Every method throws
+/// std::runtime_error("json parse error at offset N: ...") on malformed
+/// input, as parse() reports it. Nesting depths count as for kMaxDepth.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view text) : text_(text) {}
+
+  /// The first character of the next value, unconsumed: '{', '[', '"',
+  /// 't', 'f', 'n', or anything else for a number.
+  char peek_value() {
+    skip_ws();
+    return peek();
+  }
+
+  /// Opens the container whose `open` ('{' or '[') is the next character;
+  /// `depth` is its own nesting level, 1 for the outermost. False when the
+  /// container is empty; its closing character is then consumed too.
+  bool begin(char open, int depth) {
+    if (depth > kMaxDepth) fail("nesting too deep");
+    expect(open);
+    skip_ws();
+    if (peek() != (open == '{' ? '}' : ']')) return true;
+    ++pos_;
+    return false;
+  }
+
+  /// After an object member or array element: true on ',', false on the
+  /// container's `close` ('}' or ']').
+  bool more(char close) {
+    skip_ws();
+    const char c = next();
+    if (c == close) return false;
+    if (c != ',') {
+      fail(close == '}' ? "expected ',' or '}' in object"
+                        : "expected ',' or ']' in array");
+    }
+    return true;
+  }
+
+  /// Reads an object member's key and the ':' after it. The view lives
+  /// until the next key() or string().
+  std::string_view key() {
+    const std::string_view k = string();
+    skip_ws();
+    expect(':');
+    return k;
+  }
+
+  /// Reads the string whose opening quote is the next non-whitespace
+  /// character and returns its contents: a view of the text when it holds
+  /// no escape, else of a buffer the next key() or string() reuses. Raw
+  /// control bytes and invalid UTF-8 pass through; \u escapes become UTF-8.
+  std::string_view string() {
+    skip_ws();
+    expect('"');
+    const std::size_t start = pos_;
+    for (; pos_ < text_.size(); ++pos_) {
+      if (text_[pos_] == '\\') return escaped_string(start);
+      if (text_[pos_] == '"') {
+        ++pos_;
+        return text_.substr(start, pos_ - 1 - start);
+      }
+    }
+    fail("unexpected end of input");
+  }
+
+  /// Reads the number whose first character peek_value() returned. Its
+  /// token is an optional '-', then the
+  /// longest run of [0-9.eE+-]; empty or a lone '-' is malformed. A token
+  /// with none of ".eE+-" after its sign reads as an int when it fits;
+  /// anything else reads as strtod reads the whole token (so "e" is 0.0,
+  /// "+5" is 5.0, "1-2" is 1.0 and "1e999" is inf).
+  Number number() {
+    const std::size_t start = pos_;
+    if (peek() == '-') ++pos_;
+    bool is_double = false;
+    for (; pos_ < text_.size(); ++pos_) {
+      const char c = text_[pos_];
+      if (c >= '0' && c <= '9') continue;
+      if (c != '.' && c != 'e' && c != 'E' && c != '+' && c != '-') break;
+      is_double = true;
+    }
+    const std::string_view tok = text_.substr(start, pos_ - start);
+    if (tok.empty() || tok == "-") fail("invalid number");
+    Number n;
+    if (!is_double) {
+      const char* last = tok.data() + tok.size();
+      const auto [p, ec] = std::from_chars(tok.data(), last, n.i);
+      n.is_int = ec == std::errc() && p == last;
+    }
+    if (!n.is_int) n.d = to_double(tok);
+    return n;
+  }
+
+  /// Consumes `word` ("true", "false" or "null") where peek_value()
+  /// returned its first character.
+  void literal(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) fail("invalid literal");
+    pos_ += word.size();
+  }
+
+  /// Reads and discards one value of any type, checking it as parse()
+  /// would; `depth` is the nesting level of the container holding it, 0
+  /// at the top level.
+  void skip(int depth);
+
+  /// Requires that nothing but whitespace is left.
+  void end() {
+    skip_ws();
+    if (pos_ != text_.size()) fail("trailing characters after JSON value");
+  }
+
+ private:
+  /// Skips JSON whitespace: space, tab, LF and CR.
+  void skip_ws() {
+    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
+      ++pos_;
+    }
+  }
+  /// Consumes `c`, which must be the next character.
+  void expect(char c) {
+    if (next() != c) fail_expected(c);
+  }
+  [[noreturn]] void fail(const char* why) const;
+  char peek() const {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_];
+  }
+  char next() {
+    const char c = peek();
+    ++pos_;
+    return c;
+  }
+  [[noreturn]] void fail_expected(char c) const;
+  /// string()'s slow path from the first backslash on.
+  std::string_view escaped_string(std::size_t start);
+  /// strtod(std::string(tok).c_str()), without the copy when from_chars
+  /// reads the whole token.
+  static double to_double(std::string_view tok);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::string unescaped_;  // contents of the last string that held an escape
+};
 
 /// Escapes a string for embedding into JSON output (adds quotes).
 std::string escape(std::string_view s);

@@ -6,13 +6,19 @@
 // exact under shipping-network impairment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <initializer_list>
 #include <limits>
+#include <optional>
 #include <random>
 #include <set>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/fleet.hpp"
 #include "net/impair.hpp"
@@ -417,6 +423,699 @@ TEST(Wire, EncoderMatchesObjectEncoder) {
   // The generator must keep both halves of the check busy.
   EXPECT_GT(round_trips, 5000);
   EXPECT_LT(round_trips, 15000);
+}
+
+// --- wire decoder -----------------------------------------------------------
+
+// The json::Value decoder that wire_decode replaced, kept verbatim as the
+// reference: parse the whole line into a tree, then check it field by
+// field.
+namespace dom {
+
+bool fail(std::string* error, std::string message) {
+  if (error != nullptr) *error = std::move(message);
+  return false;
+}
+
+bool decode_counters(const json::Value& v, WireFrame& out,
+                     std::string* error) {
+  if (!v.is_object()) return fail(error, "wire: \"counters\" is not an object");
+  for (const auto& [name, val] : v.as_object()) {
+    if (!val.is_int()) {
+      return fail(error, "wire: counter \"" + name + "\" is not an integer");
+    }
+    out.counters[name] = val.as_int();
+  }
+  return true;
+}
+
+bool decode_gauges(const json::Value& v, WireFrame& out, std::string* error) {
+  if (!v.is_object()) return fail(error, "wire: \"gauges\" is not an object");
+  for (const auto& [name, val] : v.as_object()) {
+    if (!val.is_number()) {
+      return fail(error, "wire: gauge \"" + name + "\" is not a number");
+    }
+    out.gauges[name] = val.as_double();
+  }
+  return true;
+}
+
+bool decode_samples(const json::Value& v, WireFrame& out, std::string* error) {
+  if (!v.is_object()) return fail(error, "wire: \"samples\" is not an object");
+  for (const auto& [name, arr] : v.as_object()) {
+    if (!arr.is_array()) {
+      return fail(error, "wire: samples \"" + name + "\" is not an array");
+    }
+    std::vector<WireSample>& dst = out.samples[name];
+    for (const json::Value& pair : arr.as_array()) {
+      if (!pair.is_array() || pair.size() != 2 || !pair.at(0).is_int() ||
+          !pair.at(1).is_number()) {
+        return fail(error, "wire: samples \"" + name +
+                               "\" entry is not [ts, value]");
+      }
+      const double value = pair.at(1).as_double();
+      if (!std::isfinite(value)) {
+        return fail(error, "wire: samples \"" + name + "\" value not finite");
+      }
+      dst.emplace_back(pair.at(0).as_int(), value);
+    }
+  }
+  return true;
+}
+
+bool decode_events(const json::Value& v, WireFrame& out, std::string* error) {
+  if (!v.is_array()) return fail(error, "wire: \"events\" is not an array");
+  for (const json::Value& ev : v.as_array()) {
+    if (!ev.is_object()) {
+      return fail(error, "wire: events entry is not an object");
+    }
+    WireHealthEvent w;
+    w.at = ev.get_int("at");
+    w.kind = ev.get_string("kind");
+    w.severity = ev.get_string("severity");
+    w.service = ev.get_string("service");
+    w.observed = ev.get_double("observed");
+    w.target = ev.get_double("target");
+    w.implicated_tier = ev.get_string("tier");
+    if (w.kind.empty() || w.service.empty()) {
+      return fail(error, "wire: events entry missing kind/service");
+    }
+    out.events.push_back(std::move(w));
+  }
+  return true;
+}
+
+std::optional<WireFrame> decode(std::string_view line, std::string* error) {
+  std::optional<json::Value> parsed = json::try_parse(line);
+  if (!parsed.has_value()) {
+    fail(error, "wire: frame is not valid JSON");
+    return std::nullopt;
+  }
+  if (!parsed->is_object()) {
+    fail(error, "wire: frame is not a JSON object");
+    return std::nullopt;
+  }
+
+  WireFrame out;
+  out.vehicle = parsed->get_string("v");
+  if (out.vehicle.empty()) {
+    fail(error, "wire: frame missing vehicle (\"v\")");
+    return std::nullopt;
+  }
+  const std::int64_t seq = parsed->get_int("seq", -1);
+  if (seq < 1) {
+    fail(error, "wire: frame missing positive \"seq\"");
+    return std::nullopt;
+  }
+  out.seq = static_cast<std::uint64_t>(seq);
+  out.created = parsed->get_int("t", -1);
+  if (out.created < 0) {
+    fail(error, "wire: frame missing timestamp (\"t\")");
+    return std::nullopt;
+  }
+
+  if (const json::Value* v = parsed->find("counters")) {
+    if (!decode_counters(*v, out, error)) return std::nullopt;
+  }
+  if (const json::Value* v = parsed->find("gauges")) {
+    if (!decode_gauges(*v, out, error)) return std::nullopt;
+  }
+  if (const json::Value* v = parsed->find("samples")) {
+    if (!decode_samples(*v, out, error)) return std::nullopt;
+  }
+  if (const json::Value* v = parsed->find("events")) {
+    if (!decode_events(*v, out, error)) return std::nullopt;
+  }
+  return out;
+}
+
+}  // namespace dom
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// The first field in which two frames differ, doubles compared by bit
+/// pattern (so -0.0 against 0.0 counts); empty when they are equal.
+std::string frame_diff(const WireFrame& a, const WireFrame& b) {
+  if (a.vehicle != b.vehicle) return "vehicle";
+  if (a.seq != b.seq) return "seq";
+  if (a.created != b.created) return "t";
+  if (a.counters != b.counters) return "counters";
+  const auto same_gauge = [](const auto& x, const auto& y) {
+    return x.first == y.first && bits(x.second) == bits(y.second);
+  };
+  if (!std::equal(a.gauges.begin(), a.gauges.end(), b.gauges.begin(),
+                  b.gauges.end(), same_gauge)) {
+    return "gauges";
+  }
+  const auto same_sample = [](const WireSample& x, const WireSample& y) {
+    return x.first == y.first && bits(x.second) == bits(y.second);
+  };
+  const auto same_series = [&](const auto& x, const auto& y) {
+    return x.first == y.first &&
+           std::equal(x.second.begin(), x.second.end(), y.second.begin(),
+                      y.second.end(), same_sample);
+  };
+  if (!std::equal(a.samples.begin(), a.samples.end(), b.samples.begin(),
+                  b.samples.end(), same_series)) {
+    return "samples";
+  }
+  const auto same_event = [](const WireHealthEvent& x,
+                             const WireHealthEvent& y) {
+    return x.at == y.at && x.kind == y.kind && x.severity == y.severity &&
+           x.service == y.service && bits(x.observed) == bits(y.observed) &&
+           bits(x.target) == bits(y.target) &&
+           x.implicated_tier == y.implicated_tier;
+  };
+  if (!std::equal(a.events.begin(), a.events.end(), b.events.begin(),
+                  b.events.end(), same_event)) {
+    return "events";
+  }
+  return "";
+}
+
+/// Lines checked against the reference, and how they came out.
+struct Tally {
+  int lines = 0;
+  int accepted = 0;
+  int mismatches = 0;
+};
+
+/// Decodes `line` with wire_decode and the reference; they must agree on
+/// accept/reject, on the error string and on every frame field.
+void check_line(std::string_view line, Tally& tally) {
+  ++tally.lines;
+  std::string want_error;
+  std::string got_error;
+  const std::optional<WireFrame> want = dom::decode(line, &want_error);
+  const std::optional<WireFrame> got = wire_decode(line, &got_error);
+  std::string diff;
+  if (want.has_value() != got.has_value()) {
+    diff = want.has_value() ? "reference accepts" : "reference rejects";
+  } else if (want_error != got_error) {
+    diff = "reference error " + want_error;
+  } else if (want.has_value()) {
+    ++tally.accepted;
+    diff = frame_diff(*want, *got);
+  }
+  if (!diff.empty() && ++tally.mismatches <= 5) {
+    ADD_FAILURE() << diff << " (wire_decode: " << got_error
+                  << ") on line " << json::escape(line);
+  }
+}
+
+/// Random frame lines from the corners of the grammar: duplicate keys at
+/// every level (some spelled with escapes), wrong types in every field,
+/// the lenient number tokens, escapes, raw control bytes and invalid
+/// UTF-8, whitespace between all tokens, unknown nested fields (a few at
+/// the nesting limit either side) and the odd syntax error.
+class HostileLines {
+ public:
+  explicit HostileLines(std::uint64_t seed) : rng_(seed) {}
+
+  std::string next() {
+    // Half the lines keep every field's type; the rest get wrong types at
+    // one of three rates.
+    static constexpr double kWrongRates[] = {0.0, 0.0, 0.0, 0.05, 0.15, 0.4};
+    wrong_ = kWrongRates[below(std::size(kWrongRates))];
+    if (chance(0.01)) return ws() + any_value(3) + ws();  // not an object
+    std::vector<std::string_view> keys;
+    for (std::string_view k : {"v", "seq", "t"}) {
+      if (chance(0.97)) keys.push_back(k);
+    }
+    if (chance(0.5)) keys.push_back("counters");
+    if (chance(0.5)) keys.push_back("gauges");
+    if (chance(0.6)) keys.push_back("samples");
+    if (chance(0.3)) keys.push_back("events");
+    if (chance(0.15)) keys.push_back(pick({"x", "future", "seqq", "V"}));
+    if (!keys.empty() && chance(0.15)) keys.push_back(keys[below(keys.size())]);
+    std::vector<std::string> members;
+    for (std::string_view k : keys) members.push_back(member(k, field(k)));
+    std::shuffle(members.begin(), members.end(), rng_);
+    std::string line = ws() + container('{', '}', members) + ws();
+    if (chance(0.03)) break_syntax(line);
+    return line;
+  }
+
+ private:
+  std::size_t below(std::size_t n) { return rng_() % n; }
+  bool chance(double p) {
+    return std::uniform_real_distribution<double>(0, 1)(rng_) < p;
+  }
+  std::string_view pick(std::initializer_list<std::string_view> options) {
+    return options.begin()[below(options.size())];
+  }
+
+  std::string ws() {
+    std::string out;
+    if (chance(0.25)) {
+      for (std::size_t n = 1 + below(2); n > 0; --n) out += " \t\n\r"[below(4)];
+    }
+    return out;
+  }
+
+  std::string container(char open, char close,
+                        const std::vector<std::string>& items) {
+    std::string out(1, open);
+    out += ws();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i > 0) out += ws() + "," + ws();
+      out += items[i];
+    }
+    return out + ws() + close;
+  }
+
+  std::string member(std::string_view key, std::string value) {
+    return str(key) + ws() + ":" + ws() + value;
+  }
+
+  /// `raw` as a JSON string token, each byte raw or escaped at random, with
+  /// now and then a \u escape of any BMP code point appended.
+  std::string str(std::string_view raw) {
+    static constexpr char kHex[] = "0123456789abcdefABCDEF";
+    auto u_escape = [&](unsigned code) {
+      std::string e = "\\u";
+      for (int shift = 12; shift >= 0; shift -= 4) {
+        const unsigned digit = (code >> shift) & 0xF;
+        e += digit < 10 || chance(0.5) ? kHex[digit] : kHex[digit + 6];
+      }
+      return e;
+    };
+    std::string out = "\"";
+    for (const char c : raw) {
+      const auto b = static_cast<unsigned char>(c);
+      if (c == '"' || c == '\\') {
+        out += chance(0.8) ? std::string{'\\', c} : u_escape(b);
+      } else if (b < 0x20 && chance(0.5)) {
+        out += c == '\n' ? std::string("\\n") : u_escape(b);
+      } else if (c == '/' && chance(0.5)) {
+        out += "\\/";
+      } else if (b < 0x80 && chance(0.03)) {
+        out += u_escape(b);
+      } else {
+        out += c;  // raw control bytes and invalid UTF-8 included
+      }
+    }
+    if (chance(0.03)) out += u_escape(static_cast<unsigned>(below(0x10000)));
+    return out + "\"";
+  }
+
+  // Small name pools, so duplicates are common.
+  std::string_view vehicle() {
+    return pick({"cav-1", "cav-2", "cav-2", "\xC3\xA9", "a\"b\\", "\x01",
+                 "\xFF", ""});
+  }
+  std::string_view name() {
+    return pick({"a", "b", "c", "svc.latency_ms", "q", "\x01", "\xC3\xA9",
+                 "a\"b", "\xFF", "", "/", "\t"});
+  }
+
+  /// An int token, mostly ordinary.
+  std::string int_token() {
+    if (chance(0.1)) {
+      return std::string(pick({"0", "-0", "00012", "-1", "9223372036854775807",
+                               "-9223372036854775808"}));
+    }
+    return std::to_string(static_cast<std::int64_t>(below(1000000000000)) -
+                          (chance(0.05) ? 1000 : 0));
+  }
+
+  /// A number token the old rule reads as a finite value.
+  std::string finite_token() {
+    switch (below(4)) {
+      case 0: return int_token();
+      case 1:
+        return std::string(pick(
+            {"e", "-.", "+5", "1-2", "1e300", "-1e300", "1e-400", "-1e-400",
+             "-0.0", "2.7", "-2.7", "1.5", "1e2", "1E2", ".5", "5.", "1e",
+             "1e+", "--5", "+", ".", "E", "1.2.3", "1e5e3", "4.9e-324",
+             "9223372036854775808", "-9223372036854775809",
+             "123456789012345678901234567890", "0.1000000000000000055511151231257827",
+             "2.4703282292062327e-324", "1.7976931348623157e308"}));
+      case 2: {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.*g", 1 + static_cast<int>(below(17)),
+                      std::normal_distribution<double>(50, 30)(rng_));
+        return buf;
+      }
+      default: {
+        std::string tok = chance(0.3) ? "-" : "";
+        for (std::size_t n = 1 + below(6); n > 0; --n) {
+          tok += "0123456789.eE+-"[below(15)];
+        }
+        // Keep it finite: random exponents could overflow.
+        return tok.find_first_of("eE") == std::string::npos ? tok : "7";
+      }
+    }
+  }
+
+  /// Any number token, infinite ones included.
+  std::string number_token() {
+    return chance(0.05) ? std::string(pick({"1e999", "-1e999", "1.8e308"}))
+                        : finite_token();
+  }
+
+  /// A value of any type, with at most `levels` levels of containers.
+  std::string any_value(int levels) {
+    switch (below(levels > 0 ? 6 : 4)) {
+      case 0: return number_token();
+      case 1: return str(name());
+      case 2: return std::string(pick({"true", "false", "null"}));
+      case 3: return chance(0.5) ? "[]" : "{}";
+      case 4: {
+        std::vector<std::string> items;
+        for (std::size_t n = below(4); n > 0; --n) {
+          items.push_back(any_value(levels - 1));
+        }
+        return container('[', ']', items);
+      }
+      default: {
+        std::vector<std::string> items;
+        for (std::size_t n = below(4); n > 0; --n) {
+          items.push_back(member(name(), any_value(levels - 1)));
+        }
+        return container('{', '}', items);
+      }
+    }
+  }
+
+  /// An unknown field's value: usually small, now and then nested so the
+  /// whole line sits at json::kMaxDepth or one level either side of it.
+  std::string unknown(int depth) {
+    if (!chance(0.01)) return any_value(3);
+    const int levels = json::kMaxDepth - depth - 1 + static_cast<int>(below(3));
+    std::string open;
+    std::string close;
+    for (int i = 0; i < levels; ++i) {
+      if (chance(0.5)) {
+        open += "[";
+        close += "]";
+      } else {
+        open += "{\"k\":";
+        close += "}";
+      }
+    }
+    std::reverse(close.begin(), close.end());
+    return open + "0" + close;
+  }
+
+  /// The value of top-level field `key`.
+  std::string field(std::string_view key) {
+    if (key == "v") return chance(wrong_) ? any_value(2) : str(vehicle());
+    if (key == "seq") {
+      if (chance(wrong_)) return chance(0.5) ? number_token() : any_value(2);
+      return std::to_string(1 + below(1000000));
+    }
+    if (key == "t") {
+      if (chance(wrong_)) return chance(0.5) ? number_token() : any_value(2);
+      return int_token();
+    }
+    if (key == "counters") {
+      return section('{', [&] {
+        if (!chance(wrong_)) return int_token();
+        return chance(0.5) ? number_token() : any_value(2);
+      });
+    }
+    if (key == "gauges") {
+      return section('{', [&] {
+        return chance(wrong_) ? any_value(2) : number_token();
+      });
+    }
+    if (key == "samples") return section('{', [&] { return series(); });
+    if (key == "events") return section('[', [&] { return event(); });
+    return unknown(1);
+  }
+
+  /// A counters/gauges/samples object or the events array, whose members
+  /// come from `value`; sometimes a value of the wrong type instead.
+  template <typename F>
+  std::string section(char open, F value) {
+    if (chance(wrong_)) return any_value(2);
+    std::vector<std::string> names;
+    for (std::size_t n = below(4); n > 0; --n) names.emplace_back(name());
+    if (!names.empty() && chance(0.2)) names.push_back(names[below(names.size())]);
+    std::vector<std::string> items;
+    for (const std::string& n : names) {
+      items.push_back(open == '{' ? member(n, value()) : value());
+    }
+    return container(open, open == '{' ? '}' : ']', items);
+  }
+
+  /// One metric's samples array.
+  std::string series() {
+    std::vector<std::string> entries;
+    for (std::size_t n = below(4); n > 0; --n) {
+      if (chance(wrong_)) {
+        entries.emplace_back(pick({"[1]", "[]", "[1,2,3]", "[\"x\",1]",
+                                   "[1.5,2]", "[1,\"x\"]", "1", "[1,1e999]",
+                                   "[1,-1e999]", "[[1],2]", "{}"}));
+      } else {
+        entries.push_back(container(
+            '[', ']',
+            {int_token(), chance(0.97) ? finite_token() : number_token()}));
+      }
+    }
+    return container('[', ']', entries);
+  }
+
+  /// One events entry: fields in any order, some missing, duplicated or of
+  /// the wrong type, plus unknown ones.
+  std::string event() {
+    if (chance(wrong_)) return any_value(2);
+    const auto text = [&](std::initializer_list<std::string_view> pool) {
+      return chance(wrong_) ? any_value(1) : str(pick(pool));
+    };
+    const auto number = [&] {
+      return chance(wrong_) ? any_value(1) : number_token();
+    };
+    std::vector<std::pair<std::string_view, std::string>> fields;
+    const auto add = [&](std::string_view key) {
+      if (key == "at") {
+        fields.emplace_back(key, chance(wrong_) ? number_token() : int_token());
+      } else if (key == "kind") {
+        fields.emplace_back(key, text({"latency-breach", "fault", ""}));
+      } else if (key == "severity") {
+        fields.emplace_back(key, text({"warning", "critical"}));
+      } else if (key == "service") {
+        fields.emplace_back(key, text({"license-plate", "\xC3\xA9", ""}));
+      } else if (key == "tier") {
+        fields.emplace_back(key, text({"on-board", "edge", ""}));
+      } else if (key == "observed" || key == "target") {
+        fields.emplace_back(key, number());
+      } else {
+        fields.emplace_back(key, unknown(3));
+      }
+    };
+    for (std::string_view key :
+         {"at", "kind", "severity", "service", "observed", "target"}) {
+      if (chance(0.95)) add(key);
+    }
+    if (chance(0.5)) add("tier");
+    if (chance(0.1)) add("extra");
+    if (!fields.empty() && chance(0.15)) add(fields[below(fields.size())].first);
+    std::vector<std::string> items;
+    for (auto& [key, value] : fields) items.push_back(member(key, value));
+    std::shuffle(items.begin(), items.end(), rng_);
+    return container('{', '}', items);
+  }
+
+  /// One small syntax error: a stray, dropped or doubled byte, or a bad
+  /// escape or literal.
+  void break_syntax(std::string& line) {
+    const std::size_t at = below(line.size() + 1);
+    switch (below(4)) {
+      case 0: line.insert(at, 1, ",:{}[]\"x"[below(8)]); break;
+      case 1: if (at < line.size()) line.erase(at, 1); break;
+      case 2: line.insert(at, pick({"\\q", "\\u12", "tru", "-", "nul"})); break;
+      default: line += pick({",", "}", " x", "\""}); break;
+    }
+  }
+
+  std::mt19937_64 rng_;
+  double wrong_ = 0.0;  // chance that a field takes a value of the wrong type
+};
+
+/// Encoded frames whose every truncation and single-byte mutation the
+/// differential test decodes.
+std::vector<std::string> mutation_seeds() {
+  WireFrame minimal;
+  minimal.vehicle = "a";
+  minimal.seq = 1;
+  WireFrame two_events = sample_frame();
+  two_events.events.push_back(two_events.events[0]);
+  two_events.events[1].implicated_tier.clear();
+  two_events.events[1].observed = -0.0;
+  two_events.gauges["q\"\\\x01"] = 1e-300;
+  WireFrame escaped;
+  escaped.vehicle = "cav-\xC3\xA9/\"";
+  escaped.seq = 9;
+  escaped.created = 5;
+  escaped.counters["n"] = -9;
+  escaped.samples["m"] = {{1, 2.5}};
+  escaped.samples["e"] = {};
+  return {wire_encode(minimal), wire_encode(sample_frame()),
+          wire_encode(two_events), wire_encode(escaped)};
+}
+
+class WireDecoderDifferential : public ::testing::TestWithParam<int> {};
+
+// 8 shards x 25,000 generated lines, plus every truncation and every
+// single-byte mutation (all 256 values, and deletion) of the seed frames,
+// each shard taking the byte positions congruent to its index mod 8.
+TEST_P(WireDecoderDifferential, MatchesDomDecoder) {
+  const int shard = GetParam();
+  Tally generated;
+  HostileLines gen(0xdec0de00u + static_cast<unsigned>(shard));
+  for (int i = 0; i < 25000; ++i) check_line(gen.next(), generated);
+  // The generator keeps both verdicts busy.
+  EXPECT_GT(generated.accepted, 5000);
+  EXPECT_LT(generated.accepted, 15000);
+
+  Tally mutated;
+  for (const std::string& line : mutation_seeds()) {
+    for (std::size_t i = static_cast<std::size_t>(shard); i <= line.size();
+         i += 8) {
+      check_line(std::string_view(line).substr(0, i), mutated);
+      if (i == line.size()) break;
+      std::string m = line;
+      for (int b = 0; b < 256; ++b) {
+        m[i] = static_cast<char>(b);
+        check_line(m, mutated);
+      }
+      check_line(line.substr(0, i) + line.substr(i + 1), mutated);
+    }
+  }
+  EXPECT_GT(mutated.accepted, 5000);
+  EXPECT_EQ(generated.mismatches + mutated.mismatches, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, WireDecoderDifferential, ::testing::Range(0, 8));
+
+/// wire_decode of a frame header followed by `fields`.
+std::optional<WireFrame> decode_with(const std::string& fields,
+                                     std::string* error) {
+  return wire_decode(R"({"v":"cav-1","seq":1,"t":0)" + fields + "}", error);
+}
+
+TEST(Wire, DecoderKeepsTheOldLenientRules) {
+  std::string error;
+  // json::Object keeps the last of duplicate keys, at every level.
+  auto f = decode_with(R"(,"counters":{"a":1.5,"a":2},"v":"cav-2")", &error);
+  ASSERT_TRUE(f.has_value()) << error;
+  EXPECT_EQ(f->counters.at("a"), 2);
+  EXPECT_EQ(f->vehicle, "cav-2");
+  f = decode_with(R"(,"counters":3,"counters":{"b":1})", &error);
+  ASSERT_TRUE(f.has_value()) << error;
+  EXPECT_EQ(f->counters.at("b"), 1);
+  // Numbers: an optional '-' and the longest run of [0-9.eE+-], read as
+  // strtod reads it unless it is a plain int.
+  f = decode_with(
+      R"(,"counters":{"c":00012},"gauges":{"e":e,"m":-.,"p":+5,"d":1-2,"i":1e999,"z":-0.0,"y":-0})",
+      &error);
+  ASSERT_TRUE(f.has_value()) << error;
+  EXPECT_EQ(f->counters.at("c"), 12);
+  EXPECT_EQ(bits(f->gauges.at("e")), bits(0.0));
+  EXPECT_EQ(bits(f->gauges.at("m")), bits(0.0));
+  EXPECT_EQ(f->gauges.at("p"), 5.0);
+  EXPECT_EQ(f->gauges.at("d"), 1.0);
+  EXPECT_EQ(f->gauges.at("i"), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(bits(f->gauges.at("z")), bits(-0.0));
+  EXPECT_EQ(bits(f->gauges.at("y")), bits(0.0));  // the int 0
+  // A double seq or t is truncated; wrong-typed event fields default.
+  f = wire_decode(R"({"v":"x","seq":2.7,"t":9.9,"events":[{"kind":"k","service":"s","observed":"x","at":-3.5}]})",
+                  &error);
+  ASSERT_TRUE(f.has_value()) << error;
+  EXPECT_EQ(f->seq, 2u);
+  EXPECT_EQ(f->created, 9);
+  EXPECT_EQ(f->events.at(0).observed, 0.0);
+  EXPECT_EQ(f->events.at(0).at, -3);
+  // An empty samples array still creates the metric's key; escapes decode
+  // and raw control bytes pass through.
+  f = decode_with("," R"("samples":{"m":[]},"gauges":{"é\/)" "\x01" R"(":1})",
+                  &error);
+  ASSERT_TRUE(f.has_value()) << error;
+  EXPECT_TRUE(f->samples.at("m").empty());
+  EXPECT_EQ(f->gauges.count("\xC3\xA9/\x01"), 1u);
+}
+
+TEST(Wire, DecoderReportsTheOldFirstError) {
+  const std::pair<std::string, std::string> cases[] = {
+      // Sorted order within a section, whatever the line order.
+      {R"({"v":"x","seq":1,"t":0,"counters":{"b":1.5,"a":"x"}})",
+       R"(wire: counter "a" is not an integer)"},
+      {R"({"v":"x","seq":1,"t":0,"counters":{"a":1e2}})",
+       R"(wire: counter "a" is not an integer)"},
+      {R"({"v":"x","seq":1,"t":0,"samples":{"m":[[1,2],[1]],"l":5}})",
+       R"(wire: samples "l" is not an array)"},
+      {R"({"v":"x","seq":1,"t":0,"samples":{"m":[[1,1e999],[1]]}})",
+       R"(wire: samples "m" value not finite)"},
+      {R"({"v":"x","seq":1,"t":0,"gauges":{"g":null}})",
+       R"(wire: gauge "g" is not a number)"},
+      // Sections in the fixed order, the first bad events entry.
+      {R"({"events":5,"counters":{"a":"x"},"v":"x","seq":1,"t":0})",
+       R"(wire: counter "a" is not an integer)"},
+      {R"({"v":"x","seq":1,"t":0,"events":[{"kind":"a","kind":5,"service":"s"},1]})",
+       "wire: events entry missing kind/service"},
+      {R"({"v":"x","seq":1,"t":0,"events":[1,{"at":1}]})",
+       "wire: events entry is not an object"},
+      // The header before any section; a syntax error before everything.
+      {R"({"counters":3,"v":5,"seq":1,"t":0})", R"(wire: frame missing vehicle ("v"))"},
+      {R"({"v":"x","seq":"1","t":0})", R"(wire: frame missing positive "seq")"},
+      {R"({"v":"x","seq":9223372036854775808,"t":0})",
+       R"(wire: frame missing positive "seq")"},
+      {R"({"v":"","seq":0,"t":0,"counters":{"a":"x"}])",
+       "wire: frame is not valid JSON"},
+      {"e", "wire: frame is not a JSON object"},
+      {"[1,{}]", "wire: frame is not a JSON object"},
+      {"-", "wire: frame is not valid JSON"},
+  };
+  for (const auto& [line, want] : cases) {
+    std::string error;
+    EXPECT_FALSE(wire_decode(line, &error).has_value()) << line;
+    EXPECT_EQ(error, want) << line;
+  }
+}
+
+TEST(Wire, DecoderNestingLimit) {
+  const auto nested = [](int levels) {
+    return std::string(static_cast<std::size_t>(levels), '[') +
+           std::string(static_cast<std::size_t>(levels), ']');
+  };
+  std::string error;
+  // 100k levels used to overflow the stack; now a clean error.
+  EXPECT_FALSE(decode_with(",\"x\":" + nested(100000), &error).has_value());
+  EXPECT_EQ(error, "wire: frame is not valid JSON");
+  EXPECT_FALSE(wire_decode(nested(100000), &error).has_value());
+  EXPECT_EQ(error, "wire: frame is not valid JSON");
+  // The frame object is level 1, so a field may nest kMaxDepth - 1 deep.
+  EXPECT_TRUE(decode_with(",\"x\":" + nested(json::kMaxDepth - 1), &error)
+                  .has_value())
+      << error;
+  EXPECT_FALSE(
+      decode_with(",\"x\":" + nested(json::kMaxDepth), &error).has_value());
+  EXPECT_EQ(error, "wire: frame is not valid JSON");
+  EXPECT_FALSE(wire_decode(nested(json::kMaxDepth), &error).has_value());
+  EXPECT_EQ(error, "wire: frame is not a JSON object");
+}
+
+TEST(Wire, DecoderOutOfRangeDoublesReadAsInt64Min) {
+  const std::pair<std::string, std::string> rejected[] = {
+      {R"({"v":"x","seq":1e300,"t":0})", R"(wire: frame missing positive "seq")"},
+      {R"({"v":"x","seq":1e999,"t":0})", R"(wire: frame missing positive "seq")"},
+      {R"({"v":"x","seq":1,"t":-1e300})", R"(wire: frame missing timestamp ("t"))"},
+      {R"({"v":"x","seq":1,"t":1e999})", R"(wire: frame missing timestamp ("t"))"},
+  };
+  for (const auto& [line, want] : rejected) {
+    std::string error;
+    EXPECT_FALSE(wire_decode(line, &error).has_value()) << line;
+    EXPECT_EQ(error, want) << line;
+  }
+  for (const char* at : {"1e300", "-1e300", "1e999", "-1e999"}) {
+    std::string error;
+    const auto f = decode_with(std::string(R"(,"events":[{"kind":"k","service":"s","at":)") + at + "}]",
+                               &error);
+    ASSERT_TRUE(f.has_value()) << error;
+    EXPECT_EQ(f->events.at(0).at, std::numeric_limits<std::int64_t>::min()) << at;
+  }
 }
 
 // --- aggregator -------------------------------------------------------------

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <random>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -82,6 +84,24 @@ TEST(JsonValue, WrongTypeAccessThrows) {
   EXPECT_THROW(v.as_string(), std::runtime_error);
   EXPECT_THROW(v.as_array(), std::runtime_error);
   EXPECT_THROW(Value("x").as_int(), std::runtime_error);
+}
+
+TEST(JsonValue, AsIntIsDefinedOutsideInt64) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Value(1e300).as_int(), kMin);
+  EXPECT_EQ(Value(-1e300).as_int(), kMin);
+  EXPECT_EQ(Value(inf).as_int(), kMin);
+  EXPECT_EQ(Value(-inf).as_int(), kMin);
+  EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).as_int(), kMin);
+  EXPECT_EQ(Value(9223372036854775808.0).as_int(), kMin);  // 2^63
+  // The edges of the range still truncate.
+  EXPECT_EQ(Value(-9223372036854775808.0).as_int(), kMin);
+  EXPECT_EQ(Value(9223372036854774784.0).as_int(), 9223372036854774784);
+  EXPECT_EQ(Value(2.7).as_int(), 2);
+  EXPECT_EQ(Value(-2.7).as_int(), -2);
+  EXPECT_EQ(parse("1e999").as_int(), kMin);
+  EXPECT_EQ(parse(R"({"at":-1e300})").get_int("at"), kMin);
 }
 
 TEST(JsonParse, Document) {
@@ -172,6 +192,164 @@ TEST(JsonParse, DoubleRoundTripPrecision) {
   for (double d : values) {
     Value v(d);
     EXPECT_DOUBLE_EQ(parse(v.dump()).as_double(), d) << d;
+  }
+}
+
+// --- number tokens ------------------------------------------------------
+
+// The number rule the parser has always had, written out as the
+// reference: the token is an optional '-' and the longest run of
+// [0-9.eE+-]; empty or a lone '-' is malformed. With none of ".eE+-" after
+// the sign, from_chars<int64_t> over the whole token gives an int; else,
+// or on overflow, strtod over a copy of the token gives a double.
+std::optional<Value> old_number_rule(std::string_view tok) {
+  if (tok.empty() || tok == "-") return std::nullopt;
+  if (tok.find_first_of(".eE+-", tok[0] == '-' ? 1 : 0) == tok.npos) {
+    std::int64_t i = 0;
+    const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), i);
+    if (ec == std::errc() && p == tok.data() + tok.size()) return Value(i);
+  }
+  return Value(std::strtod(std::string(tok).c_str(), nullptr));
+}
+
+/// Counts tokens that parse() reads differently from the reference (type,
+/// int value, or double bit pattern); reports the first few.
+int number_mismatches(const std::vector<std::string>& tokens) {
+  int bad = 0;
+  for (const std::string& tok : tokens) {
+    const std::optional<Value> want = old_number_rule(tok);
+    const std::optional<Value> got = try_parse(tok);
+    bool same = want.has_value() == got.has_value();
+    if (same && want.has_value()) {
+      same = want->type() == got->type() &&
+             (want->is_int() ? want->as_int() == got->as_int()
+                             : std::bit_cast<std::uint64_t>(want->as_double()) ==
+                                   std::bit_cast<std::uint64_t>(got->as_double()));
+    }
+    if (!same && ++bad <= 5) {
+      ADD_FAILURE() << "token \"" << tok << "\": parse() = "
+                    << (got ? got->dump() : "error") << ", old rule = "
+                    << (want ? want->dump() : "error");
+    }
+  }
+  return bad;
+}
+
+TEST(JsonNumber, MatchesOldRuleOnHostileTokens) {
+  const std::vector<std::string> tokens = {
+      "", "-", "0", "-0", "00012", "-00", "e", "E", "-e", ".", "-.", "+",
+      "+5", "-+5", "--5", "1-2", "1+2", "1e", "1e+", "1e-", "1E5", "1e5e3",
+      "1.2.3", ".5", "5.", "-.5", "-5.", ".e1", "0e0", "-0e0", "-0.0",
+      "0.0", "1.5", "2.7", "1e2", "1e300", "-1e300", "1e308", "1e309",
+      "1e999", "-1e999", "1e-400", "-1e-400", "1e-320", "4.9e-324",
+      "2.4703282292062327e-324", "2.4703282292062328e-324",
+      "2.2250738585072011e-308", "2.2250738585072014e-308",
+      "1.7976931348623157e308", "1.7976931348623158e308",
+      "1.7976931348623159e308", "9223372036854775807",
+      "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+      "18446744073709551616", "123456789012345678901234567890",
+      "0.1000000000000000055511151231257827", "9007199254740993",
+      "9007199254740993.0", "1e00000000000000000000001", "1e-00000000000000001",
+      "0000000000000000000000000000001e-2", "1e+0", "+.", "+e", "e5", "-e5"};
+  EXPECT_EQ(number_mismatches(tokens), 0);
+}
+
+TEST(JsonNumber, MatchesOldRuleOnRandomTokens) {
+  std::mt19937_64 rng(0x70ce5u);
+  auto below = [&](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+  std::vector<std::string> tokens;
+  // Any string of the token's characters.
+  for (int i = 0; i < 100000; ++i) {
+    std::string tok = below(3) == 0 ? "-" : "";
+    for (int n = below(12); n > 0; --n) tok += "0123456789.eE+-"[below(15)];
+    tokens.push_back(tok);
+  }
+  // Doubles of every exponent as %g, %e and %f text at random precision.
+  char buf[512];
+  for (int i = 0; i < 60000; ++i) {
+    double d = std::bit_cast<double>(rng());
+    if (!std::isfinite(d)) d = 1.0 / 3.0;
+    const int prec = below(26);
+    const char* fmt = below(3) == 0 ? "%.*e" : below(2) == 0 ? "%.*g" : "%.*f";
+    std::snprintf(buf, sizeof(buf), fmt, prec, d);
+    tokens.emplace_back(buf);
+  }
+  // Decimal text within a few digits of the midpoint between two adjacent
+  // doubles, where only correct rounding gets the last bit right.
+  for (int i = 0; i < 40000; ++i) {
+    double d = std::bit_cast<double>(rng() & 0x7fefffffffffffffULL);
+    const double next = std::nextafter(d, std::numeric_limits<double>::infinity());
+    const long double mid = (static_cast<long double>(d) + next) / 2;
+    std::snprintf(buf, sizeof(buf), "%.*Le", 15 + below(25), mid);
+    tokens.emplace_back(buf);
+  }
+  // Long digit runs with a random point and exponent.
+  for (int i = 0; i < 40000; ++i) {
+    std::string tok;
+    const int digits = 1 + below(40);
+    const int point = below(digits + 2);
+    for (int k = 0; k < digits; ++k) {
+      if (k == point) tok += '.';
+      tok += static_cast<char>('0' + below(10));
+    }
+    if (below(2) == 0) tok += "e" + std::to_string(below(700) - 350);
+    tokens.push_back(tok);
+  }
+  EXPECT_EQ(number_mismatches(tokens), 0);
+}
+
+// --- nesting ------------------------------------------------------------
+
+std::string nested_arrays(int levels) {
+  return std::string(static_cast<std::size_t>(levels), '[') +
+         std::string(static_cast<std::size_t>(levels), ']');
+}
+
+std::string nested_objects(int levels) {
+  std::string out;
+  for (int i = 0; i < levels; ++i) out += "{\"k\":";
+  out += "1";
+  out.append(static_cast<std::size_t>(levels), '}');
+  return out;
+}
+
+/// True when Lexer::skip reads `doc` as one whole document.
+bool skip_accepts(std::string_view doc) {
+  try {
+    Lexer in(doc);
+    in.skip(0);
+    in.end();
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+TEST(JsonParse, NestingLimit) {
+  // 100k levels used to overflow the stack; now a clean parse error.
+  EXPECT_FALSE(try_parse(nested_arrays(100000)).has_value());
+  EXPECT_FALSE(try_parse(nested_objects(100000)).has_value());
+  EXPECT_FALSE(skip_accepts(nested_arrays(100000)));
+  // Exactly kMaxDepth levels parse; one more does not.
+  EXPECT_TRUE(try_parse(nested_arrays(kMaxDepth)).has_value());
+  EXPECT_TRUE(try_parse(nested_objects(kMaxDepth)).has_value());
+  EXPECT_THROW(parse(nested_arrays(kMaxDepth + 1)), std::runtime_error);
+  EXPECT_THROW(parse(nested_objects(kMaxDepth + 1)), std::runtime_error);
+  EXPECT_TRUE(skip_accepts(nested_objects(kMaxDepth)));
+  EXPECT_FALSE(skip_accepts(nested_objects(kMaxDepth + 1)));
+}
+
+TEST(JsonLexer, SkipAcceptsWhatParseAccepts) {
+  const std::vector<std::string> docs = {
+      "", "{", "[1,", "{\"a\":}", "tru", "nul", "\"unterm", "1 2", "{'a':1}",
+      "[1,]", "{\"a\":1,}", "null", "true", "-12", "1.5", "\"a\\nb\"", "[]",
+      "{}", "[1,2,[3,{\"k\":\"v\"}]]", "{\"a\":{\"b\":[false,null,0.5]}}",
+      " { \"a\" : [ 1 , 2 ] } ", "e", "+5", "[1-2,.,-.]", "-", "[-]",
+      "\"\\u00e9\\ud800\"", "\"\\u12\"", "\"\\q\"", "\"\x01\xff\"", "{\"a\"}",
+      "{\"a\":1 \"b\":2}", "[1 2]", "{1:2}", "[}", "]", "}", "truex",
+      "[true,false,null]", "{\"a\":{\"b\":{}}}x"};
+  for (const std::string& d : docs) {
+    EXPECT_EQ(skip_accepts(d), try_parse(d).has_value()) << d;
   }
 }
 

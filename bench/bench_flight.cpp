@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -61,18 +60,6 @@ FleetScaleConfig flight_config(int vehicles, bool flight) {
   return cfg;
 }
 
-std::string fnv_hex(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
 void print_determinism_table() {
   util::TextTable table(
       "flight determinism — folded master ring, seed 7 "
@@ -85,7 +72,7 @@ void print_determinism_table() {
     table.add_row({std::to_string(n), std::to_string(on.flight_folded),
                    std::to_string(on.flight_triggers),
                    std::to_string(on.flight_scratch_dropped),
-                   fnv_hex(on.flight_rings),
+                   bench::fnv_hex(on.flight_rings),
                    on.digest == off.digest ? "yes" : "NO"});
   }
   bench::BenchOutput::record(table);

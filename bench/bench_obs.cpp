@@ -3,9 +3,11 @@
 //
 // Two committed tables:
 //   * A capture-determinism table (frames, trace events, open spans,
-//     metric keys per fleet size, plus whether the digest matched the
+//     metric keys, and FNV-1a hashes of the merged trace.json and
+//     metrics.jsonl per fleet size, plus whether the digest matched the
 //     capture-off run) — every cell is a pure function of (seed, config),
-//     independent of the shard/thread counts used to produce it.
+//     independent of the shard/thread counts used to produce it. The
+//     hashes pin the exported bytes across commits.
 //   * A capture-overhead table: the capture-on / capture-off wall-clock
 //     RATIO (best of 3 each, 2 decimals). Absolute wall times are never
 //     committed — the ratio is unit-free and machine-portable, and the
@@ -61,7 +63,8 @@ void print_capture_table() {
       "sharded capture determinism — merged exports, seed 7 "
       "(shard/thread-count independent)");
   table.set_header({"vehicles", "frames", "trace events", "open spans",
-                    "metric keys", "digest match"});
+                    "metric keys", "trace fnv", "metrics fnv",
+                    "digest match"});
   for (int n : {1000, 10000}) {
     FleetScaleOutcome off = core::run_fleet_scale(obs_config(n, false));
     FleetScaleOutcome on = core::run_fleet_scale(obs_config(n, true));
@@ -69,6 +72,8 @@ void print_capture_table() {
                    std::to_string(on.trace_events),
                    std::to_string(on.open_spans),
                    std::to_string(on.metric_keys),
+                   bench::fnv_hex(on.chrome_trace),
+                   bench::fnv_hex(on.metrics_jsonl),
                    on.digest == off.digest ? "yes" : "NO"});
   }
   bench::BenchOutput::record(table);

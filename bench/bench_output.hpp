@@ -9,6 +9,8 @@
 // way the printed tables are.
 #pragma once
 
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -89,5 +91,19 @@ class BenchOutput {
   json::Array tables_;
   std::string profile_;
 };
+
+/// 64-bit FNV-1a of `bytes` as 16 hex digits: a text cell that pins an
+/// artifact's exact bytes in a committed table.
+inline std::string fnv_hex(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
 
 }  // namespace vdap::bench

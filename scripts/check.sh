@@ -2,7 +2,8 @@
 # Full local gate: the tier-1 build + test run from ROADMAP.md, a flake
 # catcher repeating the platform/fleet/obs/flight/prof suites, the bench
 # regression gate (BENCH_*.json vs bench/baselines/, >15% drift fails,
-# --strict: missing baselines fail rather than auto-seed), then an
+# --strict: missing baselines fail rather than auto-seed) plus a
+# vdap-report render of bench_obs's trace.json/metrics.jsonl, then an
 # AddressSanitizer+UBSan build running the chaos/soak, telemetry-trace,
 # SLO-health, fleet-telemetry, sharded-simulator, sharded-ingest,
 # shard-observability, flight-recorder and profiling suites (the
@@ -115,6 +116,11 @@ run_benches "$ROOT/build/bench-results"
 # shows how close each metric sat to the 15% gate.
 python3 scripts/bench_compare.py bench/baselines build/bench-results \
         --strict --report
+# Parse what the exporters wrote: a malformed trace.json or metrics.jsonl
+# fails the gate here instead of a reader later. The rendered tables stay
+# next to the artifacts.
+build/tools/vdap-report "$VDAP_OBS_ARTIFACTS/trace.json" \
+    "$VDAP_OBS_ARTIFACTS/metrics.jsonl" > "$VDAP_OBS_ARTIFACTS/report.txt"
 
 if [[ "${1:-}" == "--bench-only" ]]; then
   echo "OK (bench only)"

@@ -1,6 +1,7 @@
 #include "telemetry/domains.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -11,14 +12,7 @@ namespace vdap::telemetry {
 
 namespace {
 
-// One drained event staged for the canonical sort. `track` points into the
-// source tracer's interned track table (stable for the duration of the
-// merge — draining never interns).
-struct Staged {
-  TraceEvent ev;
-  const std::string* track = nullptr;
-  int entry = 0;  // 0..shards-1, then shards for the coordinator
-};
+constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
 
 // Canonical content order: (ts, track, name, cat, ph, dur, args). This is
 // a total order on everything the exporter serializes *except* the async
@@ -28,17 +22,18 @@ struct Staged {
 // concatenation order (stable_sort): only such content-twins can permute
 // span ids across geometries, which §6h excludes by contract
 // (entity-partitioned instrumentation distinguishes twins by track/args).
-bool canonical_less(const Staged& a, const Staged& b) {
-  if (a.ev.ts != b.ev.ts) return a.ev.ts < b.ev.ts;
-  if (int c = a.track->compare(*b.track); c != 0) return c < 0;
-  if (int c = a.ev.name.compare(b.ev.name); c != 0) return c < 0;
-  if (int c = a.ev.cat.compare(b.ev.cat); c != 0) return c < 0;
-  if (a.ev.ph != b.ev.ph) return a.ev.ph < b.ev.ph;
-  if (a.ev.dur != b.ev.dur) return a.ev.dur < b.ev.dur;
-  if (a.ev.args.empty() && b.ev.args.empty()) return false;
+bool canonical_less(const TraceEvent& a, const std::string& a_track,
+                    const TraceEvent& b, const std::string& b_track) {
+  if (a.ts != b.ts) return a.ts < b.ts;
+  if (int c = a_track.compare(b_track); c != 0) return c < 0;
+  if (int c = a.name.compare(b.name); c != 0) return c < 0;
+  if (int c = a.cat.compare(b.cat); c != 0) return c < 0;
+  if (a.ph != b.ph) return a.ph < b.ph;
+  if (a.dur != b.dur) return a.dur < b.dur;
+  if (a.args.empty() && b.args.empty()) return false;
   // json::Object is a std::map, so dumping is itself deterministic. Args
   // comparisons only run for events tied on all cheaper fields.
-  return json::Value(a.ev.args).dump() < json::Value(b.ev.args).dump();
+  return json::Value(a.args).dump() < json::Value(b.args).dump();
 }
 
 }  // namespace
@@ -51,34 +46,53 @@ DomainSet::DomainSet(int shards) {
   }
 }
 
+std::uint32_t DomainSet::master_tid(Entry& entry, std::uint32_t tid) {
+  const std::vector<std::string>& tracks = entry.domain.tracer().tracks();
+  if (tid >= entry.master_tids.size()) {
+    entry.master_tids.resize(tracks.size(), kUnmapped);
+  }
+  std::uint32_t& mapped = entry.master_tids[tid];
+  if (mapped == kUnmapped) mapped = master_.track(tracks[tid]);
+  return mapped;
+}
+
 void DomainSet::merge_epoch() {
+  // One drained event, by reference. `track` points into the source
+  // tracer's interned track table (stable for the duration of the merge —
+  // draining never interns).
+  struct Staged {
+    TraceEvent* ev;
+    const std::string* track;
+    Entry* entry;
+  };
+  // Each domain's drained events stay where take_events() left them; the
+  // sort moves only references. They are staged in concatenation order
+  // (shards 0..K-1, then the coordinator), so stable-sorting them gives
+  // exactly the order stable-sorting the concatenated events would.
+  std::vector<std::vector<TraceEvent>> drained;
+  drained.reserve(shards_.size() + 1);
   std::vector<Staged> batch;
-  auto drain = [&batch](Entry& entry, int index) {
+  auto drain = [&drained, &batch](Entry& entry) {
     Tracer& t = entry.domain.tracer();
+    drained.push_back(t.take_events());
     const std::vector<std::string>& tracks = t.tracks();
-    for (TraceEvent& ev : t.take_events()) {
-      Staged s;
-      s.track = &tracks[ev.tid];
-      s.entry = index;
-      s.ev = std::move(ev);
-      batch.push_back(std::move(s));
+    for (TraceEvent& ev : drained.back()) {
+      batch.push_back({&ev, &tracks[ev.tid], &entry});
     }
   };
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    drain(*shards_[i], static_cast<int>(i));
-  }
-  drain(coordinator_, static_cast<int>(shards_.size()));
+  for (const std::unique_ptr<Entry>& e : shards_) drain(*e);
+  drain(coordinator_);
   if (batch.empty()) return;
 
-  std::stable_sort(batch.begin(), batch.end(), canonical_less);
+  std::stable_sort(batch.begin(), batch.end(),
+                   [](const Staged& a, const Staged& b) {
+                     return canonical_less(*a.ev, *a.track, *b.ev, *b.track);
+                   });
 
-  for (Staged& s : batch) {
-    std::map<std::uint64_t, std::uint64_t>& ids =
-        s.entry < static_cast<int>(shards_.size())
-            ? shards_[static_cast<std::size_t>(s.entry)]->span_ids
-            : coordinator_.span_ids;
-    TraceEvent ev = std::move(s.ev);
-    ev.tid = master_.track(*s.track);
+  for (const Staged& s : batch) {
+    TraceEvent& ev = *s.ev;
+    std::map<std::uint64_t, std::uint64_t>& ids = s.entry->span_ids;
+    ev.tid = master_tid(*s.entry, ev.tid);
     if (ev.ph == 'b') {
       std::uint64_t master_id = next_span_++;
       ids[ev.id] = master_id;

@@ -40,7 +40,9 @@ class DomainSet {
   /// Epoch-barrier merge: drains every domain's trace events recorded since
   /// the previous barrier and appends them to the master log in canonical
   /// (ts, track, name, cat, ph, dur, args) order, renumbering async span
-  /// ids in merged order. Call only with all shards quiesced.
+  /// ids in merged order. It sorts references to the drained events and
+  /// moves each event once, into the master log. Call only with all shards
+  /// quiesced.
   void merge_epoch();
 
   /// The merged master trace (valid after the last merge_epoch()).
@@ -60,7 +62,15 @@ class DomainSet {
     Domain domain;
     // Domain-local span id -> master span id, for 'b'/'e' renumbering.
     std::map<std::uint64_t, std::uint64_t> span_ids;
+    // Domain track index -> master track index (kUnmapped until the
+    // track's first merged event). Tracks are append-only, so the map
+    // stays valid across epochs; it grows as the domain interns more.
+    std::vector<std::uint32_t> master_tids;
   };
+
+  // The master track of `entry`'s track `tid`, interned in the master on
+  // first use so master tids keep merged first-use order.
+  std::uint32_t master_tid(Entry& entry, std::uint32_t tid);
 
   // unique_ptr keeps Domain addresses stable across the vector.
   std::vector<std::unique_ptr<Entry>> shards_;

@@ -1,88 +1,124 @@
 #include "telemetry/export.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <fstream>
+#include <utility>
 
 namespace vdap::telemetry {
 
 namespace {
 
 // Async begin/end events need a string id; hex matches what Chrome's own
-// exporters emit.
-std::string span_id(std::uint64_t id) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(id));
-  return buf;
+// exporters emit ("0x" plus lowercase digits, which need no escaping).
+void append_span_id(std::string& out, std::uint64_t id) {
+  char buf[16];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), id, 16);
+  out += "\"0x";
+  out.append(buf, r.ptr);
+  out += '"';
+}
+
+// Appends a map as `{"k":v,...}` (`{}` when empty), keys in map order.
+template <typename Map, typename WriteValue>
+void append_members(std::string& out, const Map& members,
+                    WriteValue write_value) {
+  out += '{';
+  bool first = true;
+  for (const auto& [key, value] : members) {
+    if (!first) out += ',';
+    first = false;
+    json::append_string(out, key);
+    out += ':';
+    write_value(out, value);
+  }
+  out += '}';
+}
+
+// Keys in sorted order, the key-order contract of export.hpp.
+void append_event(std::string& out, const TraceEvent& ev) {
+  out += '{';
+  if (!ev.args.empty()) {
+    out += "\"args\":";
+    append_members(out, ev.args, json::append_value);
+    out += ',';
+  }
+  out += "\"cat\":";
+  json::append_string(out, ev.cat);
+  if (ev.ph == 'X') {
+    out += ",\"dur\":";
+    json::append_int(out, ev.dur);
+  }
+  if (ev.ph == 'b' || ev.ph == 'e') {
+    out += ",\"id\":";
+    append_span_id(out, ev.id);
+  }
+  out += ",\"name\":";
+  json::append_string(out, ev.name);
+  out += ",\"ph\":";
+  json::append_string(out, std::string_view(&ev.ph, 1));
+  out += ",\"pid\":1";
+  if (ev.ph == 'i') out += ",\"s\":\"t\"";  // instant scoped to its track
+  out += ",\"tid\":";
+  json::append_int(out, ev.tid);
+  out += ",\"ts\":";
+  json::append_int(out, ev.ts);  // already µs, the unit the format expects
+  out += '}';
 }
 
 }  // namespace
 
 std::string chrome_trace_json(const Tracer& tracer) {
-  json::Array events;
-  events.reserve(tracer.events().size() + tracer.tracks().size());
-
+  std::string out;
+  // Room for typical events (~140 B each) up front; pages of the
+  // reservation that stay unwritten never become resident.
+  out.reserve(64 + 64 * tracer.tracks().size() + 160 * tracer.events().size());
+  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  bool first = true;
   // Track names first, as thread_name metadata (tid order = first use).
   for (std::size_t tid = 0; tid < tracer.tracks().size(); ++tid) {
-    json::Object meta;
-    meta["name"] = "thread_name";
-    meta["ph"] = "M";
-    meta["pid"] = 1;
-    meta["tid"] = static_cast<std::int64_t>(tid);
-    json::Object args;
-    args["name"] = tracer.tracks()[tid];
-    meta["args"] = json::Value(std::move(args));
-    events.emplace_back(std::move(meta));
+    if (!first) out += ',';
+    first = false;
+    out += "{\"args\":{\"name\":";
+    json::append_string(out, tracer.tracks()[tid]);
+    out += "},\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
+    json::append_int(out, static_cast<std::int64_t>(tid));
+    out += '}';
   }
-
   for (const TraceEvent& ev : tracer.events()) {
-    json::Object o;
-    o["name"] = ev.name;
-    o["cat"] = ev.cat;
-    o["ph"] = std::string(1, ev.ph);
-    o["ts"] = ev.ts;  // already µs, the unit the format expects
-    o["pid"] = 1;
-    o["tid"] = static_cast<std::int64_t>(ev.tid);
-    if (ev.ph == 'X') o["dur"] = ev.dur;
-    if (ev.ph == 'b' || ev.ph == 'e') o["id"] = span_id(ev.id);
-    if (ev.ph == 'i') o["s"] = "t";  // instant scoped to its track
-    if (!ev.args.empty()) o["args"] = json::Value(ev.args);
-    events.emplace_back(std::move(o));
+    if (!first) out += ',';
+    first = false;
+    append_event(out, ev);
   }
-
-  json::Object root;
-  root["displayTimeUnit"] = "ms";
-  root["traceEvents"] = json::Value(std::move(events));
-  return json::Value(std::move(root)).dump();
+  out += "]}";
+  return out;
 }
 
-json::Value metrics_snapshot_json(const MetricsRegistry& metrics,
+std::string metrics_snapshot_json(const MetricsRegistry& metrics,
                                   sim::SimTime now) {
-  json::Object root;
-  root["t"] = now;
-
-  json::Object counters;
-  for (const auto& [name, v] : metrics.counters().all()) counters[name] = v;
-  root["counters"] = json::Value(std::move(counters));
-
-  json::Object gauges;
-  for (const auto& [name, v] : metrics.gauges()) gauges[name] = v;
-  root["gauges"] = json::Value(std::move(gauges));
-
-  json::Object hists;
-  for (const auto& [name, h] : metrics.histograms()) {
-    json::Object digest;
-    digest["count"] = static_cast<std::int64_t>(h.count());
-    digest["mean"] = h.mean();
-    digest["min"] = h.min();
-    digest["max"] = h.max();
-    digest["p50"] = h.p50();
-    digest["p95"] = h.p95();
-    digest["p99"] = h.p99();
-    hists[name] = json::Value(std::move(digest));
-  }
-  root["histograms"] = json::Value(std::move(hists));
-  return json::Value(std::move(root));
+  std::string out = "{\"counters\":";
+  append_members(out, metrics.counters().all(), json::append_int);
+  out += ",\"gauges\":";
+  append_members(out, metrics.gauges(), json::append_double);
+  out += ",\"histograms\":";
+  append_members(out, metrics.histograms(),
+                 [](std::string& o, const util::Histogram& h) {
+                   o += "{\"count\":";
+                   json::append_int(o, static_cast<std::int64_t>(h.count()));
+                   const std::pair<const char*, double> digest[] = {
+                       {"max", h.max()}, {"mean", h.mean()}, {"min", h.min()},
+                       {"p50", h.p50()}, {"p95", h.p95()},   {"p99", h.p99()}};
+                   for (const auto& [key, value] : digest) {
+                     o += ",\"";
+                     o += key;
+                     o += "\":";
+                     json::append_double(o, value);
+                   }
+                   o += '}';
+                 });
+  out += ",\"t\":";
+  json::append_int(out, now);
+  out += '}';
+  return out;
 }
 
 std::string metrics_text_report(const MetricsRegistry& metrics) {
@@ -123,7 +159,10 @@ bool write_text_file(const std::string& path, std::string_view content) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return false;
   f.write(content.data(), static_cast<std::streamsize>(content.size()));
-  return static_cast<bool>(f);
+  // close() flushes the buffer; a write that failed there shows only in
+  // the state after it.
+  f.close();
+  return !f.fail();
 }
 
 }  // namespace vdap::telemetry

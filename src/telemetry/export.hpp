@@ -2,13 +2,28 @@
 //   * chrome_trace_json() — the Chrome trace-event JSON format, loadable
 //     in Perfetto (https://ui.perfetto.dev) or chrome://tracing. Track
 //     names become thread_name metadata records; span/instant/counter
-//     events follow. Serialization goes through util::json, whose ordered
-//     objects make the output byte-deterministic — the `trace` test suite
-//     compares whole exports across replayed runs.
+//     events follow.
 //   * metrics_snapshot_json() — one JSON object per call with every
 //     counter, gauge, and histogram digest; Session emits these
 //     periodically as JSONL (one snapshot per line).
 //   * metrics_text_report() — the end-of-run human-readable table.
+//
+// The two JSON exporters write straight into one std::string through
+// util::json's append_* writers, with no json::Value tree in between.
+// Their key order is a contract: every object lists its keys in sorted
+// (std::map) order, the order the json::Object DOM they replaced wrote,
+// so trace.json and metrics.jsonl keep their bytes:
+//   * root: displayTimeUnit, traceEvents;
+//   * track metadata, all tracks first in tid order: args ({"name":
+//     track}), name ("thread_name"), ph ("M"), pid, tid;
+//   * event: args (only when non-empty), cat, dur ('X' only), id ('b'/'e'
+//     only, "0x" + hex), name, ph (a one-char string), pid, s ('i' only),
+//     tid, ts;
+//   * metrics line: counters, gauges, histograms, t; each histogram
+//     digest: count, max, mean, min, p50, p95, p99.
+// The output is byte-deterministic for a deterministic input — the
+// `trace` test suite compares whole exports across replayed runs, and
+// telemetry_test pins both exporters against the old DOM code.
 #pragma once
 
 #include <string>
@@ -23,15 +38,17 @@ namespace vdap::telemetry {
 /// deterministic event sequence.
 std::string chrome_trace_json(const Tracer& tracer);
 
-/// One metrics snapshot: {"t": <sim µs>, "counters": {...}, "gauges":
-/// {...}, "histograms": {name: {count,mean,min,max,p50,p95,p99}, ...}}.
-json::Value metrics_snapshot_json(const MetricsRegistry& metrics,
+/// One metrics snapshot line, without the newline: {"counters": {...},
+/// "gauges": {...}, "histograms": {name: {count,max,mean,min,p50,p95,p99},
+/// ...}, "t": <sim µs>}.
+std::string metrics_snapshot_json(const MetricsRegistry& metrics,
                                   sim::SimTime now);
 
 /// End-of-run report: one util::TextTable per metric family.
 std::string metrics_text_report(const MetricsRegistry& metrics);
 
-/// Writes `content` to `path` (truncating); returns false on I/O failure.
+/// Writes `content` to `path` (truncating); returns false on I/O failure,
+/// including a failed flush when the file is closed.
 bool write_text_file(const std::string& path, std::string_view content);
 
 }  // namespace vdap::telemetry

@@ -55,11 +55,18 @@ void Planes::barrier(sim::SimTime epoch_end) {
 }
 
 void Planes::collect(sim::SimTime now, ObsArtifacts& out) {
+  // The final barrier and the exports run on the calling thread: sample
+  // them on the coordinator's slot. Only the prof binding changes.
+  prof::ProfSlot* const prev_prof = prof::bind_prof(
+      prof_ ? prof_->slot(static_cast<std::size_t>(shards_))
+            : prof::bound_prof());
   barrier(now);  // anything recorded after the last epoch barrier
   if (capture_) {
+    PROF_SCOPE("capture/export");
     out.chrome_trace = capture_->chrome_trace();
     const MetricsRegistry merged = capture_->merged_metrics();
-    out.metrics_jsonl = metrics_snapshot_json(merged, now).dump() + "\n";
+    out.metrics_jsonl = metrics_snapshot_json(merged, now);
+    out.metrics_jsonl += '\n';
     out.trace_events = capture_->events();
     out.open_spans = capture_->open_spans();
     out.metric_keys = merged.counters().all().size() + merged.gauges().size() +
@@ -72,6 +79,7 @@ void Planes::collect(sim::SimTime now, ObsArtifacts& out) {
     out.flight_rings = flight_->serialize_rings();
     out.flight_bundles = flight_->bundles();
   }
+  prof::bind_prof(prev_prof);
   if (prof_) {
     prof_->stop();
     const prof::ProfileData pd = prof_->collect();

@@ -125,7 +125,8 @@ class Planes {
   void barrier(sim::SimTime epoch_end);
 
   /// End of run: a last barrier at `now`, then every plane's export into
-  /// `out` (all but shards_jsonl). Stops the profiler.
+  /// `out` (all but shards_jsonl), sampled on the coordinator's prof slot
+  /// (the capture export as "capture/export"). Stops the profiler.
   void collect(sim::SimTime now, ObsArtifacts& out);
 
  private:

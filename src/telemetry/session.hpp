@@ -69,8 +69,7 @@ class Session {
 
   /// Takes one snapshot now (also called by the periodic schedule).
   void snapshot() {
-    lines_.push_back(
-        metrics_snapshot_json(domain_.metrics(), sim_.now()).dump());
+    lines_.push_back(metrics_snapshot_json(domain_.metrics(), sim_.now()));
   }
 
   /// JSONL metric snapshots collected so far, one JSON object per line.

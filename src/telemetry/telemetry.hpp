@@ -104,10 +104,10 @@ class Tracer {
   /// DomainSet::merge_epoch runs at each epoch barrier.
   std::vector<TraceEvent> take_events();
 
-  /// Appends an event whose `tid` and `id` are already final. Only the
-  /// domain-merge path (domains.cpp) uses this; regular recording goes
-  /// through the typed methods above.
-  void absorb(TraceEvent ev) { events_.push_back(std::move(ev)); }
+  /// Appends an event whose `tid` and `id` are already final, moving it
+  /// once. Only the domain-merge path (domains.cpp) uses this; regular
+  /// recording goes through the typed methods above.
+  void absorb(TraceEvent&& ev) { events_.push_back(std::move(ev)); }
 
  private:
   struct OpenSpan {

@@ -396,9 +396,13 @@ void Lexer::skip(int depth) {
   }
 }
 
+void append_value(std::string& out, const Value& v) {
+  dump_impl(v, out, /*indent=*/-1, 0);
+}
+
 std::string Value::dump() const {
   std::string out;
-  dump_impl(*this, out, /*indent=*/-1, 0);
+  append_value(out, *this);
   return out;
 }
 

@@ -301,9 +301,10 @@ class Lexer {
 /// Escapes a string for embedding into JSON output (adds quotes).
 std::string escape(std::string_view s);
 
-// Streaming writers: append one scalar's JSON text to `out`. Value::dump()
-// is built on them, and so is the fleet wire encoder, which writes its
-// fixed layout without a Value tree; both format scalars identically.
+// Streaming writers: append one value's JSON text to `out`. Value::dump()
+// is built on them, and so are the fleet wire encoder and the telemetry
+// exporters, which write their fixed layouts without a Value tree; all
+// format scalars identically.
 
 /// Appends `s` quoted and escaped, exactly as escape() returns it.
 void append_string(std::string& out, std::string_view s);
@@ -312,5 +313,7 @@ void append_int(std::string& out, std::int64_t i);
 /// Appends `d` as `%.Pg` with the smallest P in 1..17 whose text parses
 /// back to `d`; NaN and ±Inf (which JSON lacks) append `null`.
 void append_double(std::string& out, double d);
+/// Appends `v` compact, exactly as v.dump() returns it.
+void append_value(std::string& out, const Value& v);
 
 }  // namespace vdap::json

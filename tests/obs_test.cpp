@@ -9,14 +9,22 @@
 // that is deliberately outside the byte-identity contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fleet.hpp"
 #include "core/fleet_scale.hpp"
 #include "sim/sharded.hpp"
 #include "telemetry/domains.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/planes.hpp"
 #include "telemetry/session.hpp"
 #include "telemetry/shard_report.hpp"
@@ -116,6 +124,190 @@ TEST(DomainSetTest, MergedMetricsFoldAllDomains) {
   const telemetry::MetricsRegistry merged = set.merged_metrics();
   EXPECT_EQ(merged.counter_value("frames"), 12);
   ASSERT_NE(merged.histogram("lat"), nullptr);
+}
+
+// The merge that sorted staged copies of every drained event, kept
+// verbatim as the byte reference for DomainSet::merge_epoch, which sorts
+// references instead and maps tracks once per domain track.
+struct Staged {
+  telemetry::TraceEvent ev;
+  const std::string* track = nullptr;
+  int entry = 0;  // 0..shards-1, then shards for the coordinator
+};
+
+bool canonical_less(const Staged& a, const Staged& b) {
+  if (a.ev.ts != b.ev.ts) return a.ev.ts < b.ev.ts;
+  if (int c = a.track->compare(*b.track); c != 0) return c < 0;
+  if (int c = a.ev.name.compare(b.ev.name); c != 0) return c < 0;
+  if (int c = a.ev.cat.compare(b.ev.cat); c != 0) return c < 0;
+  if (a.ev.ph != b.ev.ph) return a.ev.ph < b.ev.ph;
+  if (a.ev.dur != b.ev.dur) return a.ev.dur < b.ev.dur;
+  if (a.ev.args.empty() && b.ev.args.empty()) return false;
+  // json::Object is a std::map, so dumping is itself deterministic. Args
+  // comparisons only run for events tied on all cheaper fields.
+  return json::Value(a.ev.args).dump() < json::Value(b.ev.args).dump();
+}
+
+class CopyMergeSet {
+ public:
+  explicit CopyMergeSet(int shards) {
+    for (int i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Entry>());
+  }
+  Domain* shard_domain(int i) {
+    return &shards_[static_cast<std::size_t>(i)]->domain;
+  }
+  Domain* coordinator_domain() { return &coordinator_.domain; }
+  const telemetry::Tracer& tracer() const { return master_; }
+
+  void merge_epoch() {
+    std::vector<Staged> batch;
+    auto drain = [&batch](Entry& entry, int index) {
+      telemetry::Tracer& t = entry.domain.tracer();
+      const std::vector<std::string>& tracks = t.tracks();
+      for (telemetry::TraceEvent& ev : t.take_events()) {
+        Staged s;
+        s.track = &tracks[ev.tid];
+        s.entry = index;
+        s.ev = std::move(ev);
+        batch.push_back(std::move(s));
+      }
+    };
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      drain(*shards_[i], static_cast<int>(i));
+    }
+    drain(coordinator_, static_cast<int>(shards_.size()));
+    if (batch.empty()) return;
+
+    std::stable_sort(batch.begin(), batch.end(), canonical_less);
+
+    for (Staged& s : batch) {
+      std::map<std::uint64_t, std::uint64_t>& ids =
+          s.entry < static_cast<int>(shards_.size())
+              ? shards_[static_cast<std::size_t>(s.entry)]->span_ids
+              : coordinator_.span_ids;
+      telemetry::TraceEvent ev = std::move(s.ev);
+      ev.tid = master_.track(*s.track);
+      if (ev.ph == 'b') {
+        std::uint64_t master_id = next_span_++;
+        ids[ev.id] = master_id;
+        ev.id = master_id;
+      } else if (ev.ph == 'e') {
+        auto it = ids.find(ev.id);
+        if (it == ids.end()) continue;  // begin was recorded while unbound
+        ev.id = it->second;
+        ids.erase(it);
+      }
+      master_.absorb(std::move(ev));
+    }
+  }
+
+ private:
+  struct Entry {
+    Domain domain;
+    std::map<std::uint64_t, std::uint64_t> span_ids;
+  };
+  std::vector<std::unique_ptr<Entry>> shards_;
+  Entry coordinator_;
+  telemetry::Tracer master_;
+  std::uint64_t next_span_ = 1;
+};
+
+// Random epochs recorded identically into a DomainSet and the reference:
+// few timestamps, tracks, names and categories, so the sort meets content
+// twins across and within domains (begins whose ends differ, so their
+// order shows in the span ids), ties broken only by args, 'b'/'e' pairs
+// spanning epochs, 'e' events whose begin the merge never saw, and tracks
+// first seen in later epochs.
+TEST(DomainSetTest, MergeByReferenceMatchesCopyMerge) {
+  std::mt19937_64 rng(20261018);
+  auto below = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<unsigned>(n));
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const int shards = 1 + below(4);
+    DomainSet set(shards);
+    CopyMergeSet ref(shards);
+    auto domains = [&](int d) {
+      return d < shards ? std::pair{set.shard_domain(d), ref.shard_domain(d)}
+                        : std::pair{set.coordinator_domain(),
+                                    ref.coordinator_domain()};
+    };
+    struct Open {
+      int domain;
+      std::uint64_t id;
+      std::uint64_t ref_id;
+    };
+    std::vector<Open> open;
+    const int epochs = 1 + below(5);
+    for (int epoch = 0; epoch < epochs; ++epoch) {
+      const sim::SimTime base = sim::usec(100 * epoch);
+      for (int n = below(120); n > 0; --n) {
+        const int d = below(shards + 1);
+        const sim::SimTime ts = base + below(4);
+        // Later epochs add tracks, names that sort before earlier ones.
+        const std::string track = "trk/" + std::to_string(below(2 + 2 * epoch));
+        const std::string name = below(2) == 0 ? "run" : "xfer";
+        const std::string cat = below(3) == 0 ? "net" : "svc";
+        const sim::SimDuration dur = below(2);
+        json::Object args;
+        if (below(2) == 0) args["k"] = below(3);
+        auto [mine, theirs] = domains(d);
+        switch (below(6)) {
+          case 0:
+            mine->tracer().complete(ts, dur, cat, name, track, args);
+            theirs->tracer().complete(ts, dur, cat, name, track, args);
+            break;
+          case 1:
+            mine->tracer().instant(ts, cat, name, track, args);
+            theirs->tracer().instant(ts, cat, name, track, args);
+            break;
+          case 2: {
+            // A begin, often twinned in further domains.
+            for (int twins = below(3) == 0 ? 1 + below(3) : 0, k = d;
+                 twins >= 0; --twins, k = below(shards + 1)) {
+              auto [m, t] = domains(k);
+              open.push_back({k, m->tracer().begin(ts, cat, name, track, args),
+                              t->tracer().begin(ts, cat, name, track, args)});
+            }
+            break;
+          }
+          case 3:
+          case 4:
+            if (!open.empty()) {
+              const std::size_t i =
+                  static_cast<std::size_t>(below(static_cast<int>(open.size())));
+              const Open o = open[i];
+              open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
+              auto [m, t] = domains(o.domain);
+              m->tracer().end(ts + dur, o.id, args);
+              t->tracer().end(ts + dur, o.ref_id, args);
+            }
+            break;
+          default: {
+            // An 'e' whose begin the merge never saw.
+            telemetry::TraceEvent ev;
+            ev.ph = 'e';
+            ev.ts = ts;
+            ev.id = below(2) == 0 ? 0 : 1'000'000'000 + rng() % 1000;
+            ev.cat = cat;
+            ev.name = name;
+            telemetry::TraceEvent twin = ev;
+            ev.tid = mine->tracer().track(track);
+            twin.tid = theirs->tracer().track(track);
+            mine->tracer().absorb(std::move(ev));
+            theirs->tracer().absorb(std::move(twin));
+            break;
+          }
+        }
+      }
+      set.merge_epoch();
+      ref.merge_epoch();
+      ASSERT_EQ(set.events(), ref.tracer().events().size())
+          << "trial " << trial << " epoch " << epoch;
+      ASSERT_EQ(set.chrome_trace(), telemetry::chrome_trace_json(ref.tracer()))
+          << "trial " << trial << " epoch " << epoch;
+    }
+  }
 }
 
 // --- thread-local binding + Session -----------------------------------------

@@ -1,12 +1,25 @@
 // Unit tests for the telemetry subsystem: tracer span bookkeeping, labeled
 // metric canonicalization, registry merge/reset, the Chrome-trace and
-// snapshot exporters (parsed back through util::json), and the Session
-// scoping rules.
+// snapshot exporters (parsed back through util::json, and compared byte
+// for byte with the json::Object exporters they replaced), write_text_file
+// failures, and the Session scoping rules.
 #include "telemetry/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
+#include <set>
+#include <string_view>
 
 #include "telemetry/export.hpp"
 #include "telemetry/session.hpp"
@@ -189,7 +202,7 @@ TEST_F(TelemetryTest, MetricsSnapshotJsonShape) {
   r.set_gauge("ddi.staged", 42.0);
   for (int i = 1; i <= 100; ++i) r.observe("lat", i);
 
-  json::Value v = json::parse(metrics_snapshot_json(r, 123456).dump());
+  json::Value v = json::parse(metrics_snapshot_json(r, 123456));
   EXPECT_EQ(v.at("t").as_int(), 123456);
   EXPECT_EQ(v.at("counters").at("dsf.completed").as_int(), 7);
   EXPECT_DOUBLE_EQ(v.at("gauges").at("ddi.staged").as_double(), 42.0);
@@ -200,7 +213,7 @@ TEST_F(TelemetryTest, MetricsSnapshotJsonShape) {
   EXPECT_DOUBLE_EQ(h.at("max").as_double(), 100.0);
   EXPECT_NEAR(h.at("p95").as_double(), 95.0, 1.0);
   // Top-level field order is fixed by the ordered json::Object.
-  std::string doc = metrics_snapshot_json(r, 123456).dump();
+  std::string doc = metrics_snapshot_json(r, 123456);
   EXPECT_LT(doc.find("\"counters\""), doc.find("\"gauges\""));
   EXPECT_LT(doc.find("\"gauges\""), doc.find("\"histograms\""));
 }
@@ -217,6 +230,340 @@ TEST_F(TelemetryTest, TextReportListsEveryFamily) {
   EXPECT_NE(rep.find("boots"), std::string::npos);
   // Empty registry => empty report, not empty tables.
   EXPECT_TRUE(metrics_text_report(MetricsRegistry{}).empty());
+}
+
+// --- exporter bytes against the DOM exporters -------------------------------
+
+// The json::Object exporters that the direct-write ones replaced, kept
+// verbatim as the byte reference: every object is a std::map, so keys
+// serialize sorted.
+std::string span_id(std::uint64_t id) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%llx",
+                static_cast<unsigned long long>(id));
+  return buf;
+}
+
+std::string dom_chrome_trace_json(const Tracer& tracer) {
+  json::Array events;
+  events.reserve(tracer.events().size() + tracer.tracks().size());
+
+  // Track names first, as thread_name metadata (tid order = first use).
+  for (std::size_t tid = 0; tid < tracer.tracks().size(); ++tid) {
+    json::Object meta;
+    meta["name"] = "thread_name";
+    meta["ph"] = "M";
+    meta["pid"] = 1;
+    meta["tid"] = static_cast<std::int64_t>(tid);
+    json::Object args;
+    args["name"] = tracer.tracks()[tid];
+    meta["args"] = json::Value(std::move(args));
+    events.emplace_back(std::move(meta));
+  }
+
+  for (const TraceEvent& ev : tracer.events()) {
+    json::Object o;
+    o["name"] = ev.name;
+    o["cat"] = ev.cat;
+    o["ph"] = std::string(1, ev.ph);
+    o["ts"] = ev.ts;  // already µs, the unit the format expects
+    o["pid"] = 1;
+    o["tid"] = static_cast<std::int64_t>(ev.tid);
+    if (ev.ph == 'X') o["dur"] = ev.dur;
+    if (ev.ph == 'b' || ev.ph == 'e') o["id"] = span_id(ev.id);
+    if (ev.ph == 'i') o["s"] = "t";  // instant scoped to its track
+    if (!ev.args.empty()) o["args"] = json::Value(ev.args);
+    events.emplace_back(std::move(o));
+  }
+
+  json::Object root;
+  root["displayTimeUnit"] = "ms";
+  root["traceEvents"] = json::Value(std::move(events));
+  return json::Value(std::move(root)).dump();
+}
+
+json::Value dom_metrics_snapshot_json(const MetricsRegistry& metrics,
+                                      sim::SimTime now) {
+  json::Object root;
+  root["t"] = now;
+
+  json::Object counters;
+  for (const auto& [name, v] : metrics.counters().all()) counters[name] = v;
+  root["counters"] = json::Value(std::move(counters));
+
+  json::Object gauges;
+  for (const auto& [name, v] : metrics.gauges()) gauges[name] = v;
+  root["gauges"] = json::Value(std::move(gauges));
+
+  json::Object hists;
+  for (const auto& [name, h] : metrics.histograms()) {
+    json::Object digest;
+    digest["count"] = static_cast<std::int64_t>(h.count());
+    digest["mean"] = h.mean();
+    digest["min"] = h.min();
+    digest["max"] = h.max();
+    digest["p50"] = h.p50();
+    digest["p95"] = h.p95();
+    digest["p99"] = h.p99();
+    hists[name] = json::Value(std::move(digest));
+  }
+  root["histograms"] = json::Value(std::move(hists));
+  return json::Value(std::move(root));
+}
+
+/// Random tracers and registries built to stress the exporters: strings
+/// mixing quotes, backslashes, control bytes, BMP, astral and invalid
+/// UTF-8; every phase byte; nested args with non-finite, signed-zero,
+/// subnormal and extreme numbers; extreme times, durations and ids; tracks
+/// with no events; counters at the int64 limits; histograms empty, with
+/// one sample, or thinned past the cap.
+class HostileCapture {
+ public:
+  explicit HostileCapture(std::uint64_t seed) : rng_(seed) {}
+
+  Tracer tracer() {
+    Tracer t;
+    for (int n = below(4); n > 0; --n) t.track(text());  // maybe never used
+    for (int n = below(7); n > 0; --n) {
+      TraceEvent ev;
+      ev.ph = phase();
+      ev.ts = time();
+      ev.dur = time();
+      ev.id = id();
+      ev.tid = chance(0.05) ? static_cast<std::uint32_t>(rng_())
+                            : t.track(text());
+      ev.cat = text();
+      ev.name = text();
+      if (chance(0.6)) ev.args = object(0);
+      t.absorb(std::move(ev));
+    }
+    return t;
+  }
+
+  MetricsRegistry registry() {
+    MetricsRegistry r;
+    std::set<std::string> counters;  // one inc each: sums cannot overflow
+    for (int n = below(4); n > 0; --n) {
+      std::string name = text();
+      if (counters.insert(name).second) r.inc(name, integer());
+    }
+    for (int n = below(4); n > 0; --n) r.set_gauge(text(), number());
+    for (int n = below(4); n > 0; --n) {
+      const std::string name = text();
+      const int samples = chance(0.0005) ? 20000 : below(3) == 0 ? 1 : below(40);
+      for (int k = 0; k < samples; ++k) r.observe(name, number());
+      if (chance(0.1) && r.histogram(name) != nullptr) {
+        // observe() never leaves a histogram empty; clear one in place.
+        const_cast<util::Histogram*>(r.histogram(name))->clear();
+      }
+    }
+    return r;
+  }
+
+  sim::SimTime time() {
+    switch (below(6)) {
+      case 0: return std::numeric_limits<std::int64_t>::min();
+      case 1: return std::numeric_limits<std::int64_t>::max();
+      case 2: return static_cast<std::int64_t>(rng_());
+      case 3: return -static_cast<std::int64_t>(rng_() % 1000000);
+      default: return static_cast<std::int64_t>(rng_() % 1000000000000ULL);
+    }
+  }
+
+ private:
+  int below(int n) {
+    return static_cast<int>(rng_() % static_cast<unsigned>(n));
+  }
+  bool chance(double p) {
+    return std::uniform_real_distribution<double>(0, 1)(rng_) < p;
+  }
+
+  std::string text() {
+    using namespace std::string_view_literals;
+    static constexpr std::string_view kPieces[] = {
+        "svc"sv, "."sv, "latency_ms"sv, "cav-"sv, "7"sv, " "sv, "/"sv,
+        "\""sv, "\\"sv, "\n"sv, "\t"sv, "\b"sv, "\f"sv, "\r"sv,
+        "\x01"sv, "\x1f"sv, "\x7f"sv, "\0"sv,               // control
+        "\xC3\xA9"sv, "\xE2\x82\xAC"sv, "\xEF\xBF\xBF"sv,   // BMP
+        "\xF0\x9F\x9A\x97"sv, "\xF4\x8F\xBF\xBF"sv,       // astral
+        "{"sv, "}"sv, ":"sv, ","sv, "[]"sv};
+    static constexpr std::string_view kInvalidUtf8[] = {
+        "\x80"sv, "\xC3"sv, "\xC0\xAF"sv, "\xED\xA0\x80"sv,
+        "\xF5\x80\x80\x80"sv, "\xFF"sv, "\xE2\x82"sv};
+    if (chance(0.03)) return "";
+    std::string out;
+    for (int n = 1 + below(3); n > 0; --n) {
+      out += kPieces[rng_() % std::size(kPieces)];
+    }
+    if (chance(0.03)) out += kInvalidUtf8[rng_() % std::size(kInvalidUtf8)];
+    return out;
+  }
+
+  char phase() {
+    static constexpr char kPhases[] = {'X', 'b', 'e', 'i', 'C'};
+    if (chance(0.1)) return static_cast<char>(rng_());  // \0, '"', >= 0x80...
+    return kPhases[below(5)];
+  }
+
+  std::uint64_t id() {
+    switch (below(4)) {
+      case 0: return 0;
+      case 1: return std::numeric_limits<std::uint64_t>::max();
+      case 2: return rng_();
+      default: return 1 + rng_() % 1000;
+    }
+  }
+
+  std::int64_t integer() {
+    switch (below(4)) {
+      case 0: return std::numeric_limits<std::int64_t>::min();
+      case 1: return std::numeric_limits<std::int64_t>::max();
+      case 2: return static_cast<std::int64_t>(rng_());
+      default: return below(2001) - 1000;
+    }
+  }
+
+  double number() {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    switch (below(9)) {
+      case 0: {
+        const double odd[] = {std::numeric_limits<double>::quiet_NaN(), kInf,
+                              -kInf, -0.0, 0.0, 1e308, -1e308,
+                              std::numeric_limits<double>::denorm_min(),
+                              std::numeric_limits<double>::max()};
+        return odd[rng_() % std::size(odd)];
+      }
+      case 1: return std::ldexp(1.0, below(2098) - 1074);
+      case 2: return below(20001) - 10000;
+      case 3: {
+        const double d = std::bit_cast<double>(rng_());
+        return std::isfinite(d) ? d : 1.5;
+      }
+      default: return std::normal_distribution<double>(50.0, 20.0)(rng_);
+    }
+  }
+
+  json::Value value(int depth) {
+    switch (below(depth < 3 ? 9 : 6)) {
+      case 0: return json::Value(nullptr);
+      case 1: return json::Value(chance(0.5));
+      case 2: return json::Value(integer());
+      case 3: return json::Value(number());
+      case 4: return json::Value(text());
+      case 5: return json::Value(time());
+      case 6: return json::Value(object(depth + 1));  // may be empty
+      default: {
+        json::Array a;  // may be empty
+        for (int n = below(4); n > 0; --n) a.push_back(value(depth + 1));
+        return json::Value(std::move(a));
+      }
+    }
+  }
+
+  json::Object object(int depth) {
+    json::Object o;
+    for (int n = below(4); n > 0; --n) o[text()] = value(depth);
+    return o;
+  }
+
+  std::mt19937_64 rng_;
+};
+
+TEST(TelemetryExport, StreamingExportersMatchDomExporters) {
+  HostileCapture gen(20261017);
+  for (int i = 0; i < 100000; ++i) {
+    const Tracer t = gen.tracer();
+    ASSERT_EQ(chrome_trace_json(t), dom_chrome_trace_json(t)) << "tracer " << i;
+    const MetricsRegistry r = gen.registry();
+    const sim::SimTime now = gen.time();
+    ASSERT_EQ(metrics_snapshot_json(r, now),
+              dom_metrics_snapshot_json(r, now).dump())
+        << "registry " << i;
+  }
+}
+
+TEST(TelemetryExport, StreamingExportersMatchDomOnEdgeCases) {
+  const Tracer empty;
+  EXPECT_EQ(chrome_trace_json(empty),
+            R"({"displayTimeUnit":"ms","traceEvents":[]})");
+  EXPECT_EQ(dom_chrome_trace_json(empty), chrome_trace_json(empty));
+  EXPECT_EQ(metrics_snapshot_json(MetricsRegistry{}, 0),
+            R"({"counters":{},"gauges":{},"histograms":{},"t":0})");
+
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Tracer t;
+  t.track("idle track");  // no events
+  t.track("");
+  json::Object nested;
+  nested["arr"] = json::Array{json::Value(json::Array{}),
+                              json::Value(json::Object{}), json::Value(nullptr),
+                              json::Value(true), json::Value(false)};
+  nested["nums"] = json::Array{
+      json::Value(std::numeric_limits<double>::quiet_NaN()), json::Value(kInf),
+      json::Value(-kInf), json::Value(-0.0),
+      json::Value(std::numeric_limits<double>::denorm_min()),
+      json::Value(1e308), json::Value(kMin), json::Value(kMax)};
+  nested["obj"] = json::Object{{"", json::Value("\"\\\x01\xC3\xA9\xF0\x9F\x9A\x97\xFF")}};
+  nested["empty"] = json::Object{};
+  const std::string phases = std::string("XbeiC") + '\0' + '"' + '\\' +
+                             '\x1f' + '\x7f' + '\x80' + '\xff';
+  std::uint64_t id = std::numeric_limits<std::uint64_t>::max();
+  for (char ph : phases) {
+    for (sim::SimTime ts : {kMin, sim::SimTime{-1}, sim::SimTime{0}, kMax}) {
+      TraceEvent ev;
+      ev.ph = ph;
+      ev.ts = ts;
+      ev.dur = ~ts;  // kMin <-> kMax, -1 <-> 0
+      ev.id = id--;
+      ev.tid = t.track(std::string("trk\"") + ph);
+      ev.cat = std::string(1, ph);
+      ev.name = "\xED\xA0\x80\t";
+      if (ts == 0) ev.args = nested;
+      t.absorb(std::move(ev));
+    }
+  }
+  EXPECT_EQ(chrome_trace_json(t), dom_chrome_trace_json(t));
+  EXPECT_NO_THROW(json::parse(chrome_trace_json(t)));
+
+  MetricsRegistry r;
+  r.inc("min", kMin);
+  r.inc("max", kMax);
+  r.inc("lbl", {{"k", "\"v\\\n\xF0\x9F\x9A\x97"}, {"", "\xC0\xAF"}}, 3);
+  r.set_gauge("-0", -0.0);
+  r.set_gauge("sub", std::numeric_limits<double>::denorm_min());
+  r.set_gauge("big", 1e308);
+  r.observe("one", 42.5);
+  for (int i = 0; i < 3 * static_cast<int>(MetricsRegistry::kHistogramSampleCap);
+       ++i) {
+    r.observe("thinned", i * 0.25);
+  }
+  r.observe("empty", 1.0);
+  const_cast<util::Histogram*>(r.histogram("empty"))->clear();
+  for (sim::SimTime now : {kMin, kMax}) {
+    EXPECT_EQ(metrics_snapshot_json(r, now),
+              dom_metrics_snapshot_json(r, now).dump());
+  }
+}
+
+TEST(TelemetryExport, WriteTextFileReportsFailedWrites) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // Three bytes fit the stream buffer, so they fail only at the flush on
+  // close; a megabyte fails while writing.
+  EXPECT_FALSE(write_text_file("/dev/full", "abc"));
+  EXPECT_FALSE(write_text_file("/dev/full", std::string(1 << 20, 'x')));
+
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "vdap-export-XXXXXX").string();
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/out.jsonl";
+  EXPECT_TRUE(write_text_file(path, "{\"t\":0}\n"));
+  std::ifstream in(path, std::ios::binary);
+  const std::string back((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(back, "{\"t\":0}\n");
+  std::filesystem::remove_all(dir);
 }
 
 // --- Session ---------------------------------------------------------------

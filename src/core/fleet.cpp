@@ -94,12 +94,14 @@ FleetOutcome run_fleet(const sim::FaultPlan& plan, const FleetConfig& config) {
   FleetOutcome out;
   {
     // The simulator owns the observability planes (DESIGN.md §6h–§6j).
-    // Setup code below runs unbound (its instrumentation is skipped);
-    // epoch work records into the shards' planes and the quiesced
-    // sections between runs into the coordinator's.
+    // Setup code below runs unbound for capture and flight (its
+    // instrumentation is skipped) and is sampled as "fleet/setup" on the
+    // coordinator's prof slot; epoch work records into the shards' planes
+    // and the quiesced sections between runs into the coordinator's.
     sim::ShardedSimulator ssim(
         config.seed, sim::ShardedSimulator::Options{nshards, config.threads,
                                                     config.epoch, config});
+    telemetry::CoordinatorProfScope setup(ssim.planes(), "fleet/setup");
 
     // Each shard owns a full copy of the shipping network. Tier-named
     // fault targets impair every copy identically (same plan, same
@@ -370,6 +372,7 @@ FleetOutcome run_fleet(const sim::FaultPlan& plan, const FleetConfig& config) {
     // i.e. at epoch barriers with every shard quiesced. They record into
     // the coordinator's planes (counters sum identically regardless of
     // which domain records them).
+    setup.end();
     ssim.run_until(config.run_until);
     {
       telemetry::BindScope bind(ssim.planes().coordinator(ssim.now()));

@@ -45,9 +45,12 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
   const int per_tick = std::max(config.samples_per_tick, 1);
 
   // The simulator owns the observability planes (DESIGN.md §6h–§6j).
+  // World setup is sampled as "fleet/setup" on the coordinator's prof
+  // slot and stays unbound for capture and flight.
   sim::ShardedSimulator ssim(
       config.seed, sim::ShardedSimulator::Options{nshards, config.threads,
                                                   config.epoch, config});
+  telemetry::CoordinatorProfScope setup(ssim.planes(), "fleet/setup");
 
   std::vector<std::unique_ptr<net::Topology>> topos;
   for (int s = 0; s < nshards; ++s) {
@@ -157,6 +160,7 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
         phase);
   }
 
+  setup.end();
   if (config.prepare) config.prepare(ssim);
 
   FleetScaleOutcome out;

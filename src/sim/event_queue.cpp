@@ -51,19 +51,12 @@ void EventQueue::wheel_insert(Entry e) {
   std::size_t b = e.at < win_lo_
                       ? cursor_
                       : static_cast<std::size_t>(e.at / width_) % nbuckets_;
-  std::vector<Entry>& vec = buckets_[b];
   if (b == cursor_ && active_sorted_) {
-    // The cursor bucket is sorted and partially consumed: insert in order,
-    // at or after the consume position, so it still fires by (at, seq).
-    auto it = std::lower_bound(
-        vec.begin() + static_cast<std::ptrdiff_t>(active_pos_), vec.end(), e,
-        [](const Entry& a, const Entry& b2) {
-          if (a.at != b2.at) return a.at < b2.at;
-          return a.seq < b2.seq;
-        });
-    vec.insert(it, e);
+    // The cursor bucket is sorted and partially consumed: the late heap
+    // holds the entry, and pop() merges the two by (at, seq).
+    late_.push(e);
   } else {
-    vec.push_back(e);
+    buckets_[b].push_back(e);
   }
   ++wheel_entries_;
 }
@@ -139,12 +132,18 @@ bool EventQueue::position() {
       active_sorted_ = true;
       active_pos_ = 0;
     }
+    // Cancelled entries are dropped lazily, from the front of both.
     while (active_pos_ < b.size() && !slots_[b[active_pos_].slot].pending) {
-      retire_slot(b[active_pos_].slot);  // cancelled; drop lazily
+      retire_slot(b[active_pos_].slot);
       ++active_pos_;
       --wheel_entries_;
     }
-    if (active_pos_ == b.size()) {
+    while (!late_.empty() && !slots_[late_.top().slot].pending) {
+      retire_slot(late_.top().slot);
+      late_.pop();
+      --wheel_entries_;
+    }
+    if (active_pos_ == b.size() && late_.empty()) {
       advance_bucket();
       continue;
     }
@@ -152,20 +151,31 @@ bool EventQueue::position() {
   }
 }
 
+bool EventQueue::late_first() const {
+  if (late_.empty()) return false;
+  const std::vector<Entry>& b = buckets_[cursor_];
+  return active_pos_ == b.size() || EntryAfter{}(b[active_pos_], late_.top());
+}
+
 SimTime EventQueue::next_time() {
   if (!position()) return kTimeMax;
-  return buckets_[cursor_][active_pos_].at;
+  return late_first() ? late_.top().at : buckets_[cursor_][active_pos_].at;
 }
 
 EventQueue::Fired EventQueue::pop() {
   bool found = position();
   assert(found);
   (void)found;
-  Entry e = buckets_[cursor_][active_pos_];
+  const bool late = late_first();
+  const Entry e = late ? late_.top() : buckets_[cursor_][active_pos_];
+  if (late) {
+    late_.pop();
+  } else {
+    ++active_pos_;
+  }
   Slot& s = slots_[e.slot];
   Fired fired{e.at, id_of(e.slot), std::move(s.fn)};
   retire_slot(e.slot);
-  ++active_pos_;
   --wheel_entries_;
   --live_count_;
   return fired;

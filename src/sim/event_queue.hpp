@@ -8,7 +8,10 @@
 // fixed-width time buckets covers the near future (push/pop are O(1)
 // amortized; a bucket is sorted once, when the cursor reaches it), and a
 // binary heap holds everything beyond the horizon, migrating into the
-// wheel as the window advances. Event callbacks live in a slot-recycling
+// wheel as the window advances. Events pushed into the cursor bucket
+// while it is being consumed wait in a small "late" heap that pop()
+// merges with the sorted bucket, so such a push is O(log n) instead of
+// a shift of the bucket's tail. Event callbacks live in a slot-recycling
 // pool, so memory stays proportional to the number of *pending* events
 // instead of growing with every event ever pushed — the property that
 // lets a 100k-vehicle shard run for minutes.
@@ -51,8 +54,9 @@ class EventQueue {
   std::size_t size() const { return live_count_; }
 
   /// Occupancy introspection (the sharded runtime report): physical entries
-  /// currently in the calendar wheel / the overflow heap. Both include
-  /// cancelled-but-not-yet-dropped entries, so they bound memory, not work.
+  /// currently in the calendar wheel (the late heap included) / the
+  /// overflow heap. Both include cancelled-but-not-yet-dropped entries, so
+  /// they bound memory, not work.
   std::size_t wheel_entries() const { return wheel_entries_; }
   std::size_t overflow_entries() const { return overflow_.size(); }
 
@@ -78,12 +82,13 @@ class EventQueue {
     std::uint64_t seq;  // tie-break: insertion order
     std::uint32_t slot;
   };
-  struct EntryAfter {  // min-heap comparator for the overflow
+  struct EntryAfter {  // min-heap comparator for the overflow and late heaps
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
+  using EntryHeap = std::priority_queue<Entry, std::vector<Entry>, EntryAfter>;
 
   std::uint32_t alloc_slot(EventFn fn);
   void retire_slot(std::uint32_t slot);
@@ -92,16 +97,21 @@ class EventQueue {
   }
   void wheel_insert(Entry e);
   /// Advances cursor / re-anchors / migrates overflow until the earliest
-  /// live entry sits at buckets_[cursor_][active_pos_]. Returns false when
-  /// nothing is pending.
+  /// live entry is buckets_[cursor_][active_pos_] or late_.top(). Returns
+  /// false when nothing is pending.
   bool position();
+  /// After position(): whether the earliest entry is late_.top().
+  bool late_first() const;
   void advance_bucket();
   void migrate_overflow();
 
   const SimDuration width_;
   const std::size_t nbuckets_;
   std::vector<std::vector<Entry>> buckets_;
-  std::priority_queue<Entry, std::vector<Entry>, EntryAfter> overflow_;
+  EntryHeap overflow_;
+  // Pushes into the cursor bucket after it was sorted; empty whenever
+  // active_sorted_ is false.
+  EntryHeap late_;
   SimTime win_lo_ = 0;      // start time of the cursor bucket
   SimTime win_hi_ = 0;      // first time beyond the wheel horizon
   std::size_t cursor_ = 0;  // bucket the window starts at

@@ -117,16 +117,16 @@ CriticalPathReport extract_critical_paths(
   for (const TraceEvent& ev : events) {
     if (ev.tid == segments_tid && ev.ph == 'X' && ev.cat == "segment") {
       int category = category_of(ev.name);
-      const json::Value* run_arg = ev.args.count("run") != 0
-                                       ? &ev.args.at("run")
-                                       : nullptr;
+      const json::Object args = ev.args_object();
+      const json::Value* run_arg =
+          args.count("run") != 0 ? &args.at("run") : nullptr;
       if (category < 0 || run_arg == nullptr || !run_arg->is_int()) continue;
       Slice s;
       s.start = ev.ts;
       s.end = ev.ts + ev.dur;
       s.category = category;
-      auto tier = ev.args.find("tier");
-      if (tier != ev.args.end() && tier->second.is_string()) {
+      auto tier = args.find("tier");
+      if (tier != args.end() && tier->second.is_string()) {
         s.tier = tier->second.as_string();
       }
       seg[static_cast<std::uint64_t>(run_arg->as_int())].push_back(s);
@@ -134,8 +134,9 @@ CriticalPathReport extract_critical_paths(
     }
     if (ev.tid != elastic_tid || ev.cat != "service") continue;
     if (ev.ph == 'b') {
-      auto run_arg = ev.args.find("run");
-      if (run_arg == ev.args.end() || !run_arg->second.is_int()) continue;
+      const json::Object args = ev.args_object();
+      auto run_arg = args.find("run");
+      if (run_arg == args.end() || !run_arg->second.is_int()) continue;
       OpenRun r;
       r.run_id = static_cast<std::uint64_t>(run_arg->second.as_int());
       r.service = ev.name;
@@ -150,7 +151,7 @@ CriticalPathReport extract_critical_paths(
       run.released = it->second.released;
       run.finished = ev.ts;
       open.erase(it);
-      const json::Value wrapper{ev.args};
+      const json::Value wrapper{ev.args_object()};
       run.ok = wrapper.get_bool("ok");
       run.deadline_met = wrapper.get_bool("deadline_met");
       run.pipeline = wrapper.get_string("pipeline");
@@ -273,7 +274,7 @@ bool parse_chrome_trace(std::string_view text, std::vector<TraceEvent>* events,
         if (error != nullptr) *error = "non-object args";
         return false;
       }
-      out.args = args->as_object();
+      out.args = args_text(args->as_object());
     }
     events->push_back(std::move(out));
   }

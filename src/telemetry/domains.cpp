@@ -3,16 +3,23 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "telemetry/export.hpp"
-#include "util/json.hpp"
 
 namespace vdap::telemetry {
 
 namespace {
 
 constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
+
+// The args text as the sort compares it: empty text stands for "{}", the
+// dump of an empty object. Compared as "", it would sort before every
+// other text, where "{}" sorts after all of them ('}' > '"').
+std::string_view sort_args(const std::string& args) {
+  return args.empty() ? std::string_view("{}") : std::string_view(args);
+}
 
 // Canonical content order: (ts, track, name, cat, ph, dur, args). This is
 // a total order on everything the exporter serializes *except* the async
@@ -30,10 +37,7 @@ bool canonical_less(const TraceEvent& a, const std::string& a_track,
   if (int c = a.cat.compare(b.cat); c != 0) return c < 0;
   if (a.ph != b.ph) return a.ph < b.ph;
   if (a.dur != b.dur) return a.dur < b.dur;
-  if (a.args.empty() && b.args.empty()) return false;
-  // json::Object is a std::map, so dumping is itself deterministic. Args
-  // comparisons only run for events tied on all cheaper fields.
-  return json::Value(a.args).dump() < json::Value(b.args).dump();
+  return sort_args(a.args) < sort_args(b.args);
 }
 
 }  // namespace
@@ -89,6 +93,8 @@ void DomainSet::merge_epoch() {
                      return canonical_less(*a.ev, *a.track, *b.ev, *b.track);
                    });
 
+  std::vector<TraceEvent> chunk;
+  chunk.reserve(batch.size());
   for (const Staged& s : batch) {
     TraceEvent& ev = *s.ev;
     std::map<std::uint64_t, std::uint64_t>& ids = s.entry->span_ids;
@@ -103,11 +109,16 @@ void DomainSet::merge_epoch() {
       ev.id = it->second;
       ids.erase(it);
     }
-    master_.absorb(std::move(ev));
+    chunk.push_back(std::move(ev));
   }
+  if (chunk.empty()) return;
+  events_ += chunk.size();
+  chunks_.push_back(std::move(chunk));
 }
 
-std::string DomainSet::chrome_trace() const { return chrome_trace_json(master_); }
+std::string DomainSet::chrome_trace() const {
+  return chrome_trace_json(master_.tracks(), chunks_);
+}
 
 std::size_t DomainSet::open_spans() const {
   std::size_t total = 0;

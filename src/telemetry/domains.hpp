@@ -9,7 +9,9 @@
 // is a pure function of the event *multiset*, so the merged export is
 // byte-identical across the shard × thread matrix for instrumentation
 // whose content does not itself depend on the shard geometry (the
-// entity-partitioned fleet paths; see §6h for the exact contract).
+// entity-partitioned fleet paths; see §6h for the exact contract). The
+// master log is a list of chunks, one sorted batch per merged epoch, so
+// no event moves again once merged.
 //
 // Metrics stay cumulative inside each domain; merged_metrics() folds them
 // on demand in shard-index order (then the coordinator). Counters are
@@ -38,17 +40,21 @@ class DomainSet {
   Domain* coordinator_domain() { return &coordinator_.domain; }
 
   /// Epoch-barrier merge: drains every domain's trace events recorded since
-  /// the previous barrier and appends them to the master log in canonical
-  /// (ts, track, name, cat, ph, dur, args) order, renumbering async span
-  /// ids in merged order. It sorts references to the drained events and
-  /// moves each event once, into the master log. Call only with all shards
-  /// quiesced.
+  /// the previous barrier and appends them to the master log as one chunk
+  /// in canonical (ts, track, name, cat, ph, dur, args) order, renumbering
+  /// async span ids in merged order. It sorts references to the drained
+  /// events and moves each event once, into the chunk. Call only with all
+  /// shards quiesced.
   void merge_epoch();
 
-  /// The merged master trace (valid after the last merge_epoch()).
-  const Tracer& tracer() const { return master_; }
+  /// The merged master trace (valid after the last merge_epoch()): one
+  /// chunk per merged epoch, in merge order. Tids index the master tracks,
+  /// interned in merged first-use order.
+  const std::vector<std::vector<TraceEvent>>& chunks() const {
+    return chunks_;
+  }
   std::string chrome_trace() const;
-  std::size_t events() const { return master_.events().size(); }
+  std::size_t events() const { return events_; }
 
   /// Spans opened but not yet closed, summed over every domain.
   std::size_t open_spans() const;
@@ -75,7 +81,9 @@ class DomainSet {
   // unique_ptr keeps Domain addresses stable across the vector.
   std::vector<std::unique_ptr<Entry>> shards_;
   Entry coordinator_;
-  Tracer master_;
+  Tracer master_;  // interns the master tracks; records no events
+  std::vector<std::vector<TraceEvent>> chunks_;
+  std::size_t events_ = 0;
   std::uint64_t next_span_ = 1;
 };
 

@@ -39,7 +39,7 @@ void append_event(std::string& out, const TraceEvent& ev) {
   out += '{';
   if (!ev.args.empty()) {
     out += "\"args\":";
-    append_members(out, ev.args, json::append_value);
+    out += ev.args;
     out += ',';
   }
   out += "\"cat\":";
@@ -67,27 +67,32 @@ void append_event(std::string& out, const TraceEvent& ev) {
 
 }  // namespace
 
-std::string chrome_trace_json(const Tracer& tracer) {
+std::string chrome_trace_json(const std::vector<std::string>& tracks,
+                              std::span<const std::vector<TraceEvent>> chunks) {
+  std::size_t events = 0;
+  for (const std::vector<TraceEvent>& chunk : chunks) events += chunk.size();
   std::string out;
   // Room for typical events (~140 B each) up front; pages of the
   // reservation that stay unwritten never become resident.
-  out.reserve(64 + 64 * tracer.tracks().size() + 160 * tracer.events().size());
+  out.reserve(64 + 64 * tracks.size() + 160 * events);
   out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   // Track names first, as thread_name metadata (tid order = first use).
-  for (std::size_t tid = 0; tid < tracer.tracks().size(); ++tid) {
+  for (std::size_t tid = 0; tid < tracks.size(); ++tid) {
     if (!first) out += ',';
     first = false;
     out += "{\"args\":{\"name\":";
-    json::append_string(out, tracer.tracks()[tid]);
+    json::append_string(out, tracks[tid]);
     out += "},\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
     json::append_int(out, static_cast<std::int64_t>(tid));
     out += '}';
   }
-  for (const TraceEvent& ev : tracer.events()) {
-    if (!first) out += ',';
-    first = false;
-    append_event(out, ev);
+  for (const std::vector<TraceEvent>& chunk : chunks) {
+    for (const TraceEvent& ev : chunk) {
+      if (!first) out += ',';
+      first = false;
+      append_event(out, ev);
+    }
   }
   out += "]}";
   return out;

@@ -18,7 +18,9 @@
 //     track}), name ("thread_name"), ph ("M"), pid, tid;
 //   * event: args (only when non-empty), cat, dur ('X' only), id ('b'/'e'
 //     only, "0x" + hex), name, ph (a one-char string), pid, s ('i' only),
-//     tid, ts;
+//     tid, ts. The args value is the event's recorded args text, copied
+//     as is: args_text() writes it as the object's dump, whose keys are
+//     already in std::map order;
 //   * metrics line: counters, gauges, histograms, t; each histogram
 //     digest: count, max, mean, min, p50, p95, p99.
 // The output is byte-deterministic for a deterministic input — the
@@ -26,17 +28,26 @@
 // telemetry_test pins both exporters against the old DOM code.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "telemetry/telemetry.hpp"
 
 namespace vdap::telemetry {
 
-/// Serializes the tracer's events as a Chrome trace-event JSON document:
-/// {"displayTimeUnit":"ms","traceEvents":[...]}. Deterministic for a
-/// deterministic event sequence.
-std::string chrome_trace_json(const Tracer& tracer);
+/// Serializes a trace as a Chrome trace-event JSON document:
+/// {"displayTimeUnit":"ms","traceEvents":[...]}, the `tracks` as metadata,
+/// then the events of every chunk in order (DomainSet's merged log keeps
+/// one chunk per epoch). Deterministic for a deterministic event sequence.
+std::string chrome_trace_json(const std::vector<std::string>& tracks,
+                              std::span<const std::vector<TraceEvent>> chunks);
+
+/// One tracer's log: its tracks and its events as the one chunk.
+inline std::string chrome_trace_json(const Tracer& tracer) {
+  return chrome_trace_json(tracer.tracks(), {&tracer.events(), 1});
+}
 
 /// One metrics snapshot line, without the newline: {"counters": {...},
 /// "gauges": {...}, "histograms": {name: {count,max,mean,min,p50,p95,p99},

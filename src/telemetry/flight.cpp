@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -318,15 +319,10 @@ const FlightRecorder::Bundle* FlightRecorder::make_bundle(
     const fs::path dir = fs::path(opts_.dir) / b.id;
     std::error_code ec;
     fs::create_directories(dir, ec);
-    if (!ec) {
-      const auto dump = [&dir](const char* file, const std::string& bytes) {
-        std::ofstream out(dir / file, std::ios::binary);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-      };
-      dump("manifest.json", b.manifest);
-      dump("rings.vfr", b.rings);
-      dump("runtime.jsonl", b.runtime);
+    // `dir` names the bundle on disk only when all three files landed.
+    if (!ec && write_text_file((dir / "manifest.json").string(), b.manifest) &&
+        write_text_file((dir / "rings.vfr").string(), b.rings) &&
+        write_text_file((dir / "runtime.jsonl").string(), b.runtime)) {
       b.dir = dir.string();
     }
   }

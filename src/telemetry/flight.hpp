@@ -204,7 +204,9 @@ class FlightRecorder {
     std::string manifest;  // manifest.json bytes
     std::string rings;     // rings.vfr bytes (VFR1, master section)
     std::string runtime;   // runtime.jsonl bytes (wall plane)
-    std::string dir;       // written path, "" when in-memory only
+    // Written path; "" when in-memory only or when writing any of the
+    // three files failed.
+    std::string dir;
   };
 
   /// `domains` scratch rings (shards + coordinator when driven by

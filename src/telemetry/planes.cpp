@@ -41,6 +41,10 @@ prof::ProfSlot* Planes::worker_slot(std::size_t w) {
                : nullptr;
 }
 
+prof::ProfSlot* Planes::coordinator_slot() {
+  return prof_ ? prof_->slot(static_cast<std::size_t>(shards_)) : nullptr;
+}
+
 void Planes::barrier(sim::SimTime epoch_end) {
   if (capture_) {
     PROF_SCOPE("sim/merge");
@@ -57,9 +61,8 @@ void Planes::barrier(sim::SimTime epoch_end) {
 void Planes::collect(sim::SimTime now, ObsArtifacts& out) {
   // The final barrier and the exports run on the calling thread: sample
   // them on the coordinator's slot. Only the prof binding changes.
-  prof::ProfSlot* const prev_prof = prof::bind_prof(
-      prof_ ? prof_->slot(static_cast<std::size_t>(shards_))
-            : prof::bound_prof());
+  prof::ProfSlot* const prev_prof =
+      prof::bind_prof(prof_ ? coordinator_slot() : prof::bound_prof());
   barrier(now);  // anything recorded after the last epoch barrier
   if (capture_) {
     PROF_SCOPE("capture/export");
@@ -87,6 +90,21 @@ void Planes::collect(sim::SimTime now, ObsArtifacts& out) {
     out.profile_folded = prof::profile_folded(pd);
     out.prof_samples = pd.samples;
   }
+}
+
+CoordinatorProfScope::CoordinatorProfScope(Planes& planes,
+                                           std::string_view tag)
+    : slot_(planes.coordinator_slot()) {
+  if (slot_ == nullptr) return;
+  prev_ = prof::bind_prof(slot_);
+  slot_->push(prof::intern_tag(tag));
+}
+
+void CoordinatorProfScope::end() {
+  if (slot_ == nullptr) return;
+  slot_->pop();
+  prof::bind_prof(prev_);
+  slot_ = nullptr;
 }
 
 }  // namespace vdap::telemetry

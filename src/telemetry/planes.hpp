@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -119,6 +120,8 @@ class Planes {
   Binding coordinator(sim::SimTime now);
   /// Pool worker w's prof slot (nullptr with the profiler off).
   prof::ProfSlot* worker_slot(std::size_t w);
+  /// The coordinator's prof slot (nullptr with the profiler off).
+  prof::ProfSlot* coordinator_slot();
 
   /// Epoch barrier, every shard quiesced: merges the capture domains and
   /// folds the flight rings, servicing any incident trigger.
@@ -134,6 +137,25 @@ class Planes {
   std::unique_ptr<DomainSet> capture_;
   std::unique_ptr<FlightRecorder> flight_;
   std::unique_ptr<prof::Profiler> prof_;
+};
+
+/// Samples calling-thread work outside the epoch loop (world setup) as one
+/// `tag` frame on the coordinator's prof slot, as collect() samples the
+/// exports. Only the prof binding changes, so the work stays unbound for
+/// capture and flight. end(), or the destructor, pops the frame and
+/// restores the previous prof binding. A no-op with the profiler off.
+class CoordinatorProfScope {
+ public:
+  CoordinatorProfScope(Planes& planes, std::string_view tag);
+  ~CoordinatorProfScope() { end(); }
+  CoordinatorProfScope(const CoordinatorProfScope&) = delete;
+  CoordinatorProfScope& operator=(const CoordinatorProfScope&) = delete;
+
+  void end();
+
+ private:
+  prof::ProfSlot* slot_;  // nullptr once ended
+  prof::ProfSlot* prev_ = nullptr;
 };
 
 }  // namespace vdap::telemetry

@@ -8,6 +8,17 @@
 
 namespace vdap::telemetry {
 
+std::string args_text(json::Object args) {
+  std::string out;
+  if (!args.empty()) json::append_value(out, json::Value(std::move(args)));
+  return out;
+}
+
+json::Object TraceEvent::args_object() const {
+  if (args.empty()) return {};
+  return std::move(json::parse(args).as_object());
+}
+
 std::uint32_t Tracer::track(std::string_view name) {
   auto it = track_ids_.find(name);
   if (it != track_ids_.end()) return it->second;
@@ -27,7 +38,7 @@ void Tracer::complete(sim::SimTime ts, sim::SimDuration dur,
   ev.tid = this->track(track);
   ev.cat = cat;
   ev.name = name;
-  ev.args = std::move(args);
+  ev.args = args_text(std::move(args));
   events_.push_back(std::move(ev));
   if (internal::tls_flight != nullptr) {
     flight_span(FlightKind::kComplete, ts, cat, name, track, dur, 0.0);
@@ -45,7 +56,7 @@ std::uint64_t Tracer::begin(sim::SimTime ts, std::string_view cat,
   ev.tid = this->track(track);
   ev.cat = cat;
   ev.name = name;
-  ev.args = std::move(args);
+  ev.args = args_text(std::move(args));
   OpenSpan open{ev.cat, ev.name, ev.tid, prof::kInvalidTag};
   // Mirror the span into the profiling plane (DESIGN.md §6j): the span
   // name becomes a tag frame on this thread's bound slot, so existing
@@ -72,7 +83,7 @@ void Tracer::end(sim::SimTime ts, std::uint64_t id, json::Object args) {
   ev.tid = it->second.tid;
   ev.cat = std::move(it->second.cat);
   ev.name = std::move(it->second.name);
-  ev.args = std::move(args);
+  ev.args = args_text(std::move(args));
   // Unmirror from the profiling plane. pop_tag removes the topmost
   // matching frame, so out-of-order async closes cannot strand frames.
   if (it->second.prof_tag != prof::kInvalidTag &&
@@ -98,7 +109,7 @@ void Tracer::instant(sim::SimTime ts, std::string_view cat,
   ev.tid = this->track(track);
   ev.cat = cat;
   ev.name = name;
-  ev.args = std::move(args);
+  ev.args = args_text(std::move(args));
   events_.push_back(std::move(ev));
   if (internal::tls_flight != nullptr) {
     flight_span(FlightKind::kInstant, ts, cat, name, track, 0, 0.0);
@@ -114,7 +125,10 @@ void Tracer::counter(sim::SimTime ts, std::string_view track,
   ev.tid = this->track(track);
   ev.cat = "metric";
   ev.name = name;
-  ev.args["value"] = value;
+  // {"value":v}, the bytes args_text({{"value", v}}) writes.
+  ev.args = "{\"value\":";
+  json::append_double(ev.args, value);
+  ev.args += '}';
   events_.push_back(std::move(ev));
   if (internal::tls_flight != nullptr) {
     flight_span(FlightKind::kCounter, ts, "metric", name, track, 0, value);

@@ -57,8 +57,19 @@ struct TraceEvent {
   std::uint32_t tid = 0;    // track index
   std::string cat;          // category: "task","offload","ddi","net","fault",...
   std::string name;
-  json::Object args;        // std::map => deterministic serialization order
+  // The args object as its compact JSON text (args_text below), written
+  // once at record time; empty when the event has no args.
+  std::string args;
+
+  /// The args parsed back into an object ({} for empty text). Throws
+  /// std::runtime_error on text args_text could not have written.
+  json::Object args_object() const;
 };
+
+/// The args text Tracer records for `args`: exactly the bytes
+/// json::Value(args).dump() writes (keys in std::map order, non-finite
+/// doubles as null), or "" when `args` has no members.
+std::string args_text(json::Object args);
 
 /// Append-only event log with interned track names. All methods assume the
 /// caller already checked telemetry::on() — the Tracer itself never
@@ -104,9 +115,9 @@ class Tracer {
   /// DomainSet::merge_epoch runs at each epoch barrier.
   std::vector<TraceEvent> take_events();
 
-  /// Appends an event whose `tid` and `id` are already final, moving it
-  /// once. Only the domain-merge path (domains.cpp) uses this; regular
-  /// recording goes through the typed methods above.
+  /// Appends an event formed elsewhere, its `tid`, `id` and args text
+  /// already final, moving it once. Regular recording goes through the
+  /// typed methods above.
   void absorb(TraceEvent&& ev) { events_.push_back(std::move(ev)); }
 
  private:

@@ -185,6 +185,29 @@ TEST(FlightFoldTest, IncidentNowSnapshotsBundleAndReports) {
   std::filesystem::remove_all(opts.dir);
 }
 
+// A bundle whose files could not all be written keeps its bytes in memory
+// but names no directory: a directory squatting on rings.vfr's path makes
+// that write fail.
+TEST(FlightFoldTest, FailedBundleWriteReportsNoDir) {
+  FlightRecorder::Options opts;
+  opts.dir = core::make_temp_dir("vdap-flight-unwritable");
+  FlightRecorder fr(1, opts);
+  ASSERT_TRUE(std::filesystem::create_directories(
+      std::filesystem::path(opts.dir) / "incident-001-t100" / "rings.vfr"));
+  const FlightRecorder::Bundle* b = fr.incident_now(sim::usec(100), "unit-test");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->id, "incident-001-t100");
+  EXPECT_EQ(b->dir, "");
+  EXPECT_FALSE(b->rings.empty());
+
+  // A writable bundle still reports its directory.
+  const FlightRecorder::Bundle* ok = fr.incident_now(sim::usec(200), "again");
+  ASSERT_NE(ok, nullptr);
+  EXPECT_EQ(ok->dir,
+            (std::filesystem::path(opts.dir) / "incident-002-t200").string());
+  std::filesystem::remove_all(opts.dir);
+}
+
 TEST(FlightFoldTest, MaxBundlesCapsSnapshotsNotTriggerCount) {
   FlightRecorder::Options opts;
   opts.max_bundles = 2;

@@ -52,6 +52,15 @@ constexpr bool kSanitized = false;
 
 // --- DomainSet merge mechanics ----------------------------------------------
 
+// The merged log in order, across its per-epoch chunks.
+std::vector<telemetry::TraceEvent> merged_events(const DomainSet& set) {
+  std::vector<telemetry::TraceEvent> out;
+  for (const std::vector<telemetry::TraceEvent>& chunk : set.chunks()) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
+  }
+  return out;
+}
+
 // The determinism keystone: the merged export is a pure function of the
 // event MULTISET, not of which domain recorded what. Record the same
 // events under two different shard placements and the merged traces must
@@ -76,8 +85,8 @@ TEST(DomainSetTest, MergeIndependentOfDomainPlacement) {
   EXPECT_EQ(a.chrome_trace(), b.chrome_trace());
   EXPECT_EQ(a.events(), 4u);
   // And the canonical order is by timestamp first.
-  EXPECT_EQ(a.tracer().events()[0].ts, sim::usec(10));
-  EXPECT_EQ(a.tracer().events()[3].ts, sim::usec(30));
+  EXPECT_EQ(merged_events(a)[0].ts, sim::usec(10));
+  EXPECT_EQ(merged_events(a)[3].ts, sim::usec(30));
 }
 
 TEST(DomainSetTest, SpanIdsRenumberedInMergedOrder) {
@@ -93,7 +102,7 @@ TEST(DomainSetTest, SpanIdsRenumberedInMergedOrder) {
   set.merge_epoch();
 
   std::vector<std::uint64_t> begin_ids;
-  for (const telemetry::TraceEvent& ev : set.tracer().events()) {
+  for (const telemetry::TraceEvent& ev : merged_events(set)) {
     if (ev.ph == 'b') begin_ids.push_back(ev.id);
   }
   EXPECT_EQ(begin_ids, (std::vector<std::uint64_t>{1, 2}));
@@ -112,7 +121,7 @@ TEST(DomainSetTest, SpanPairsSurviveEpochBarriers) {
   set.merge_epoch();
   EXPECT_EQ(set.open_spans(), 0u);
   ASSERT_EQ(set.events(), 2u);
-  EXPECT_EQ(set.tracer().events()[0].id, set.tracer().events()[1].id);
+  EXPECT_EQ(merged_events(set)[0].id, merged_events(set)[1].id);
 }
 
 TEST(DomainSetTest, MergedMetricsFoldAllDomains) {
@@ -145,7 +154,8 @@ bool canonical_less(const Staged& a, const Staged& b) {
   if (a.ev.args.empty() && b.ev.args.empty()) return false;
   // json::Object is a std::map, so dumping is itself deterministic. Args
   // comparisons only run for events tied on all cheaper fields.
-  return json::Value(a.ev.args).dump() < json::Value(b.ev.args).dump();
+  return json::Value(a.ev.args_object()).dump() <
+         json::Value(b.ev.args_object()).dump();
 }
 
 class CopyMergeSet {
@@ -308,6 +318,42 @@ TEST(DomainSetTest, MergeByReferenceMatchesCopyMerge) {
           << "trial " << trial << " epoch " << epoch;
     }
   }
+}
+
+// Content twins that differ only in args, one with none, recorded out of
+// order across domains: the merge orders them by args text with the
+// empty args last, as the dump "{}" sorted, and matches the copy-merge.
+TEST(DomainSetTest, ArgsOnlyTwinsSortByTextWithEmptyArgsLast) {
+  const std::vector<json::Object> args = {
+      {},
+      {{"k", json::Value(1)}},
+      {{"k", json::Value(json::Object{})}},
+      {{"a", json::Value("x")}},
+      {{"k", json::Value(0)}}};
+  DomainSet set(2);
+  CopyMergeSet ref(2);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const int d = static_cast<int>(i % 2);
+    for (Domain* domain : {set.shard_domain(d), ref.shard_domain(d)}) {
+      domain->tracer().begin(sim::usec(7), "svc", "run", "svc", args[i]);
+      domain->tracer().instant(sim::usec(7), "svc", "run", "svc", args[i]);
+    }
+  }
+  set.merge_epoch();
+  ref.merge_epoch();
+  EXPECT_EQ(set.chrome_trace(), telemetry::chrome_trace_json(ref.tracer()));
+
+  const std::vector<std::string> sorted = {
+      R"({"a":"x"})", R"({"k":0})", R"({"k":1})", R"({"k":{}})", ""};
+  std::vector<std::string> begins;
+  std::vector<std::uint64_t> ids;
+  for (const telemetry::TraceEvent& ev : merged_events(set)) {
+    if (ev.ph != 'b') continue;
+    begins.push_back(ev.args);
+    ids.push_back(ev.id);
+  }
+  EXPECT_EQ(begins, sorted);
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
 }
 
 // --- thread-local binding + Session -----------------------------------------

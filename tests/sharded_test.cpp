@@ -203,6 +203,61 @@ TEST(CalendarQueueTest, CancelOfOverflowedEventHolds) {
   EXPECT_EQ(fired, std::vector<int>{1});
 }
 
+// Pushes into the cursor bucket while it is being consumed wait in a late
+// heap that pop() merges with the sorted bucket by (at, seq). The default
+// wheel with thousands of events in one bucket, pushes at and just after
+// `now` during consumption, and cancels of those heap entries, against the
+// heap oracle. Preferring either source over the other fails it.
+TEST(CalendarQueueTest, LatePushesIntoTheCursorBucketFireInOrder) {
+  util::RngStream rng(0x1A7E5);
+  EventQueue calendar;  // default wheel: 512 buckets x 8192 us
+  HeapEventQueue heap;
+  std::vector<int> calendar_fired;
+  std::vector<int> heap_fired;
+  std::map<int, sim::EventId> calendar_ids;
+  std::map<int, sim::EventId> heap_ids;
+  int next_tag = 0;
+  auto push = [&](sim::SimTime at) {
+    const int tag = next_tag++;
+    calendar_ids[tag] = calendar.push(
+        at, [tag, &calendar_fired]() { calendar_fired.push_back(tag); });
+    heap_ids[tag] =
+        heap.push(at, [tag, &heap_fired]() { heap_fired.push_back(tag); });
+    return tag;
+  };
+  for (int i = 0; i < 4000; ++i) push(rng.uniform_int(0, 8191));
+
+  std::vector<int> late;  // pushed mid-bucket; may have fired already
+  for (int op = 0; !heap.empty(); ++op) {
+    ASSERT_FALSE(calendar.empty());
+    ASSERT_EQ(calendar.next_time(), heap.next_time()) << "op " << op;
+    EventQueue::Fired cf = calendar.pop();
+    HeapEventQueue::Fired hf = heap.pop();
+    ASSERT_EQ(cf.at, hf.at) << "op " << op;
+    cf.fn();
+    hf.fn();
+    // Stay inside the first bucket, so every push lands in the cursor
+    // bucket while it is sorted and partly consumed.
+    if (cf.at < 8180 && next_tag < 8000) {
+      for (int k = static_cast<int>(rng.uniform_int(0, 1)); k > 0; --k) {
+        late.push_back(push(cf.at + rng.uniform_int(0, 3)));
+      }
+    }
+    if (!late.empty() && rng.uniform() < 0.25) {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(late.size()) - 1));
+      const int tag = late[pick];
+      late.erase(late.begin() + static_cast<std::ptrdiff_t>(pick));
+      ASSERT_EQ(calendar.cancel(calendar_ids[tag]), heap.cancel(heap_ids[tag]))
+          << "tag " << tag;
+    }
+    ASSERT_EQ(calendar.size(), heap.size()) << "op " << op;
+  }
+  EXPECT_TRUE(calendar.empty());
+  EXPECT_GT(next_tag, 6000);
+  EXPECT_EQ(calendar_fired, heap_fired);
+}
+
 // --- thread pool ------------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsEveryTaskAcrossBatches) {

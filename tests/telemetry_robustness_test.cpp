@@ -150,7 +150,7 @@ TEST(Exporters, HostileStringsRoundTripThroughEveryArtifact) {
       EXPECT_EQ(ev.cat, weird);
       ASSERT_LT(ev.tid, tracks.size());
       EXPECT_EQ(tracks[ev.tid], weird);
-      EXPECT_EQ(ev.args.at(weird).as_string(), weird);
+      EXPECT_EQ(ev.args_object().at(weird).as_string(), weird);
     }
   }
   EXPECT_TRUE(found);

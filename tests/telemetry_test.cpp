@@ -99,7 +99,7 @@ TEST_F(TelemetryTest, CompleteInstantCounterShapes) {
   EXPECT_EQ(t.events()[0].dur, 50);
   EXPECT_EQ(t.events()[1].ph, 'i');
   EXPECT_EQ(t.events()[2].ph, 'C');
-  EXPECT_DOUBLE_EQ(t.events()[2].args.at("value").as_double(), 0.25);
+  EXPECT_DOUBLE_EQ(t.events()[2].args_object().at("value").as_double(), 0.25);
 }
 
 TEST_F(TelemetryTest, LabeledKeysAreCanonical) {
@@ -244,7 +244,10 @@ std::string span_id(std::uint64_t id) {
   return buf;
 }
 
-std::string dom_chrome_trace_json(const Tracer& tracer) {
+// `args[i]` is the object the i-th event's args text was recorded from;
+// the DOM exporter serializes the object, and an event holds only text.
+std::string dom_chrome_trace_json(const Tracer& tracer,
+                                  const std::vector<json::Object>& args) {
   json::Array events;
   events.reserve(tracer.events().size() + tracer.tracks().size());
 
@@ -261,7 +264,8 @@ std::string dom_chrome_trace_json(const Tracer& tracer) {
     events.emplace_back(std::move(meta));
   }
 
-  for (const TraceEvent& ev : tracer.events()) {
+  for (std::size_t i = 0; i < tracer.events().size(); ++i) {
+    const TraceEvent& ev = tracer.events()[i];
     json::Object o;
     o["name"] = ev.name;
     o["cat"] = ev.cat;
@@ -272,7 +276,7 @@ std::string dom_chrome_trace_json(const Tracer& tracer) {
     if (ev.ph == 'X') o["dur"] = ev.dur;
     if (ev.ph == 'b' || ev.ph == 'e') o["id"] = span_id(ev.id);
     if (ev.ph == 'i') o["s"] = "t";  // instant scoped to its track
-    if (!ev.args.empty()) o["args"] = json::Value(ev.args);
+    if (!args[i].empty()) o["args"] = json::Value(args[i]);
     events.emplace_back(std::move(o));
   }
 
@@ -321,8 +325,15 @@ class HostileCapture {
  public:
   explicit HostileCapture(std::uint64_t seed) : rng_(seed) {}
 
-  Tracer tracer() {
-    Tracer t;
+  /// A tracer and, per event, the args object its text was recorded from.
+  struct Trace {
+    Tracer tracer;
+    std::vector<json::Object> args;
+  };
+
+  Trace tracer() {
+    Trace out;
+    Tracer& t = out.tracer;
     for (int n = below(4); n > 0; --n) t.track(text());  // maybe never used
     for (int n = below(7); n > 0; --n) {
       TraceEvent ev;
@@ -334,11 +345,15 @@ class HostileCapture {
                             : t.track(text());
       ev.cat = text();
       ev.name = text();
-      if (chance(0.6)) ev.args = object(0);
+      out.args.push_back(chance(0.6) ? object(0) : json::Object{});
+      ev.args = args_text(out.args.back());
       t.absorb(std::move(ev));
     }
-    return t;
+    return out;
   }
+
+  /// Hostile args: nested values, non-finite and extreme numbers, escapes.
+  json::Object args() { return object(0); }
 
   MetricsRegistry registry() {
     MetricsRegistry r;
@@ -472,8 +487,10 @@ class HostileCapture {
 TEST(TelemetryExport, StreamingExportersMatchDomExporters) {
   HostileCapture gen(20261017);
   for (int i = 0; i < 100000; ++i) {
-    const Tracer t = gen.tracer();
-    ASSERT_EQ(chrome_trace_json(t), dom_chrome_trace_json(t)) << "tracer " << i;
+    const HostileCapture::Trace t = gen.tracer();
+    ASSERT_EQ(chrome_trace_json(t.tracer),
+              dom_chrome_trace_json(t.tracer, t.args))
+        << "tracer " << i;
     const MetricsRegistry r = gen.registry();
     const sim::SimTime now = gen.time();
     ASSERT_EQ(metrics_snapshot_json(r, now),
@@ -486,7 +503,7 @@ TEST(TelemetryExport, StreamingExportersMatchDomOnEdgeCases) {
   const Tracer empty;
   EXPECT_EQ(chrome_trace_json(empty),
             R"({"displayTimeUnit":"ms","traceEvents":[]})");
-  EXPECT_EQ(dom_chrome_trace_json(empty), chrome_trace_json(empty));
+  EXPECT_EQ(dom_chrome_trace_json(empty, {}), chrome_trace_json(empty));
   EXPECT_EQ(metrics_snapshot_json(MetricsRegistry{}, 0),
             R"({"counters":{},"gauges":{},"histograms":{},"t":0})");
 
@@ -510,6 +527,7 @@ TEST(TelemetryExport, StreamingExportersMatchDomOnEdgeCases) {
   const std::string phases = std::string("XbeiC") + '\0' + '"' + '\\' +
                              '\x1f' + '\x7f' + '\x80' + '\xff';
   std::uint64_t id = std::numeric_limits<std::uint64_t>::max();
+  std::vector<json::Object> args;
   for (char ph : phases) {
     for (sim::SimTime ts : {kMin, sim::SimTime{-1}, sim::SimTime{0}, kMax}) {
       TraceEvent ev;
@@ -520,11 +538,12 @@ TEST(TelemetryExport, StreamingExportersMatchDomOnEdgeCases) {
       ev.tid = t.track(std::string("trk\"") + ph);
       ev.cat = std::string(1, ph);
       ev.name = "\xED\xA0\x80\t";
-      if (ts == 0) ev.args = nested;
+      args.push_back(ts == 0 ? nested : json::Object{});
+      ev.args = args_text(args.back());
       t.absorb(std::move(ev));
     }
   }
-  EXPECT_EQ(chrome_trace_json(t), dom_chrome_trace_json(t));
+  EXPECT_EQ(chrome_trace_json(t), dom_chrome_trace_json(t, args));
   EXPECT_NO_THROW(json::parse(chrome_trace_json(t)));
 
   MetricsRegistry r;
@@ -545,6 +564,68 @@ TEST(TelemetryExport, StreamingExportersMatchDomOnEdgeCases) {
     EXPECT_EQ(metrics_snapshot_json(r, now),
               dom_metrics_snapshot_json(r, now).dump());
   }
+}
+
+// Every Tracer method records its args once, at record time, as the
+// object's compact dump; no args record as "".
+TEST(TraceEventArgs, RecordedTextIsTheObjectDump) {
+  HostileCapture gen(20261019);
+  for (int i = 0; i < 20000; ++i) {
+    const json::Object obj = gen.args();
+    const std::string want = obj.empty() ? "" : json::Value(obj).dump();
+    EXPECT_EQ(args_text(obj), want);
+    Tracer t;
+    t.complete(1, 2, "c", "n", "trk", obj);
+    t.end(3, t.begin(1, "c", "n", "trk", obj), obj);
+    t.instant(4, "c", "n", "trk", obj);
+    ASSERT_EQ(t.events().size(), 4u);
+    for (const TraceEvent& ev : t.events()) {
+      ASSERT_EQ(ev.args, want) << "object " << i << " ph " << ev.ph;
+    }
+  }
+}
+
+TEST(TraceEventArgs, EdgeCases) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<json::Object, std::string> cases[] = {
+      {{}, ""},
+      {{{"x", json::Value(nan)}}, R"({"x":null})"},
+      {{{"inf", json::Value(kInf)}, {"ninf", json::Value(-kInf)}},
+       R"({"inf":null,"ninf":null})"},
+      {{{"min", json::Value(kMin)}, {"max", json::Value(kMax)}},
+       R"({"max":9223372036854775807,"min":-9223372036854775808})"},
+      {{{"q\"\\\n", json::Value("\t\x01")}}, R"({"q\"\\\n":"\t\u0001"})"},
+      {{{"a", json::Array{json::Value(json::Array{}), json::Value(json::Object{}),
+                          json::Value(nullptr), json::Value(true)}},
+        {"o", json::Object{{"k", json::Object{{"z", json::Value(-0.0)}}}}}},
+       R"({"a":[[],{},null,true],"o":{"k":{"z":-0}}})"},
+  };
+  for (const auto& [obj, text] : cases) {
+    Tracer t;
+    t.instant(0, "c", "n", "trk", obj);
+    EXPECT_EQ(t.events().back().args, text);
+    if (!obj.empty()) EXPECT_EQ(text, json::Value(obj).dump());
+  }
+
+  // Counters write {"value":v} through the same number writer.
+  Tracer t;
+  for (double v : {0.25, -0.0, 1e308, std::numeric_limits<double>::denorm_min()}) {
+    t.counter(0, "trk", "c", v);
+    EXPECT_EQ(t.events().back().args,
+              json::Value(json::Object{{"value", json::Value(v)}}).dump());
+  }
+  t.counter(0, "trk", "c", nan);  // dropped, as before
+  EXPECT_EQ(t.events().size(), 4u);
+  EXPECT_EQ(t.events()[1].args, R"({"value":-0})");
+
+  // Readers parse the text back.
+  t.instant(0, "c", "n", "trk", {{"run", 7}, {"tier", "edge"}});
+  EXPECT_EQ(t.events().back().args_object(),
+            (json::Object{{"run", 7}, {"tier", "edge"}}));
+  EXPECT_TRUE(TraceEvent{}.args_object().empty());
 }
 
 TEST(TelemetryExport, WriteTextFileReportsFailedWrites) {

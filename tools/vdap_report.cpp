@@ -154,7 +154,7 @@ std::string health_timeline(const std::vector<vdap::telemetry::TraceEvent>& even
   for (const vdap::telemetry::TraceEvent& ev : events) {
     if (ev.ph != 'i' || ev.cat != "health") continue;
     if (ev.tid >= tracks.size() || tracks[ev.tid] != "health") continue;
-    const vdap::json::Value wrapper{ev.args};
+    const vdap::json::Value wrapper{ev.args_object()};
     std::string tier = wrapper.get_string("tier");
     std::string detail;
     if (ev.name == "health.penalize" || ev.name == "health.restore") {
@@ -165,9 +165,7 @@ std::string health_timeline(const std::vector<vdap::telemetry::TraceEvent>& even
       }
     } else {
       detail = wrapper.get_string("service");
-      if (const vdap::json::Value* observed = ev.args.count("observed") != 0
-                                                  ? &ev.args.at("observed")
-                                                  : nullptr) {
+      if (const vdap::json::Value* observed = wrapper.find("observed")) {
         detail += " observed=" +
                   vdap::util::TextTable::num(observed->as_double(), 3);
       }

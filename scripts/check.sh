@@ -45,35 +45,23 @@ cmake --build build -j "$JOBS"
 # Emits every bench's BENCH_*.json into $1 without timing loops:
 # the paper tables print from main() before RunSpecifiedBenchmarks(), so
 # --benchmark_list_tests skips the (wall-clock, non-deterministic) part.
+# One run per bench/bench_*.cpp source: a leftover binary of a removed
+# bench never runs, and a source without a built binary (a stale build
+# dir, or a target dropped from bench/CMakeLists.txt) fails rather than
+# silently shrinking the result set.
 run_benches() {
   local out_dir="$1"
-  local sources built
+  local src name
   mkdir -p "$out_dir"
-  sources="$(cd "$ROOT/bench" && ls bench_*.cpp | sed 's/\.cpp$//')"
-  built=0
-  for b in "$ROOT"/build/bench/bench_*; do
-    [[ "$b" == *.* ]] && continue  # CMake droppings (bench_foo.dir etc.)
-    if [[ ! -x "$b" ]]; then
-      echo "warning: skipping non-executable bench binary: $b" >&2
-      continue
-    fi
-    (cd "$out_dir" && "$b" --benchmark_list_tests=true >/dev/null)
-    built=$((built + 1))
-  done
-  # A bench source without a built binary means a stale build dir (or a
-  # target dropped from bench/CMakeLists.txt) — the gate would silently
-  # compare against a shrunken result set.
-  for s in $sources; do
-    if [[ ! -x "$ROOT/build/bench/$s" ]]; then
-      echo "error: bench/$s.cpp has no built binary at build/bench/$s" >&2
+  for src in "$ROOT"/bench/bench_*.cpp; do
+    name="$(basename "$src" .cpp)"
+    if [[ ! -x "$ROOT/build/bench/$name" ]]; then
+      echo "error: bench/$name.cpp has no built binary at build/bench/$name" >&2
       echo "       (stale build? re-run cmake, or remove the source)" >&2
       exit 1
     fi
+    (cd "$out_dir" && "$ROOT/build/bench/$name" --benchmark_list_tests=true >/dev/null)
   done
-  if [[ "$built" -eq 0 ]]; then
-    echo "error: no bench binaries found under build/bench/" >&2
-    exit 1
-  fi
 }
 
 if [[ "${1:-}" == "--bench-rebaseline" ]]; then

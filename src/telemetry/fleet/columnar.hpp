@@ -208,8 +208,7 @@ class ColumnarStore {
       : opts_(options), pool_(pool) {}
 
   /// Records one sample. Returns false (and records nothing) for
-  /// non-finite values or negative timestamps — the same validation
-  /// contract as TimeSeriesStore::observe.
+  /// non-finite values or negative timestamps.
   bool observe(const std::string& series, sim::SimTime at, double value);
 
   /// Series names in lexicographic order.

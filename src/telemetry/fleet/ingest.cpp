@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <optional>
+#include <string_view>
 
 #include "telemetry/prof/profiler.hpp"
 #include "telemetry/telemetry.hpp"
@@ -12,6 +13,28 @@
 namespace vdap::telemetry::fleet {
 
 namespace {
+
+// MAD detection (DESIGN.md §6g). A vehicle whose window mean scores at
+// least kMadThreshold (modified z-score) is flagged, and clears once it
+// scores below kMadThreshold * kClearFactor (hysteresis), so one sick
+// vehicle raises one anomaly, not one per barrier.
+constexpr double kMadThreshold = 3.5;
+constexpr double kClearFactor = 0.7;
+/// Detection needs at least this many vehicles reporting the metric.
+constexpr std::size_t kMinVehicles = 3;
+/// Trailing window, ending at the watermark, whose per-vehicle means are
+/// compared.
+constexpr sim::SimDuration kDetectWindow = sim::seconds(15);
+/// Window-ring slot width.
+constexpr sim::SimDuration kDetectPeriod = sim::seconds(1);
+/// Slots per ring: the detect window plus inclusive-edge slack.
+constexpr std::int64_t kRingSpan = kDetectWindow / kDetectPeriod + 2;
+/// Metric-name prefix detection skips. Location fixes are lookup data for
+/// `near` queries — an outlying coordinate is geometry, not sickness.
+constexpr std::string_view kDetectExclude = "loc.";
+/// Recent sequence numbers remembered per vehicle for duplicate
+/// detection; older ones count as already seen.
+constexpr std::uint64_t kSeqWindow = 4096;
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
@@ -125,21 +148,13 @@ std::optional<QueryNearHit> near_hit(const std::string& name,
 IngestOptions clamped(IngestOptions o) {
   o.shards = std::max(o.shards, 1);
   o.threads = std::clamp(o.threads, 1, o.shards);
-  o.min_vehicles = std::max<std::size_t>(o.min_vehicles, 2);
-  o.seq_window = std::max<std::size_t>(o.seq_window, 16);
-  o.detect_window = std::max<sim::SimDuration>(o.detect_window, 1);
-  o.detect_period = std::max<sim::SimDuration>(o.detect_period, 1);
   return o;
 }
 
 }  // namespace
 
-IngestShard::IngestShard(const IngestOptions& options) : opts_(clamped(options)) {
-  // Enough slots to cover the detect window plus inclusive-edge slack.
-  ring_span_ = static_cast<std::size_t>(
-                   opts_.detect_window / opts_.detect_period) +
-               2;
-}
+IngestShard::IngestShard(const IngestOptions& options)
+    : block_(options.block) {}
 
 bool IngestShard::ingest_line(std::string_view line, std::string* error) {
   PROF_SCOPE("ingest/decode");
@@ -157,15 +172,15 @@ bool IngestShard::ingest(const WireFrame& frame) {
     v = &it->second;
   } else {
     v = &vehicles_
-             .emplace(frame.vehicle,
-                      Vehicle{ColumnarStore(opts_.block, &pool_)})
+             .emplace(frame.vehicle, Vehicle{ColumnarStore(block_, &pool_)})
              .first->second;
   }
 
-  // Same duplicate/reorder/loss contract as FleetAggregator: sequence
-  // numbers below the remembered window are treated as already seen.
+  // Duplicate/reorder/loss accounting by sequence number. Sequence
+  // numbers at or below the remembered window count as already seen: the
+  // shipper retries in order, so anything that far behind has been seen.
   const std::uint64_t floor_seq =
-      v->max_seq > opts_.seq_window ? v->max_seq - opts_.seq_window : 0;
+      v->max_seq > kSeqWindow ? v->max_seq - kSeqWindow : 0;
   if (frame.seq <= floor_seq || v->seen.count(frame.seq) > 0) {
     ++v->duplicates;
     ++duplicates_;
@@ -177,8 +192,7 @@ bool IngestShard::ingest(const WireFrame& frame) {
   }
   v->seen.insert(frame.seq);
   v->max_seq = std::max(v->max_seq, frame.seq);
-  while (!v->seen.empty() &&
-         *v->seen.begin() + opts_.seq_window < v->max_seq) {
+  while (!v->seen.empty() && *v->seen.begin() + kSeqWindow < v->max_seq) {
     v->seen.erase(v->seen.begin());
   }
   ++v->frames;
@@ -186,7 +200,6 @@ bool IngestShard::ingest(const WireFrame& frame) {
   watermark_ = std::max(watermark_, frame.created);
 
   for (const auto& [name, delta] : frame.counters) v->counters[name] += delta;
-  for (const auto& [name, value] : frame.gauges) v->gauges[name] = value;
   for (const WireHealthEvent& ev : frame.events) {
     ++v->health_events;
     if (is_breach_kind(ev.kind)) ++v->breaches;
@@ -207,9 +220,9 @@ bool IngestShard::ingest(const WireFrame& frame) {
 }
 
 void IngestShard::ring_add(WindowRing* ring, sim::SimTime at, double value) {
-  if (ring->slots.empty()) ring->slots.assign(ring_span_, {0, 0.0});
-  const std::int64_t span = static_cast<std::int64_t>(ring_span_);
-  const std::int64_t slot = at / opts_.detect_period;
+  constexpr std::int64_t span = kRingSpan;
+  if (ring->slots.empty()) ring->slots.assign(span, {0, 0.0});
+  const std::int64_t slot = at / kDetectPeriod;
   if (ring->max_slot < 0) ring->max_slot = slot;
   if (slot > ring->max_slot) {
     const std::int64_t steps = std::min(slot - ring->max_slot, span);
@@ -237,8 +250,8 @@ std::set<std::string> IngestShard::take_dirty() {
 void IngestShard::collect_means(
     const std::string& metric, sim::SimTime from, sim::SimTime to,
     std::vector<std::pair<const std::string*, double>>* out) const {
-  const sim::SimDuration period = opts_.detect_period;
-  const std::int64_t span = static_cast<std::int64_t>(ring_span_);
+  constexpr sim::SimDuration period = kDetectPeriod;
+  constexpr std::int64_t span = kRingSpan;
   for (const auto& [name, v] : vehicles_) {
     auto it = v.rings.find(metric);
     if (it == v.rings.end() || it->second.max_slot < 0) continue;
@@ -246,8 +259,7 @@ void IngestShard::collect_means(
     std::uint64_t count = 0;
     double sum = 0.0;
     // Oldest → newest, fixed fold order: include slots [s·P, s·P + P)
-    // intersecting [from, to] (the ring-granularity analogue of the old
-    // store's bucket-intersect window semantics).
+    // intersecting [from, to].
     for (std::int64_t s = std::max<std::int64_t>(ring.max_slot - span + 1, 0);
          s <= ring.max_slot; ++s) {
       if (s * period + period <= from || s * period > to) continue;
@@ -259,12 +271,6 @@ void IngestShard::collect_means(
       out->emplace_back(&name, sum / static_cast<double>(count));
     }
   }
-}
-
-std::uint64_t IngestShard::samples_rejected() const {
-  std::uint64_t n = 0;
-  for (const auto& [name, v] : vehicles_) n += v.store.rejected();
-  return n;
 }
 
 std::uint64_t IngestShard::lost_frames() const {
@@ -355,19 +361,11 @@ void ShardedIngestBackend::barrier() {
   }
   std::vector<const std::string*> metrics;  // metric-name order
   for (const std::string& metric : dirty) {
-    bool excluded = false;
-    for (const std::string& prefix : opts_.detect_exclude) {
-      if (metric.compare(0, prefix.size(), prefix) == 0) {
-        excluded = true;
-        break;
-      }
-    }
-    if (!excluded) metrics.push_back(&metric);
+    if (!metric.starts_with(kDetectExclude)) metrics.push_back(&metric);
   }
   if (!metrics.empty()) {
-    const sim::SimTime from = watermark_ > opts_.detect_window
-                                  ? watermark_ - opts_.detect_window
-                                  : 0;
+    const sim::SimTime from =
+        watermark_ > kDetectWindow ? watermark_ - kDetectWindow : 0;
     // runs[m][s]: shard s's (vehicle, window mean) run for metrics[m].
     using MeanRun = std::vector<std::pair<const std::string*, double>>;
     std::vector<std::vector<MeanRun>> runs(
@@ -414,7 +412,7 @@ void ShardedIngestBackend::detect(
   PROF_SCOPE("ingest/detect");
   ++detect_passes_;
   detect_scanned_ += means.size();
-  if (means.size() < opts_.min_vehicles) return;
+  if (means.size() < kMinVehicles) return;
 
   std::vector<double> values;
   values.reserve(means.size());
@@ -424,15 +422,15 @@ void ShardedIngestBackend::detect(
   deviations.reserve(values.size());
   for (double x : values) deviations.push_back(std::abs(x - med));
   double mad = median_of(std::move(deviations));
-  // Same floor as the reference aggregator: a near-uniform fleet (MAD→0)
-  // must not produce unbounded scores from numeric dust.
+  // Floor the MAD so a near-uniform fleet (MAD → 0) cannot produce
+  // unbounded scores from numeric dust.
   mad = std::max(mad, 0.005 * std::max(std::abs(med), 1e-6));
 
   std::set<std::string>& active = active_[metric];
   for (const auto& [name, x] : means) {
     const double score = 0.6745 * std::abs(x - med) / mad;
     const bool flagged = active.count(*name) > 0;
-    if (!flagged && score >= opts_.mad_threshold) {
+    if (!flagged && score >= kMadThreshold) {
       active.insert(*name);
       FleetAnomaly a;
       a.at = watermark_;
@@ -442,8 +440,7 @@ void ShardedIngestBackend::detect(
       a.fleet_median = med;
       a.score = score;
       anomalies_.push_back(a);
-      if (sink_) sink_(anomalies_.back());
-    } else if (flagged && score < opts_.mad_threshold * opts_.clear_factor) {
+    } else if (flagged && score < kMadThreshold * kClearFactor) {
       active.erase(*name);
     }
   }

@@ -1,13 +1,12 @@
-// Sharded columnar ingest backend (DESIGN.md §6g): the real TSDB behind
-// the fleet's cloud aggregation point, replacing the single-threaded
-// FleetAggregator on the hot path (the old aggregator remains as the
-// oracle the `ingest` test suite compares against).
+// Sharded columnar ingest backend (DESIGN.md §6g): the fleet TSDB behind
+// the cloud aggregation point, and the one ingest path the fleet runners,
+// `vdap-report --fleet` and the benchmarks use.
 //
 // Architecture: K IngestShards, each single-threaded and lock-free —
 // per-vehicle ColumnarStores (encoded sample blocks + streaming
-// sketches), the FleetAggregator's exact dedup/reorder/loss accounting,
-// and O(1)-per-sample window rings that maintain per-(vehicle, metric)
-// trailing-window means at detect_period granularity. A vehicle maps to
+// sketches), exact per-vehicle dedup/reorder/loss accounting by sequence
+// number, and O(1)-per-sample window rings that maintain per-(vehicle,
+// metric) trailing-window means at 1 s slot granularity. A vehicle maps to
 // exactly one shard: FNV-1a(vehicle) % K in standalone mode, or any
 // fixed external mapping in hosted mode (core::run_fleet homes a
 // vehicle's ingest on its sim shard). All mapping-sensitive state stays
@@ -15,15 +14,13 @@
 // accounting — is merged across shards in vehicle-name or metric-name
 // order, so results are byte-identical across shard AND thread counts.
 //
-// Anomaly detection is unthrottled: the PR-4 O(vehicles²) per-frame MAD
-// pass became per-frame O(1) ring maintenance plus one O(V log V) MAD
-// pass per dirty metric at each barrier, so the detect-period ingest
-// throttle is gone (detect_period now only sets the ring resolution).
-// Detection runs at barriers with the shards quiesced: every shard
-// gathers its per-vehicle window means from the rings (already in name
-// order, its vehicle map's order), the coordinator merges the K runs by
-// vehicle name and scores them — the same modified z-score math, MAD
-// floor and hysteresis as the reference aggregator.
+// Anomaly detection costs O(1) ring maintenance per sample plus one
+// O(V log V) MAD pass per dirty metric at each barrier. Detection runs at
+// barriers with the shards quiesced: every shard gathers its per-vehicle
+// window means from the rings (already in name order, its vehicle map's
+// order), the coordinator merges the K runs by vehicle name and scores
+// them with a modified z-score, a MAD floor and hysteresis. The
+// detection parameters are constants (ingest.cpp).
 //
 // No read sorts the fleet by name: a vehicle-scoped `range` is K map
 // lookups (O(K log V)); fleet-wide `range`, `near` and detection's
@@ -56,12 +53,22 @@
 #include <vector>
 
 #include "sim/thread_pool.hpp"
-#include "telemetry/fleet/aggregator.hpp"
+#include "sim/time.hpp"
 #include "telemetry/fleet/columnar.hpp"
 #include "telemetry/fleet/query.hpp"
 #include "telemetry/fleet/wire.hpp"
 
 namespace vdap::telemetry::fleet {
+
+/// One outlier transition: `vehicle`'s `metric` deviates from the fleet.
+struct FleetAnomaly {
+  sim::SimTime at = 0;        // ingest watermark when flagged
+  std::string vehicle;
+  std::string metric;
+  double value = 0.0;         // the vehicle's window mean
+  double fleet_median = 0.0;  // median of per-vehicle window means
+  double score = 0.0;         // modified z-score
+};
 
 struct IngestOptions {
   /// Ingest shards (vehicle-hash partitions).
@@ -73,19 +80,6 @@ struct IngestOptions {
   int threads = 1;
   /// Per-(vehicle, metric) columnar series knobs.
   ColumnarSeries::Options block;
-  /// MAD detection — same contract as FleetAggregator::Options.
-  double mad_threshold = 3.5;
-  double clear_factor = 0.7;
-  std::size_t min_vehicles = 3;
-  sim::SimDuration detect_window = sim::seconds(15);
-  /// Window-ring slot width (NOT a detection throttle any more —
-  /// detection runs at every barrier whose watermark advanced).
-  sim::SimDuration detect_period = sim::seconds(1);
-  /// Metric-name prefixes MAD detection skips. Location fixes are lookup
-  /// data for `near` queries — an outlying coordinate is geometry, not
-  /// sickness.
-  std::vector<std::string> detect_exclude = {"loc."};
-  std::size_t seq_window = 4096;
 };
 
 /// One single-threaded ingest partition. Hot-path methods (ingest*) may
@@ -93,9 +87,9 @@ struct IngestOptions {
 /// shard quiesced.
 class IngestShard {
  public:
-  /// Streaming (count, sum) ring at detect_period granularity covering
-  /// the trailing detect window — O(1) per sample, O(window/period) per
-  /// mean query, no per-detection store scan.
+  /// Streaming (count, sum) ring of 1 s slots covering the trailing
+  /// detect window — O(1) per sample, O(window/slot) per mean query, no
+  /// per-detection store scan.
   struct WindowRing {
     std::vector<std::pair<std::uint64_t, double>> slots;
     std::int64_t max_slot = -1;  // newest slot index seen (-1: empty)
@@ -104,7 +98,6 @@ class IngestShard {
   struct Vehicle {
     ColumnarStore store;
     std::map<std::string, std::int64_t> counters;
-    std::map<std::string, double> gauges;
     std::map<std::string, WindowRing> rings;
     std::uint64_t frames = 0;
     std::uint64_t duplicates = 0;
@@ -142,7 +135,6 @@ class IngestShard {
   std::uint64_t reordered() const { return reordered_; }
   std::uint64_t decode_errors() const { return decode_errors_; }
   std::uint64_t samples_ingested() const { return samples_; }
-  std::uint64_t samples_rejected() const;
   /// Samples too old for their window ring (still stored columnar-side).
   std::uint64_t ring_late() const { return ring_late_; }
   std::uint64_t lost_frames() const;
@@ -150,8 +142,7 @@ class IngestShard {
  private:
   void ring_add(WindowRing* ring, sim::SimTime at, double value);
 
-  IngestOptions opts_;
-  std::size_t ring_span_ = 0;  // slots per ring
+  ColumnarSeries::Options block_;
   BlockPool pool_;
   std::map<std::string, Vehicle> vehicles_;
   std::set<std::string> dirty_;
@@ -183,7 +174,7 @@ class ShardedIngestBackend {
   /// ingests each partition on its shard (in parallel when configured
   /// with threads > 1), then runs a barrier. Returns frames accepted.
   std::size_t ingest_batch(const std::vector<std::string_view>& lines);
-  /// Non-empty batches ingested (parity with FleetAggregator::batches).
+  /// Non-empty batches ingested.
   std::uint64_t batches() const { return batches_; }
 
   /// Convenience single-line ingest + no barrier (replay/CLI path):
@@ -200,15 +191,12 @@ class ShardedIngestBackend {
     return *shards_[static_cast<std::size_t>(i)];
   }
 
-  /// Merge watermarks and run unthrottled MAD detection over every dirty
-  /// metric; call with all shards quiesced (standalone ingest_batch does
-  /// this itself). Mirrors ingest counters into the telemetry registry
-  /// (coordinator thread only).
+  /// Merge watermarks and run MAD detection over every dirty metric; call
+  /// with all shards quiesced (standalone ingest_batch does this itself).
+  /// Mirrors ingest counters into the telemetry registry (coordinator
+  /// thread only).
   void barrier();
 
-  void set_anomaly_sink(std::function<void(const FleetAnomaly&)> sink) {
-    sink_ = std::move(sink);
-  }
   const std::vector<FleetAnomaly>& anomalies() const { return anomalies_; }
   std::vector<std::string> anomalous_vehicles() const;
 
@@ -250,8 +238,8 @@ class ShardedIngestBackend {
   };
   PoolStats pool_stats() const;
 
-  /// Report tables, same shapes as FleetAggregator's (deterministic per
-  /// ingest sequence, shard/thread-count invariant).
+  /// Report tables (deterministic per ingest sequence, shard/thread-count
+  /// invariant).
   std::string rollup_table() const;
   std::string anomaly_table() const;
   std::string vehicle_table() const;
@@ -294,7 +282,6 @@ class ShardedIngestBackend {
   std::vector<std::unique_ptr<IngestShard>> shards_;
   std::unique_ptr<sim::ThreadPool> pool_;
   mutable std::mutex pool_mu_;  // held around pool_->run
-  std::function<void(const FleetAnomaly&)> sink_;
   std::vector<FleetAnomaly> anomalies_;
   /// Hysteresis: metric → currently flagged vehicles.
   std::map<std::string, std::set<std::string>> active_;

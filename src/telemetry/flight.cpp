@@ -23,6 +23,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Canonical folded history and wall-clock plane, in records.
+constexpr std::size_t kMasterCapacity = 16384;
+constexpr std::size_t kRuntimeCapacity = 1024;
+
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -148,15 +152,13 @@ FlightRecorder::FlightRecorder(int domains)
 FlightRecorder::FlightRecorder(int domains, Options opts)
     : opts_(std::move(opts)),
       rings_(static_cast<std::size_t>(std::max(domains, 1))),
-      master_(opts_.master_capacity),
-      runtime_(opts_.runtime_capacity) {
+      master_(kMasterCapacity),
+      runtime_(kRuntimeCapacity) {
   for (FlightRing& r : rings_) {
     r.reset_capacity(opts_.scratch_capacity);
     r.set_owner(this);
     r.mirror_metrics_ = opts_.mirror_metrics;
     r.mirror_spans_ = opts_.mirror_spans;
-    r.trigger_on_fault_ = opts_.trigger_on_fault;
-    r.trigger_on_breach_ = opts_.trigger_on_breach;
   }
 }
 
@@ -370,7 +372,7 @@ void flight_health(sim::SimTime ts, std::string_view service,
   r->append(make_flight_record(FlightKind::kHealth, ts, service,
                                breach ? "breach" : "recover", tier,
                                breach ? 1 : 0, observed));
-  if (breach && r->trigger_on_breach()) {
+  if (breach) {
     r->append(make_flight_record(FlightKind::kIncident, ts, "slo-breach",
                                  "incident", service, 0, 0.0));
     if (r->owner() != nullptr) r->owner()->request_snapshot();
@@ -384,7 +386,7 @@ void flight_fault(sim::SimTime ts, std::string_view name,
   if (r == nullptr) return;
   r->append(make_flight_record(FlightKind::kFault, ts, name, target, kind,
                                begin ? 1 : 0, 0.0));
-  if (begin && r->trigger_on_fault()) {
+  if (begin) {
     r->append(make_flight_record(FlightKind::kIncident, ts, "fault",
                                  "incident", name, 0, 0.0));
     if (r->owner() != nullptr) r->owner()->request_snapshot();

@@ -139,8 +139,6 @@ class FlightRing {
   FlightRecorder* owner() const { return owner_; }
   bool mirror_metrics() const { return mirror_metrics_; }
   bool mirror_spans() const { return mirror_spans_; }
-  bool trigger_on_fault() const { return trigger_on_fault_; }
-  bool trigger_on_breach() const { return trigger_on_breach_; }
 
   // --- barrier / export side ----------------------------------------------
   /// Copies held records oldest-first (no reset).
@@ -169,8 +167,6 @@ class FlightRing {
   FlightRecorder* owner_ = nullptr;
   bool mirror_metrics_ = true;
   bool mirror_spans_ = true;
-  bool trigger_on_fault_ = true;
-  bool trigger_on_breach_ = true;
 };
 
 /// The recorder: scratch rings (one per domain), the canonical master
@@ -180,8 +176,6 @@ class FlightRecorder {
  public:
   struct Options {
     std::size_t scratch_capacity = 4096;   // per-domain ring slots
-    std::size_t master_capacity = 16384;   // canonical folded history
-    std::size_t runtime_capacity = 1024;   // wall-clock plane
     /// Mirror metric deltas into the rings. run_fleet turns this off:
     /// its capture plane is only thread-invariant at fixed shards, and
     /// the flight bundle must stay invariant across the full matrix.
@@ -189,8 +183,6 @@ class FlightRecorder {
     /// Mirror trace spans (only fires while capture is on — span sites
     /// are guarded by telemetry::on()).
     bool mirror_spans = true;
-    bool trigger_on_fault = true;
-    bool trigger_on_breach = true;
     /// Bundles per run; further triggers only count.
     int max_bundles = 4;
     /// Bundle output directory; empty keeps bundles in memory only.

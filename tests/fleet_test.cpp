@@ -1,9 +1,9 @@
-// Fleet telemetry suite (`fleet` ctest label): the downsampling
-// time-series store, the wire format, the aggregator's dedup/reorder/MAD
-// machinery, and the two end-to-end scenarios ISSUE 5 gates on — a canned
-// compute fault on one vehicle is flagged as exactly that vehicle
-// (byte-identically per (seed, plan)), and shipper loss accounting stays
-// exact under shipping-network impairment.
+// Fleet telemetry suite (`fleet` ctest label): the columnar series and
+// store (the `Tsdb` tests), the wire format, the ingest backend's
+// dedup/reorder/MAD machinery (the `Aggregator` tests), and the two
+// end-to-end scenarios — a canned compute fault on one vehicle is flagged
+// as exactly that vehicle (byte-identically per (seed, plan)), and
+// shipper loss accounting stays exact under shipping-network impairment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,18 +22,21 @@
 
 #include "core/fleet.hpp"
 #include "net/impair.hpp"
-#include "telemetry/fleet/aggregator.hpp"
+#include "telemetry/fleet/columnar.hpp"
+#include "telemetry/fleet/ingest.hpp"
 #include "telemetry/fleet/shipper.hpp"
-#include "telemetry/fleet/tsdb.hpp"
 #include "telemetry/fleet/wire.hpp"
 #include "util/json.hpp"
+#include "util/stats.hpp"
 
 namespace vdap {
 namespace {
 
-using telemetry::fleet::FleetAggregator;
+using telemetry::fleet::BlockPool;
+using telemetry::fleet::ColumnarSeries;
+using telemetry::fleet::ColumnarStore;
 using telemetry::fleet::FleetAnomaly;
-using telemetry::fleet::TimeSeriesStore;
+using telemetry::fleet::ShardedIngestBackend;
 using telemetry::fleet::WireFrame;
 using telemetry::fleet::WireHealthEvent;
 using telemetry::fleet::WireSample;
@@ -41,88 +44,138 @@ using telemetry::fleet::wire_decode;
 using telemetry::fleet::wire_encode;
 using telemetry::fleet::wire_peek_vehicle;
 
-// --- time-series store ------------------------------------------------------
+// --- columnar series and store ---------------------------------------------
 
+// Block-summary aggregates across a seal: a fully covered sealed block
+// answers from its summary, a partly covered one decodes, and the active
+// block is scanned.
 TEST(Tsdb, BucketsCountSumMinMax) {
-  TimeSeriesStore store;
-  store.observe("m", sim::msec(10), 5.0);
-  store.observe("m", sim::msec(20), 1.0);
-  store.observe("m", sim::msec(150), 9.0);
-  const auto* raw = store.buckets("m", TimeSeriesStore::Tier::kRaw);
-  ASSERT_NE(raw, nullptr);
-  ASSERT_EQ(raw->size(), 2u);
-  EXPECT_EQ((*raw)[0].start, 0);
-  EXPECT_EQ((*raw)[0].count, 2u);
-  EXPECT_DOUBLE_EQ((*raw)[0].sum, 6.0);
-  EXPECT_DOUBLE_EQ((*raw)[0].min, 1.0);
-  EXPECT_DOUBLE_EQ((*raw)[0].max, 5.0);
-  EXPECT_EQ((*raw)[1].start, sim::msec(100));
-  EXPECT_EQ(store.total_count("m"), 3u);
-  EXPECT_DOUBLE_EQ(store.total_sum("m"), 15.0);
-  EXPECT_EQ(store.latest("m"), sim::msec(150));
+  ColumnarSeries::Options opts;
+  opts.block_samples = 2;
+  ColumnarSeries series(opts);
+  series.append(sim::msec(10), 5.0, nullptr);
+  series.append(sim::msec(20), 1.0, nullptr);   // seals [10 ms, 20 ms]
+  series.append(sim::msec(150), 9.0, nullptr);  // active block
+  EXPECT_EQ(series.sealed_blocks(), 1u);
+  const ColumnarSeries::RangeAgg sealed = series.range(0, sim::msec(100));
+  EXPECT_EQ(sealed.count, 2u);
+  EXPECT_DOUBLE_EQ(sealed.sum, 6.0);
+  EXPECT_DOUBLE_EQ(sealed.min, 1.0);
+  EXPECT_DOUBLE_EQ(sealed.max, 5.0);
+  const ColumnarSeries::RangeAgg partial =
+      series.range(sim::msec(15), sim::msec(150));
+  EXPECT_EQ(partial.count, 2u);
+  EXPECT_DOUBLE_EQ(partial.sum, 10.0);
+  EXPECT_DOUBLE_EQ(partial.min, 1.0);
+  EXPECT_DOUBLE_EQ(partial.max, 9.0);
+  const ColumnarSeries::RangeAgg all = series.range(0, sim::kTimeMax);
+  EXPECT_EQ(all.count, 3u);
+  EXPECT_DOUBLE_EQ(all.sum, 15.0);
+  EXPECT_EQ(series.total_count(), 3u);
+  EXPECT_DOUBLE_EQ(series.total_sum(), 15.0);
+  EXPECT_DOUBLE_EQ(series.total_min(), 1.0);
+  EXPECT_DOUBLE_EQ(series.total_max(), 9.0);
+  EXPECT_EQ(series.latest(), sim::msec(150));
 }
 
+// Eviction past the block budget conserves samples: retained + evicted =
+// total, and the lifetime totals stay exact.
 TEST(Tsdb, DownsamplingCascadeConservesSamples) {
-  TimeSeriesStore::Options opts;
-  opts.raw_buckets = 4;
-  opts.mid_buckets = 3;
-  opts.coarse_buckets = 2;
-  TimeSeriesStore store(opts);
-  // One sample per 100 ms bucket for 60 s: forces raw→mid→coarse→evict.
-  const int samples = 600;
-  for (int i = 0; i < samples; ++i) {
-    store.observe("m", sim::msec(100) * i, static_cast<double>(i));
+  ColumnarSeries::Options opts;
+  opts.block_samples = 16;
+  opts.max_blocks = 3;
+  ColumnarSeries series(opts);
+  const std::size_t samples = 600;
+  for (std::size_t i = 0; i < samples; ++i) {
+    series.append(sim::msec(100) * static_cast<sim::SimTime>(i),
+                  static_cast<double>(i), nullptr);
   }
-  EXPECT_EQ(store.total_count("m"), static_cast<std::size_t>(samples));
-  EXPECT_GT(store.evicted_buckets("m"), 0u);
-  std::size_t retained = 0;
-  for (auto tier : {TimeSeriesStore::Tier::kRaw, TimeSeriesStore::Tier::kMid,
-                    TimeSeriesStore::Tier::kCoarse}) {
-    const auto* buckets = store.buckets("m", tier);
-    ASSERT_NE(buckets, nullptr);
-    EXPECT_LE(buckets->size(),
-              tier == TimeSeriesStore::Tier::kRaw    ? opts.raw_buckets
-              : tier == TimeSeriesStore::Tier::kMid ? opts.mid_buckets
-                                                     : opts.coarse_buckets);
-    for (const auto& b : *buckets) retained += b.count;
-  }
-  // Conservation: every sample is retained in some tier or counted evicted.
-  EXPECT_EQ(retained + store.evicted_samples("m"),
-            static_cast<std::size_t>(samples));
+  EXPECT_EQ(series.total_count(), samples);
+  EXPECT_GT(series.evicted_blocks(), 0u);
+  EXPECT_LE(series.sealed_blocks(), opts.max_blocks);
+  const std::size_t retained = series.range(0, sim::kTimeMax).count;
+  EXPECT_EQ(retained + series.evicted_samples(), samples);
+  EXPECT_DOUBLE_EQ(series.total_sum(), 599.0 * 600.0 / 2.0);
+  // The evicted samples are the oldest.
+  const sim::SimTime last_evicted =
+      sim::msec(100) * static_cast<sim::SimTime>(series.evicted_samples() - 1);
+  EXPECT_EQ(series.range(0, last_evicted).count, 0u);
+  EXPECT_EQ(series.range(last_evicted, sim::kTimeMax).count, retained);
 }
 
+// Exact range aggregates and sketch quantiles: the sketch is taken at
+// block granularity, so a range touching a sealed block takes all of it.
 TEST(Tsdb, RangeSummarizeAndQuantiles) {
-  TimeSeriesStore store;
+  BlockPool pool;
+  ColumnarSeries::Options opts;
+  opts.block_samples = 16;
+  ColumnarStore store(opts, &pool);
   for (int i = 0; i < 100; ++i) {
-    store.observe("lat", sim::msec(50) * i, 10.0 + i);
+    ASSERT_TRUE(store.observe("lat", sim::msec(50) * i, 10.0 + i));
   }
-  auto all = store.summarize("lat", 0, sim::kTimeMax);
+  const ColumnarSeries* series = store.series("lat");
+  ASSERT_NE(series, nullptr);
+  const ColumnarSeries::RangeAgg all = series->range(0, sim::kTimeMax);
   EXPECT_EQ(all.count, 100u);
   EXPECT_DOUBLE_EQ(all.min, 10.0);
   EXPECT_DOUBLE_EQ(all.max, 109.0);
-  // A window that covers only the tail.
-  auto tail = store.summarize("lat", sim::msec(50) * 90, sim::kTimeMax);
-  EXPECT_LE(tail.count, 12u);
-  EXPECT_GE(tail.count, 10u);
-  EXPECT_GE(tail.mean(), 99.0);
-  const double p50 = store.quantile("lat", 0.50);
-  EXPECT_GE(p50, 40.0);
-  EXPECT_LE(p50, 80.0);
-  EXPECT_GE(store.quantile("lat", 0.99), store.quantile("lat", 0.5));
+  EXPECT_DOUBLE_EQ(all.sum, 5950.0);
+  // A window that covers only the tail: samples 90..99.
+  const ColumnarSeries::RangeAgg tail =
+      series->range(sim::msec(50) * 90, sim::kTimeMax);
+  EXPECT_EQ(tail.count, 10u);
+  EXPECT_DOUBLE_EQ(tail.mean(), 104.5);
+  // Nearest-rank quantiles over every sample (the cap is not hit).
+  const util::Histogram sketch = series->sketch(0, sim::kTimeMax);
+  EXPECT_EQ(sketch.count(), 100u);
+  EXPECT_EQ(sketch.p50(), 60.0);
+  EXPECT_EQ(sketch.p95(), 104.0);
+  EXPECT_EQ(sketch.p99(), 108.0);
+  // The tail window touches the sealed block of samples 80..95 and the
+  // active block 96..99.
+  const util::Histogram tail_sketch =
+      series->sketch(sim::msec(50) * 90, sim::kTimeMax);
+  EXPECT_EQ(tail_sketch.count(), 20u);
+  EXPECT_EQ(tail_sketch.min(), 90.0);
+  EXPECT_EQ(tail_sketch.max(), 109.0);
 }
 
+// Out-of-order appends across a seal stay exact, and non-finite values
+// and negative times are rejected and counted.
 TEST(Tsdb, OutOfOrderAndRejects) {
-  TimeSeriesStore store;
+  BlockPool pool;
+  ColumnarSeries::Options opts;
+  opts.block_samples = 2;
+  ColumnarStore store(opts, &pool);
   EXPECT_TRUE(store.observe("m", sim::seconds(5), 1.0));
-  EXPECT_TRUE(store.observe("m", sim::seconds(1), 2.0));  // late arrival
+  EXPECT_TRUE(store.observe("m", sim::seconds(1), 2.0));  // late; seals
+  EXPECT_TRUE(store.observe("m", sim::seconds(3), 4.0));  // active block
   EXPECT_FALSE(store.observe("m", sim::seconds(2), std::nan("")));
+  EXPECT_FALSE(store.observe(
+      "m", sim::seconds(2), std::numeric_limits<double>::infinity()));
   EXPECT_FALSE(store.observe("m", -1, 3.0));
-  EXPECT_EQ(store.rejected(), 2u);
-  EXPECT_EQ(store.total_count("m"), 2u);
-  const auto* raw = store.buckets("m", TimeSeriesStore::Tier::kRaw);
-  ASSERT_NE(raw, nullptr);
-  ASSERT_EQ(raw->size(), 2u);
-  EXPECT_LT((*raw)[0].start, (*raw)[1].start);  // kept sorted
+  EXPECT_EQ(store.rejected(), 3u);
+  EXPECT_EQ(store.total_count("m"), 3u);
+  const ColumnarSeries* series = store.series("m");
+  ASSERT_NE(series, nullptr);
+  EXPECT_EQ(series->sealed_blocks(), 1u);
+  EXPECT_EQ(series->latest(), sim::seconds(5));
+  // Ranges inside the sealed block's [1 s, 5 s] span decode it.
+  const ColumnarSeries::RangeAgg early = series->range(0, sim::seconds(2));
+  EXPECT_EQ(early.count, 1u);
+  EXPECT_DOUBLE_EQ(early.sum, 2.0);
+  const ColumnarSeries::RangeAgg mid =
+      series->range(sim::seconds(2), sim::seconds(4));
+  EXPECT_EQ(mid.count, 1u);
+  EXPECT_DOUBLE_EQ(mid.sum, 4.0);
+  const ColumnarSeries::RangeAgg late =
+      series->range(sim::seconds(4), sim::seconds(5));
+  EXPECT_EQ(late.count, 1u);
+  EXPECT_DOUBLE_EQ(late.sum, 1.0);
+  auto fix = series->last_at_or_before(sim::seconds(2));
+  ASSERT_TRUE(fix.has_value());
+  EXPECT_EQ(fix->first, sim::seconds(1));
+  EXPECT_EQ(fix->second, 2.0);
 }
 
 // --- wire format ------------------------------------------------------------
@@ -1118,7 +1171,7 @@ TEST(Wire, DecoderOutOfRangeDoublesReadAsInt64Min) {
   }
 }
 
-// --- aggregator -------------------------------------------------------------
+// --- ingest backend ---------------------------------------------------------
 
 WireFrame frame_for(const std::string& vehicle, std::uint64_t seq,
                     sim::SimTime at, double latency) {
@@ -1130,74 +1183,104 @@ WireFrame frame_for(const std::string& vehicle, std::uint64_t seq,
   return f;
 }
 
+/// Ingests one batch: `latency(v)` for vehicles cav-0..cav-4, at `round`
+/// seconds with sequence number `round`.
+template <typename Latency>
+void ingest_round(ShardedIngestBackend* backend, int round, Latency latency) {
+  std::vector<std::string> lines;
+  for (int v = 0; v < 5; ++v) {
+    lines.push_back(wire_encode(frame_for(
+        "cav-" + std::to_string(v), static_cast<std::uint64_t>(round),
+        sim::seconds(round), latency(v))));
+  }
+  std::vector<std::string_view> views(lines.begin(), lines.end());
+  backend->ingest_batch(views);
+}
+
+// Dedup, reorder and loss accounting through ingest_line, including the
+// remembered sequence window.
 TEST(Aggregator, DuplicatesAndReorderingTolerated) {
-  FleetAggregator agg;
-  EXPECT_TRUE(agg.ingest(frame_for("cav-0", 1, sim::seconds(1), 10)));
-  EXPECT_TRUE(agg.ingest(frame_for("cav-0", 3, sim::seconds(3), 10)));
-  EXPECT_TRUE(agg.ingest(frame_for("cav-0", 2, sim::seconds(2), 10)));  // late
-  EXPECT_FALSE(agg.ingest(frame_for("cav-0", 2, sim::seconds(2), 10)));  // dup
-  EXPECT_FALSE(agg.ingest(frame_for("cav-0", 1, sim::seconds(1), 10)));  // dup
-  EXPECT_EQ(agg.frames_ingested(), 3u);
-  EXPECT_EQ(agg.duplicates(), 2u);
-  EXPECT_EQ(agg.reordered(), 1u);
-  EXPECT_EQ(agg.lost_frames(), 0u);
+  ShardedIngestBackend backend;
+  auto ingest = [&backend](std::uint64_t seq) {
+    return backend.ingest_line(wire_encode(frame_for(
+        "cav-0", seq, sim::seconds(static_cast<std::int64_t>(seq)), 10)));
+  };
+  EXPECT_TRUE(ingest(1));
+  EXPECT_TRUE(ingest(3));
+  EXPECT_TRUE(ingest(2));   // late
+  EXPECT_FALSE(ingest(2));  // dup
+  EXPECT_FALSE(ingest(1));  // dup
+  // Seq 0 sits at the window floor, so a decoded frame carrying it counts
+  // as seen (wire_decode already rejects it as a line).
+  EXPECT_FALSE(backend.shard(0).ingest(frame_for("cav-0", 0, 0, 10)));
+  EXPECT_EQ(backend.frames_ingested(), 3u);
+  EXPECT_EQ(backend.duplicates(), 3u);
+  EXPECT_EQ(backend.reordered(), 1u);
+  EXPECT_EQ(backend.lost_frames(), 0u);
   // A gap: seq 6 arrives, 4 and 5 never do.
-  EXPECT_TRUE(agg.ingest(frame_for("cav-0", 6, sim::seconds(6), 10)));
-  EXPECT_EQ(agg.lost_frames(), 2u);
+  EXPECT_TRUE(ingest(6));
+  EXPECT_EQ(backend.lost_frames(), 2u);
   // Duplicate ingestion does not double-count samples.
-  EXPECT_EQ(agg.fleet_store().total_count("lat_ms"), 4u);
+  EXPECT_EQ(backend.samples_ingested(), 4u);
+  // 4096 sequence numbers are remembered: at max_seq 5000, seq 904 is
+  // taken as already seen and seq 905 as a late arrival.
+  EXPECT_TRUE(ingest(5000));
+  EXPECT_FALSE(ingest(904));
+  EXPECT_TRUE(ingest(905));
+  EXPECT_EQ(backend.frames_ingested(), 6u);
+  EXPECT_EQ(backend.duplicates(), 4u);
+  EXPECT_EQ(backend.reordered(), 2u);
+  EXPECT_EQ(backend.lost_frames(), 5000u - 6u);
+  backend.barrier();
+  EXPECT_EQ(backend.watermark(), sim::seconds(5000));
 }
 
+// A malformed line is counted as a decode error and reported, and the
+// next line still ingests.
 TEST(Aggregator, MalformedLinesCountedNotFatal) {
-  FleetAggregator agg;
+  ShardedIngestBackend backend;
   std::string error;
-  EXPECT_FALSE(agg.ingest_wire("{{{{", &error));
+  EXPECT_FALSE(backend.ingest_line("{{{{", &error));
   EXPECT_FALSE(error.empty());
-  EXPECT_TRUE(agg.ingest_wire(wire_encode(frame_for("cav-0", 1, 1000, 5))));
-  EXPECT_EQ(agg.decode_errors(), 1u);
-  EXPECT_EQ(agg.frames_ingested(), 1u);
+  EXPECT_TRUE(
+      backend.ingest_line(wire_encode(frame_for("cav-0", 1, 1000, 5))));
+  EXPECT_EQ(backend.decode_errors(), 1u);
+  EXPECT_EQ(backend.frames_ingested(), 1u);
 }
 
+// With the default detection settings the deviant vehicle is flagged
+// exactly once, at the first barrier, with its own window mean.
 TEST(Aggregator, MadDetectorFlagsTheDeviantVehicleOnly) {
-  FleetAggregator::Options opts;
-  opts.min_vehicles = 3;
-  opts.detect_window = sim::seconds(30);
-  FleetAggregator agg(opts);
-  // Five vehicles, 20 frames each: cav-3 runs 3x slower than the pack.
-  std::uint64_t seq = 0;
-  for (int round = 0; round < 20; ++round) {
-    ++seq;
-    for (int v = 0; v < 5; ++v) {
-      const std::string name = "cav-" + std::to_string(v);
+  ShardedIngestBackend backend;
+  // Five vehicles, 20 batches: cav-3 runs 3x slower than the pack.
+  for (int round = 1; round <= 20; ++round) {
+    ingest_round(&backend, round, [round](int v) {
       const double jitter = 0.1 * ((round + v) % 3);
-      const double latency = (v == 3 ? 300.0 : 100.0) + jitter;
-      agg.ingest(frame_for(name, seq, sim::seconds(1) * (round + 1), latency));
-    }
+      return (v == 3 ? 300.0 : 100.0) + jitter;
+    });
   }
-  ASSERT_FALSE(agg.anomalies().empty());
-  for (const FleetAnomaly& a : agg.anomalies()) {
-    EXPECT_EQ(a.vehicle, "cav-3");
-    EXPECT_EQ(a.metric, "lat_ms");
-    EXPECT_GT(a.score, 3.5);
-    EXPECT_NEAR(a.fleet_median, 100.0, 5.0);
-  }
-  EXPECT_EQ(agg.anomalous_vehicles(),
+  ASSERT_EQ(backend.anomalies().size(), 1u) << backend.anomaly_table();
+  const FleetAnomaly& a = backend.anomalies()[0];
+  EXPECT_EQ(a.vehicle, "cav-3");
+  EXPECT_EQ(a.metric, "lat_ms");
+  EXPECT_EQ(a.at, sim::seconds(1));
+  EXPECT_DOUBLE_EQ(a.value, 300.1);
+  EXPECT_GT(a.score, 3.5);
+  EXPECT_NEAR(a.fleet_median, 100.0, 5.0);
+  EXPECT_EQ(backend.anomalous_vehicles(),
             std::vector<std::string>{std::string("cav-3")});
-  // Hysteresis: one transition, not one anomaly per frame.
-  EXPECT_LE(agg.anomalies().size(), 2u);
 }
 
+// A uniform fleet (MAD 0, floored) is scored at every barrier and never
+// flagged.
 TEST(Aggregator, UniformFleetNeverFlags) {
-  FleetAggregator agg;
-  for (int round = 0; round < 20; ++round) {
-    for (int v = 0; v < 5; ++v) {
-      agg.ingest(frame_for("cav-" + std::to_string(v),
-                           static_cast<std::uint64_t>(round + 1),
-                           sim::seconds(1) * (round + 1), 100.0));
-    }
+  ShardedIngestBackend backend;
+  for (int round = 1; round <= 20; ++round) {
+    ingest_round(&backend, round, [](int) { return 100.0; });
   }
-  EXPECT_TRUE(agg.anomalies().empty());
-  const std::string rollup = agg.rollup_table();
+  EXPECT_TRUE(backend.anomalies().empty()) << backend.anomaly_table();
+  EXPECT_EQ(backend.detect_passes(), 20u);
+  const std::string rollup = backend.rollup_table();
   EXPECT_NE(rollup.find("lat_ms"), std::string::npos);
 }
 

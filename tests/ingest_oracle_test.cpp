@@ -7,8 +7,8 @@
 //   * a {1,2,8} shards × {1,2,8} threads matrix of backends, whose every
 //     observable output (tables, queries, accounting, anomalies) must be
 //     BYTE-identical to the 1×1 reference;
-//   * the old single-threaded FleetAggregator as the accounting and
-//     detection oracle;
+//   * a replay written from the dedup and detection contracts alone as
+//     the accounting and detection oracle;
 //   * an in-test brute-force replay as ground truth for range/near
 //     query answers.
 // Plus the regression pins: exactly one impaired vehicle among 10k is
@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -30,13 +31,13 @@
 #include <thread>
 #include <vector>
 
-#include "telemetry/fleet/aggregator.hpp"
 #include "telemetry/fleet/columnar.hpp"
 #include "telemetry/fleet/ingest.hpp"
 #include "telemetry/fleet/query.hpp"
 #include "telemetry/fleet/wire.hpp"
 #include "telemetry/planes.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/stats.hpp"
 #include "util/strings.hpp"
 
 namespace vdap::telemetry::fleet {
@@ -50,6 +51,10 @@ struct StreamSpec {
   int batches = 30;
   int outlier = -1;          // vehicle index whose latency is shifted
   double outlier_shift = 60.0;
+  // Batches [healthy_from, healthy_to) in which the outlier reports
+  // healthy latencies (a recovery, then a relapse).
+  int healthy_from = -1;
+  int healthy_to = -1;
   bool garbage_lines = true; // inject undecodable lines
 };
 
@@ -64,9 +69,10 @@ struct Stream {
 
 /// Epoch-shaped batches: each vehicle ships 1-2 frames per batch (seq
 /// strictly increasing), with duplicate re-emissions, same-vehicle swaps
-/// (reordering), silently skipped seqs (transport loss) and optional
-/// garbage lines. Sequence numbers stay far inside the default
-/// seq_window, so acceptance is exactly "seq not seen before".
+/// (reordering), silently skipped seqs (transport loss), health events
+/// (some of them breaches) and optional garbage lines. Sequence numbers
+/// stay far inside the 4096-frame sequence window, so acceptance is
+/// exactly "seq not seen before".
 Stream make_stream(const StreamSpec& spec) {
   std::mt19937_64 rng(spec.seed);
   Stream out;
@@ -89,9 +95,10 @@ Stream make_stream(const StreamSpec& spec) {
         frame.vehicle = veh_name(i);
         frame.seq = ++seq[vi];
         frame.created = t0 + sim::usec(17) * (i * 2 + f);
+        const bool sick = i == spec.outlier &&
+                          (b < spec.healthy_from || b >= spec.healthy_to);
         const double base =
-            25.0 + 0.5 * (i % 5) +
-            (i == spec.outlier ? spec.outlier_shift : 0.0);
+            25.0 + 0.5 * (i % 5) + (sick ? spec.outlier_shift : 0.0);
         for (int k = 0; k < 2; ++k) {
           const double noise =
               (static_cast<double>(rng() % 1000) - 500.0) / 2000.0;
@@ -102,6 +109,14 @@ Stream make_stream(const StreamSpec& spec) {
         frame.samples["loc.y"].push_back({frame.created, -5.0 * i});
         frame.counters["svc.ok"] = 1 + static_cast<std::int64_t>(rng() % 3);
         frame.gauges["q.depth"] = static_cast<double>(rng() % 7);
+        if ((b + i + f) % 4 == 0) {
+          WireHealthEvent ev;
+          ev.at = frame.created;
+          ev.kind = b % 3 == 0 ? "latency-breach" : "latency-recovered";
+          ev.severity = "warning";
+          ev.service = "svc";
+          frame.events.push_back(ev);
+        }
         emitted.push_back(wire_encode(frame));
       }
       if (frames == 2 && rng() % 2 == 0) {
@@ -230,11 +245,178 @@ TEST(IngestOracle, ByteIdenticalAcrossShardAndThreadMatrix) {
   }
 }
 
-// --- satellite 1: the old FleetAggregator as accounting oracle -------------
+// --- the replay oracle: accounting and detection ---------------------------
 
+// The contracts the replay is written from (DESIGN.md §6g).
+constexpr std::uint64_t kSeqWindow = 4096;
+constexpr sim::SimDuration kSlot = sim::seconds(1);
+constexpr sim::SimDuration kWindow = sim::seconds(15);
+constexpr std::int64_t kRingSlots = 17;  // the newest slots a series keeps
+
+/// What the backend must report for a stream, replayed line by line from
+/// the dedup contract and the MAD detector's definition. It shares no code
+/// with the backend beyond wire_decode and util::TextTable.
+struct Replay {
+  struct Vehicle {
+    std::set<std::uint64_t> seen;
+    std::uint64_t max_seq = 0;
+    std::uint64_t frames = 0;
+    std::uint64_t duplicates = 0;
+    std::uint64_t reordered = 0;
+    std::uint64_t health_events = 0;
+    std::uint64_t breaches = 0;
+    std::int64_t ok = 0;  // svc.ok total
+    /// metric -> 1 s slot -> (count, sum in arrival order).
+    std::map<std::string,
+             std::map<std::int64_t, std::pair<std::uint64_t, double>>>
+        slots;
+  };
+  std::map<std::string, Vehicle> vehicles;
+  std::uint64_t frames = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t reordered = 0;
+  std::uint64_t decode_errors = 0;
+  std::uint64_t batches = 0;
+  sim::SimTime watermark = 0;
+  std::uint64_t passes = 0;
+  std::uint64_t scanned = 0;
+  std::vector<FleetAnomaly> anomalies;
+  std::map<std::string, std::set<std::string>> flagged;  // metric -> vehicles
+
+  std::uint64_t lost() const {
+    std::uint64_t n = 0;
+    for (const auto& [name, v] : vehicles) {
+      if (v.max_seq > v.frames) n += v.max_seq - v.frames;
+    }
+    return n;
+  }
+
+  std::string vehicle_table() const {
+    util::TextTable table("fleet vehicles");
+    table.set_header({"vehicle", "frames", "dup", "reorder", "lost",
+                      "health ev", "breaches"});
+    for (const auto& [name, v] : vehicles) {
+      table.add_row({name, std::to_string(v.frames),
+                     std::to_string(v.duplicates), std::to_string(v.reordered),
+                     std::to_string(v.max_seq > v.frames ? v.max_seq - v.frames
+                                                         : 0),
+                     std::to_string(v.health_events),
+                     std::to_string(v.breaches)});
+    }
+    return table.to_string();
+  }
+};
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
+/// One barrier's detection: every vehicle's mean over the slots of its
+/// newest kRingSlots that intersect [watermark - kWindow, watermark],
+/// scored per dirty metric in name order.
+void replay_detect(Replay* r, const std::set<std::string>& dirty) {
+  const sim::SimTime from = r->watermark > kWindow ? r->watermark - kWindow : 0;
+  for (const std::string& metric : dirty) {
+    if (metric.rfind("loc.", 0) == 0) continue;
+    std::vector<std::pair<std::string, double>> means;
+    for (const auto& [name, v] : r->vehicles) {
+      auto it = v.slots.find(metric);
+      if (it == v.slots.end()) continue;
+      const std::int64_t newest = it->second.rbegin()->first;
+      std::uint64_t count = 0;
+      double sum = 0.0;
+      for (const auto& [slot, cell] : it->second) {  // oldest first
+        if (slot <= newest - kRingSlots) continue;
+        if (slot * kSlot + kSlot <= from || slot * kSlot > r->watermark) {
+          continue;
+        }
+        count += cell.first;
+        sum += cell.second;
+      }
+      if (count > 0) means.emplace_back(name, sum / static_cast<double>(count));
+    }
+    ++r->passes;
+    r->scanned += means.size();
+    if (means.size() < 3) continue;
+    std::vector<double> values;
+    for (const auto& [name, x] : means) values.push_back(x);
+    const double med = median(values);
+    std::vector<double> deviations;
+    for (double x : values) deviations.push_back(std::abs(x - med));
+    const double mad =
+        std::max(median(deviations), 0.005 * std::max(std::abs(med), 1e-6));
+    std::set<std::string>& flagged = r->flagged[metric];
+    for (const auto& [name, x] : means) {
+      const double score = 0.6745 * std::abs(x - med) / mad;
+      if (flagged.count(name) == 0 && score >= 3.5) {
+        flagged.insert(name);
+        r->anomalies.push_back({r->watermark, name, metric, x, med, score});
+      } else if (flagged.count(name) > 0 && score < 3.5 * 0.7) {
+        flagged.erase(name);
+      }
+    }
+  }
+}
+
+Replay replay(const Stream& stream) {
+  Replay r;
+  for (const std::vector<std::string>& batch : stream.batches) {
+    if (batch.empty()) continue;
+    ++r.batches;
+    std::set<std::string> dirty;
+    for (const std::string& line : batch) {
+      std::optional<WireFrame> frame = wire_decode(line);
+      if (!frame.has_value()) {
+        ++r.decode_errors;
+        continue;
+      }
+      Replay::Vehicle& v = r.vehicles[frame->vehicle];
+      const std::uint64_t floor =
+          v.max_seq > kSeqWindow ? v.max_seq - kSeqWindow : 0;
+      if (frame->seq <= floor || !v.seen.insert(frame->seq).second) {
+        ++v.duplicates;
+        ++r.duplicates;
+        continue;
+      }
+      if (frame->seq < v.max_seq) {
+        ++v.reordered;
+        ++r.reordered;
+      }
+      v.max_seq = std::max(v.max_seq, frame->seq);
+      ++v.frames;
+      ++r.frames;
+      r.watermark = std::max(r.watermark, frame->created);
+      if (auto ok = frame->counters.find("svc.ok");
+          ok != frame->counters.end()) {
+        v.ok += ok->second;
+      }
+      for (const WireHealthEvent& ev : frame->events) {
+        ++v.health_events;
+        if (ev.kind.find("breach") != std::string::npos) ++v.breaches;
+      }
+      for (const auto& [metric, samples] : frame->samples) {
+        if (!samples.empty()) dirty.insert(metric);
+        for (const WireSample& s : samples) {
+          r.watermark = std::max(r.watermark, s.first);
+          if (!std::isfinite(s.second) || s.first < 0) continue;
+          auto& cell = v.slots[metric][s.first / kSlot];
+          ++cell.first;
+          cell.second += s.second;
+        }
+      }
+    }
+    replay_detect(&r, dirty);
+  }
+  return r;
+}
+
+// Accounting, the vehicle table and every anomaly (time, value, median,
+// score) against the replay, exactly.
 TEST(IngestOracle, MatchesFleetAggregatorAccountingAndDetection) {
   std::mt19937_64 meta(7041);
-  for (int draw = 0; draw < 3; ++draw) {
+  for (int draw = 0; draw < 4; ++draw) {
     StreamSpec spec;
     spec.seed = meta();
     spec.vehicles = 6 + static_cast<int>(meta() % 6);
@@ -242,42 +424,61 @@ TEST(IngestOracle, MatchesFleetAggregatorAccountingAndDetection) {
     // Draws alternate between one impaired vehicle and a healthy fleet.
     spec.outlier =
         draw % 2 == 0 ? static_cast<int>(meta() % spec.vehicles) : -1;
+    std::size_t flags = spec.outlier >= 0 ? 1 : 0;
+    if (draw == 3) {
+      // Sick, healthy for batches 10-39 (detection clears), then sick
+      // again over a full window of healthy history: flagged twice.
+      spec.outlier = static_cast<int>(meta() % spec.vehicles);
+      spec.batches = 60;
+      spec.healthy_from = 10;
+      spec.healthy_to = 40;
+      flags = 2;
+    }
     const Stream stream = make_stream(spec);
+    const Replay want = replay(stream);
+
+    // The replay itself flags exactly the planted outlier.
+    ASSERT_EQ(want.anomalies.size(), flags) << "draw " << draw;
+    for (const FleetAnomaly& a : want.anomalies) {
+      EXPECT_EQ(a.vehicle, stream.outlier_vehicle) << "draw " << draw;
+    }
 
     IngestOptions iopts;
     iopts.shards = 4;
     iopts.threads = 2;
     ShardedIngestBackend backend(iopts);
-    FleetAggregator oracle;  // defaults match IngestOptions' defaults
     feed(&backend, stream);
-    for (const std::vector<std::string>& batch : stream.batches) {
-      std::vector<std::string_view> views(batch.begin(), batch.end());
-      oracle.ingest_batch(views);
-    }
 
-    EXPECT_EQ(backend.frames_ingested(), oracle.frames_ingested());
-    EXPECT_EQ(backend.duplicates(), oracle.duplicates());
-    EXPECT_EQ(backend.reordered(), oracle.reordered());
-    EXPECT_EQ(backend.decode_errors(), oracle.decode_errors());
-    EXPECT_EQ(backend.lost_frames(), oracle.lost_frames());
-    EXPECT_EQ(backend.batches(), oracle.batches());
-    EXPECT_EQ(backend.watermark(), oracle.watermark());
-    EXPECT_EQ(backend.vehicles(), oracle.vehicles());
-    // The transport-accounting table is byte-for-byte the oracle's.
-    EXPECT_EQ(backend.vehicle_table(), oracle.vehicle_table());
-    for (const std::string& v : oracle.vehicles()) {
-      EXPECT_EQ(backend.counter_total(v, "svc.ok"),
-                oracle.counter_total(v, "svc.ok"))
-          << v;
+    EXPECT_EQ(backend.frames_ingested(), want.frames);
+    EXPECT_EQ(backend.duplicates(), want.duplicates);
+    EXPECT_EQ(backend.reordered(), want.reordered);
+    EXPECT_EQ(backend.decode_errors(), want.decode_errors);
+    EXPECT_EQ(backend.lost_frames(), want.lost());
+    EXPECT_EQ(backend.batches(), want.batches);
+    EXPECT_EQ(backend.watermark(), want.watermark);
+    std::vector<std::string> names;
+    for (const auto& [name, v] : want.vehicles) {
+      names.push_back(name);
+      EXPECT_EQ(backend.counter_total(name, "svc.ok"), v.ok) << name;
     }
-    // Detection parity is semantic (the backend detects at barriers, the
-    // oracle mid-ingest under its own throttle): both flag exactly the
-    // impaired vehicle, or nobody on a healthy fleet.
-    const std::vector<std::string> expected =
-        spec.outlier >= 0 ? std::vector<std::string>{stream.outlier_vehicle}
-                          : std::vector<std::string>{};
-    EXPECT_EQ(backend.anomalous_vehicles(), expected) << "draw " << draw;
-    EXPECT_EQ(oracle.anomalous_vehicles(), expected) << "draw " << draw;
+    EXPECT_EQ(backend.vehicles(), names);
+    EXPECT_EQ(backend.vehicle_table(), want.vehicle_table());
+
+    EXPECT_EQ(backend.detect_passes(), want.passes) << "draw " << draw;
+    EXPECT_EQ(backend.detect_scanned(), want.scanned) << "draw " << draw;
+    ASSERT_EQ(backend.anomalies().size(), want.anomalies.size())
+        << "draw " << draw << "\n" << backend.anomaly_table();
+    for (std::size_t i = 0; i < want.anomalies.size(); ++i) {
+      const FleetAnomaly& got = backend.anomalies()[i];
+      const FleetAnomaly& exp = want.anomalies[i];
+      EXPECT_EQ(got.at, exp.at) << "draw " << draw << " anomaly " << i;
+      EXPECT_EQ(got.vehicle, exp.vehicle) << "draw " << draw;
+      EXPECT_EQ(got.metric, exp.metric) << "draw " << draw;
+      EXPECT_EQ(got.value, exp.value) << "draw " << draw << " anomaly " << i;
+      EXPECT_EQ(got.fleet_median, exp.fleet_median)
+          << "draw " << draw << " anomaly " << i;
+      EXPECT_EQ(got.score, exp.score) << "draw " << draw << " anomaly " << i;
+    }
   }
 }
 

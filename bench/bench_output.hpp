@@ -17,6 +17,7 @@
 
 #include "util/json.hpp"
 #include "util/stats.hpp"
+#include "util/strings.hpp"
 
 namespace vdap::bench {
 
@@ -95,11 +96,7 @@ class BenchOutput {
 /// 64-bit FNV-1a of `bytes` as 16 hex digits: a text cell that pins an
 /// artifact's exact bytes in a committed table.
 inline std::string fnv_hex(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
+  const std::uint64_t h = util::fnv1a_add(util::kFnv1aBasis, bytes);
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(h));

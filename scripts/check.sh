@@ -8,7 +8,8 @@
 # SLO-health, fleet-telemetry, sharded-simulator, sharded-ingest,
 # shard-observability, flight-recorder and profiling suites (the
 # long-horizon and multi-threaded paths most likely to hide lifetime and
-# ordering bugs).
+# ordering bugs), plus the DDI store and property suites, which read
+# segment files back from disk.
 #
 # Usage: scripts/check.sh
 #          [--tier1-only | --bench-only | --bench-rebaseline | --tsan]
@@ -115,11 +116,11 @@ if [[ "${1:-}" == "--bench-only" ]]; then
   exit 0
 fi
 
-echo "== asan: chaos + trace + slo + fleet + shard + ingest + obs + flight + prof suites under ASan/UBSan =="
+echo "== asan: chaos + trace + slo + fleet + shard + ingest + obs + flight + prof + ddi + property suites under ASan/UBSan =="
 cmake -B build-asan -S . -DASAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -L 'chaos|trace|slo|fleet|shard|ingest|obs|flight|prof'
+      -L 'chaos|trace|slo|fleet|shard|ingest|obs|flight|prof|ddi|property'
 
 if [[ "${1:-}" == "--tsan" ]]; then
   echo "== tsan: shard + fleet + ingest + obs + flight + prof suites under ThreadSanitizer =="

@@ -38,20 +38,17 @@ namespace vdap::core {
 ///     byte-identical across *thread* counts for a fixed shard count, but
 ///     scale with the shard count; frames and tables stay
 ///     geometry-invariant regardless.
-///   * flight — for the same reason this path defaults mirror_metrics and
-///     mirror_spans OFF and records the entity-partitioned streams
-///     instead: health edges (one per vehicle), fault activations (shard
-///     0's injector only — every injector is armed with the same plan, so
-///     its trace IS the trace) and explicit incidents. The bundle bytes
-///     are then geometry-invariant per (seed, plan) whenever
+///   * flight — for the same reason this path turns the flight mirror off
+///     and records the entity-partitioned streams instead: health edges
+///     (one per vehicle), fault activations (shard 0's injector only —
+///     every injector is armed with the same plan, so its trace IS the
+///     trace) and explicit incidents. The bundle bytes are then
+///     geometry-invariant per (seed, plan) whenever
 ///     flight_scratch_dropped == 0.
 ///   * prof — wall plane only; every deterministic output is
 ///     byte-identical with the sampler on or off.
 struct FleetConfig : telemetry::ObsOptions {
-  FleetConfig() {
-    flight_opts.mirror_metrics = false;
-    flight_opts.mirror_spans = false;
-  }
+  FleetConfig() { flight_opts.mirror = false; }
 
   int vehicles = 6;
   std::uint64_t seed = 7;

@@ -15,30 +15,6 @@ namespace vdap::core {
 
 namespace fleet = telemetry::fleet;
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, std::string_view bytes) {
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= v & 0xFF;
-    h *= kFnvPrime;
-    v >>= 8;
-  }
-  return h;
-}
-
-}  // namespace
-
 FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
   const int n = std::max(config.vehicles, 1);
   const int nshards = std::clamp(config.shards, 1, n);
@@ -107,7 +83,7 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
   // deliver callbacks' pointers stay valid and each slot is touched only
   // by its home shard's thread.
   struct VehicleState {
-    std::uint64_t digest = kFnvOffset;  // FNV over frames in delivery order
+    std::uint64_t digest = util::kFnv1aBasis;  // frames in delivery order
     std::uint64_t frames = 0;
     std::uint64_t samples = 0;
     std::uint64_t decode_errors = 0;
@@ -127,7 +103,7 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
         shard_sim, util::format("cav-%d", i), *topos[static_cast<std::size_t>(s)],
         [v, ingest, s](const std::string& bytes) {
           PROF_SCOPE("fleet/deliver");
-          v->digest = fnv_bytes(v->digest, bytes);
+          v->digest = util::fnv1a_add(v->digest, bytes);
           ++v->frames;
           if (ingest != nullptr) ingest->ingest_on_shard(s, bytes);
           if (std::optional<fleet::WireFrame> frame =
@@ -184,7 +160,7 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
   out.events_fired += ssim.run_until(config.run_until + config.drain);
   out.epochs = ssim.epochs_run();
 
-  std::uint64_t digest = kFnvOffset;
+  std::uint64_t digest = util::kFnv1aBasis;
   for (int i = 0; i < n; ++i) {
     const VehicleState& v = vehicles[static_cast<std::size_t>(i)];
     const fleet::TelemetryShipper::Stats& st = v.shipper->stats();
@@ -194,8 +170,8 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
     out.frames_enqueued += st.frames_enqueued;
     out.frames_dropped += st.frames_dropped;
     out.wire_bytes += st.wire_bytes;
-    digest = fnv_u64(digest, static_cast<std::uint64_t>(i));
-    digest = fnv_u64(digest, v.digest);
+    digest = util::fnv1a_add_u64(digest, static_cast<std::uint64_t>(i));
+    digest = util::fnv1a_add_u64(digest, v.digest);
   }
   out.digest = digest;
   if (backend != nullptr) {

@@ -123,7 +123,6 @@ class FaultInjector {
   /// keep it on for exactly one injector, so each activation appears
   /// once no matter the shard count.
   void set_flight_recording(bool on) { flight_recording_ = on; }
-  bool flight_recording() const { return flight_recording_; }
 
  private:
   void schedule_window(std::shared_ptr<const FaultSpec> spec, SimTime start);

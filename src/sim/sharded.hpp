@@ -32,7 +32,8 @@
 //     prof slot, merged deterministically at every barrier — captured
 //     exports stay byte-identical across the shard × thread matrix
 //     (DESIGN.md §6h). A plane that is off binds null, so shard work never
-//     records into the calling thread's own binding (a live Session, say).
+//     records into the calling thread's own binding (its own capture
+//     domain or flight ring, say).
 //
 // Beyond the planes, the runner always keeps per-shard *runtime* statistics
 // (wall-clock busy/wait at barriers, event-queue occupancy peaks) — see

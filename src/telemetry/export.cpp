@@ -126,40 +126,6 @@ std::string metrics_snapshot_json(const MetricsRegistry& metrics,
   return out;
 }
 
-std::string metrics_text_report(const MetricsRegistry& metrics) {
-  std::string out;
-  if (!metrics.counters().all().empty()) {
-    util::TextTable t("telemetry counters");
-    t.set_header({"counter", "value"});
-    for (const auto& [name, v] : metrics.counters().all()) {
-      t.add_row({name, std::to_string(v)});
-    }
-    out += t.to_string();
-  }
-  if (!metrics.gauges().empty()) {
-    util::TextTable t("telemetry gauges");
-    t.set_header({"gauge", "value"});
-    for (const auto& [name, v] : metrics.gauges()) {
-      t.add_row({name, util::TextTable::num(v, 3)});
-    }
-    out += t.to_string();
-  }
-  if (!metrics.histograms().empty()) {
-    util::TextTable t("telemetry histograms");
-    t.set_header({"histogram", "count", "mean", "p50", "p95", "p99", "max"});
-    for (const auto& [name, h] : metrics.histograms()) {
-      t.add_row({name, std::to_string(h.count()),
-                 util::TextTable::num(h.mean(), 3),
-                 util::TextTable::num(h.p50(), 3),
-                 util::TextTable::num(h.p95(), 3),
-                 util::TextTable::num(h.p99(), 3),
-                 util::TextTable::num(h.max(), 3)});
-    }
-    out += t.to_string();
-  }
-  return out;
-}
-
 bool write_text_file(const std::string& path, std::string_view content) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return false;

@@ -4,9 +4,8 @@
 //     names become thread_name metadata records; span/instant/counter
 //     events follow.
 //   * metrics_snapshot_json() — one JSON object per call with every
-//     counter, gauge, and histogram digest; Session emits these
-//     periodically as JSONL (one snapshot per line).
-//   * metrics_text_report() — the end-of-run human-readable table.
+//     counter, gauge, and histogram digest; a run's metrics.jsonl is one
+//     such line, taken at the end of the run.
 //
 // The two JSON exporters write straight into one std::string through
 // util::json's append_* writers, with no json::Value tree in between.
@@ -54,9 +53,6 @@ inline std::string chrome_trace_json(const Tracer& tracer) {
 /// ...}, "t": <sim µs>}.
 std::string metrics_snapshot_json(const MetricsRegistry& metrics,
                                   sim::SimTime now);
-
-/// End-of-run report: one util::TextTable per metric family.
-std::string metrics_text_report(const MetricsRegistry& metrics);
 
 /// Writes `content` to `path` (truncating); returns false on I/O failure,
 /// including a failed flush when the file is closed.

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/strings.hpp"
+
 namespace vdap::telemetry::fleet {
 
 // Block format (all little-endian):
@@ -11,10 +13,10 @@ namespace vdap::telemetry::fleet {
 //   "VCB1"                      4-byte magic
 //   u32  count                  samples in the block
 //   varint × count              zigzag(time[i] − time[i−1]), time[−1] = 0
-//                               (deltas may be negative: the aggregator
+//                               (deltas may be negative: ingest
 //                               tolerates reordered frames)
 //   f64  × count                raw IEEE-754 values
-//   u64  checksum               FNV-1a over every byte after the magic
+//   u64  checksum               FNV-1a-64 over every byte after the magic
 //
 // Varints are LEB128 (7 data bits per byte, high bit = continue), at most
 // 10 bytes each. The decoder never trusts a declared length: `count` is
@@ -25,17 +27,6 @@ namespace vdap::telemetry::fleet {
 namespace {
 
 constexpr char kMagic[4] = {'V', 'C', 'B', '1'};
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = kFnvOffset;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -122,7 +113,8 @@ void columnar_encode_to(const ColumnData& cols, std::string* out) {
     prev = t;
   }
   for (double v : cols.values) put_f64(out, v);
-  put_u64(out, fnv1a(std::string_view(*out).substr(payload_start)));
+  put_u64(out, util::fnv1a_add(util::kFnv1aBasis,
+                                std::string_view(*out).substr(payload_start)));
 }
 
 std::string columnar_encode(const ColumnData& cols) {
@@ -174,8 +166,9 @@ bool columnar_decode(std::string_view bytes, ColumnData* out,
   }
   std::uint64_t declared = 0;
   get_u64(bytes, &pos, &declared);
-  const std::uint64_t actual =
-      fnv1a(bytes.substr(payload_start, bytes.size() - 8 - payload_start));
+  const std::uint64_t actual = util::fnv1a_add(
+      util::kFnv1aBasis,
+      bytes.substr(payload_start, bytes.size() - 8 - payload_start));
   if (declared != actual) return fail("checksum mismatch");
   return true;
 }
@@ -195,7 +188,6 @@ void ColumnarSeries::append(sim::SimTime at, double value, BlockPool* pool) {
   }
   ++total_count_;
   total_sum_ += value;
-  latest_ = std::max(latest_, at);
   active_.times.push_back(at);
   active_.values.push_back(value);
   if (active_.size() >= opts_.block_samples) seal(pool);
@@ -350,16 +342,6 @@ std::vector<std::string> ColumnarStore::names() const {
 const ColumnarSeries* ColumnarStore::series(const std::string& name) const {
   auto it = series_.find(name);
   return it == series_.end() ? nullptr : &it->second;
-}
-
-std::size_t ColumnarStore::total_count(const std::string& series) const {
-  auto it = series_.find(series);
-  return it == series_.end() ? 0 : it->second.total_count();
-}
-
-double ColumnarStore::total_sum(const std::string& series) const {
-  auto it = series_.find(series);
-  return it == series_.end() ? 0.0 : it->second.total_sum();
 }
 
 }  // namespace vdap::telemetry::fleet

@@ -150,7 +150,6 @@ class ColumnarSeries {
   double total_sum() const { return total_sum_; }
   double total_min() const { return total_count_ > 0 ? total_min_ : 0.0; }
   double total_max() const { return total_count_ > 0 ? total_max_ : 0.0; }
-  sim::SimTime latest() const { return latest_; }
 
   /// Exact sample-level aggregate over [from, to] (both ends inclusive).
   /// Prunes on block summaries; decodes only partially-covered blocks.
@@ -193,7 +192,6 @@ class ColumnarSeries {
   double total_sum_ = 0.0;
   double total_min_ = 0.0;
   double total_max_ = 0.0;
-  sim::SimTime latest_ = 0;
   std::size_t evicted_blocks_ = 0;
   std::size_t evicted_samples_ = 0;
   std::size_t encoded_bytes_ = 0;
@@ -213,11 +211,7 @@ class ColumnarStore {
 
   /// Series names in lexicographic order.
   std::vector<std::string> names() const;
-  bool has(const std::string& series) const { return series_.count(series) > 0; }
   const ColumnarSeries* series(const std::string& name) const;
-
-  std::size_t total_count(const std::string& series) const;
-  double total_sum(const std::string& series) const;
 
   /// Samples rejected at observe() (non-finite value / negative time).
   std::size_t rejected() const { return rejected_; }

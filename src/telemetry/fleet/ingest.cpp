@@ -9,6 +9,7 @@
 #include "telemetry/prof/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/stats.hpp"
+#include "util/strings.hpp"
 
 namespace vdap::telemetry::fleet {
 
@@ -35,18 +36,6 @@ constexpr std::string_view kDetectExclude = "loc.";
 /// Recent sequence numbers remembered per vehicle for duplicate
 /// detection; older ones count as already seen.
 constexpr std::uint64_t kSeqWindow = 4096;
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = kFnvOffset;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 double median_of(std::vector<double> values) {
   // values non-empty, by caller contract.
@@ -296,7 +285,7 @@ ShardedIngestBackend::ShardedIngestBackend(IngestOptions options)
 int ShardedIngestBackend::threads() const { return opts_.threads; }
 
 int ShardedIngestBackend::shard_of(std::string_view vehicle_key) const {
-  return static_cast<int>(fnv1a(vehicle_key) %
+  return static_cast<int>(util::fnv1a_add(util::kFnv1aBasis, vehicle_key) %
                           static_cast<std::uint64_t>(shards_.size()));
 }
 

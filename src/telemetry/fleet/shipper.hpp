@@ -12,9 +12,9 @@
 //     frame (fresh telemetry is worth more than stale telemetry).
 // Every drop path is accounted: after a drain,
 //   frames_enqueued − frames_acked == frames_dropped
-// exactly — the invariant the fleet chaos test asserts. When a
-// telemetry::Session is live the same accounting is mirrored into the
-// global registry as fleet.shipper.* counters labeled by vehicle.
+// exactly — the invariant the fleet chaos test asserts. While the calling
+// thread has a telemetry domain bound, the same accounting is mirrored
+// into its registry as fleet.shipper.* counters labeled by vehicle.
 //
 // Each shipper draws its loss randomness from the link's own named RNG
 // stream ("link.ship/<vehicle>"), so a fleet of shippers is deterministic
@@ -102,7 +102,6 @@ class TelemetryShipper {
 
   const Stats& stats() const { return stats_; }
   const std::string& vehicle() const { return vehicle_; }
-  std::uint64_t last_seq() const { return seq_; }
   /// Frames still queued or in flight.
   std::size_t backlog() const {
     return queue_.size() + (inflight_.has_value() ? 1 : 0);

@@ -59,11 +59,6 @@ struct WireFrame {
   std::map<std::string, double> gauges;          // last values
   std::map<std::string, std::vector<WireSample>> samples;
   std::vector<WireHealthEvent> events;
-
-  bool payload_empty() const {
-    return counters.empty() && gauges.empty() && samples.empty() &&
-           events.empty();
-  }
 };
 
 /// Serializes a frame to one line of JSON (no trailing newline).

@@ -23,21 +23,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Canonical folded history and wall-clock plane, in records.
+/// Per-domain scratch rings, canonical folded history and wall-clock
+/// plane, in records.
+constexpr std::size_t kScratchCapacity = 4096;
 constexpr std::size_t kMasterCapacity = 16384;
 constexpr std::size_t kRuntimeCapacity = 1024;
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
+/// Bundles per run; further triggers only count.
+constexpr std::size_t kMaxBundles = 4;
 
 void copy_field(char* dst, std::size_t cap, std::string_view src) {
   // An empty view's data() may be null, which memcpy must not see even
@@ -155,10 +147,9 @@ FlightRecorder::FlightRecorder(int domains, Options opts)
       master_(kMasterCapacity),
       runtime_(kRuntimeCapacity) {
   for (FlightRing& r : rings_) {
-    r.reset_capacity(opts_.scratch_capacity);
+    r.reset_capacity(kScratchCapacity);
     r.set_owner(this);
-    r.mirror_metrics_ = opts_.mirror_metrics;
-    r.mirror_spans_ = opts_.mirror_spans;
+    r.mirror_ = opts_.mirror;
   }
 }
 
@@ -236,9 +227,9 @@ std::string FlightRecorder::serialize_rings() const {
   put_u64(out, master_.appended());
   put_u64(out, 0);                               // packed: head = 0
   put_u64(out, snap.size());
-  std::uint64_t check = kFnvOffset;
+  std::uint64_t check = util::kFnv1aBasis;
   for (const FlightRecord& rec : snap) {
-    check = fnv_bytes(check, &rec, sizeof rec);
+    check = util::fnv1a_add(check, &rec, sizeof rec);
     out.append(reinterpret_cast<const char*>(&rec), sizeof rec);
   }
   put_u64(out, check);  // trailer, matching the crash-path stream order
@@ -309,7 +300,7 @@ std::string FlightRecorder::manifest_json(const FlightRecord* trigger) const {
 
 const FlightRecorder::Bundle* FlightRecorder::make_bundle(
     const FlightRecord& trigger) {
-  if (static_cast<int>(bundles_.size()) >= opts_.max_bundles) return nullptr;
+  if (bundles_.size() >= kMaxBundles) return nullptr;
   Bundle b;
   b.id = util::format("incident-%03d-t%lld",
                       static_cast<int>(bundles_.size()) + 1,
@@ -336,21 +327,21 @@ const FlightRecorder::Bundle* FlightRecorder::make_bundle(
 
 void flight_metric(std::string_view name, std::int64_t by) {
   FlightRing* r = internal::tls_flight;
-  if (r == nullptr || !r->mirror_metrics()) return;
+  if (r == nullptr || !r->mirror()) return;
   r->append(make_flight_record(FlightKind::kMetric, r->now(), name, {}, {},
                                by, 0.0));
 }
 
 void flight_observe(std::string_view name, double value) {
   FlightRing* r = internal::tls_flight;
-  if (r == nullptr || !r->mirror_metrics()) return;
+  if (r == nullptr || !r->mirror()) return;
   r->append(make_flight_record(FlightKind::kObserve, r->now(), name, {}, {},
                                0, value));
 }
 
 void flight_gauge(std::string_view name, double value) {
   FlightRing* r = internal::tls_flight;
-  if (r == nullptr || !r->mirror_metrics()) return;
+  if (r == nullptr || !r->mirror()) return;
   r->append(make_flight_record(FlightKind::kGauge, r->now(), name, {}, {}, 0,
                                value));
 }
@@ -359,7 +350,7 @@ void flight_span(FlightKind kind, sim::SimTime ts, std::string_view cat,
                  std::string_view name, std::string_view track,
                  std::int64_t value, double fvalue) {
   FlightRing* r = internal::tls_flight;
-  if (r == nullptr || !r->mirror_spans()) return;
+  if (r == nullptr || !r->mirror()) return;
   // Deliberately no span id: ids are per-domain counters whose values
   // depend on placement; names + timestamps are the invariant content.
   r->append(make_flight_record(kind, ts, name, track, cat, value, fvalue));
@@ -464,8 +455,8 @@ FlightParse parse_flight_rings(std::string_view bytes) {
     }
     sec.head = head;
 
-    std::uint64_t check = kFnvOffset;
-    check = fnv_bytes(check, bytes.data() + off, static_cast<std::size_t>(body));
+    const std::uint64_t check = util::fnv1a_add(
+        util::kFnv1aBasis, bytes.data() + off, static_cast<std::size_t>(body));
     const char* data = bytes.data() + off;
     off += static_cast<std::size_t>(body);
     const std::uint64_t trailer = read_u64();
@@ -699,11 +690,11 @@ void crash_write_section(int fd, const FlightRing& ring, std::int32_t domain) {
   // this single pass is self-consistent even when another thread is
   // mid-append — a torn slot is checksum-valid garbage the parser skips
   // by kind validation.
-  std::uint64_t check = kFnvOffset;
+  std::uint64_t check = util::kFnv1aBasis;
   for (std::uint64_t i = 0; i < count; ++i) {
     FlightRecord rec;
     std::memcpy(&rec, ring.raw_data() + i, sizeof rec);
-    check = fnv_bytes(check, &rec, sizeof rec);
+    check = util::fnv1a_add(check, &rec, sizeof rec);
     write_all(fd, &rec, sizeof rec);
   }
   write_all(fd, &check, sizeof check);

@@ -137,8 +137,8 @@ class FlightRing {
   // --- recorder wiring ----------------------------------------------------
   void set_owner(FlightRecorder* owner) { owner_ = owner; }
   FlightRecorder* owner() const { return owner_; }
-  bool mirror_metrics() const { return mirror_metrics_; }
-  bool mirror_spans() const { return mirror_spans_; }
+  /// Whether metric deltas and trace events mirror into this ring.
+  bool mirror() const { return mirror_; }
 
   // --- barrier / export side ----------------------------------------------
   /// Copies held records oldest-first (no reset).
@@ -165,8 +165,7 @@ class FlightRing {
   const sim::SimTime* clock_ = nullptr;
   sim::SimTime hint_ = 0;
   FlightRecorder* owner_ = nullptr;
-  bool mirror_metrics_ = true;
-  bool mirror_spans_ = true;
+  bool mirror_ = true;
 };
 
 /// The recorder: scratch rings (one per domain), the canonical master
@@ -174,17 +173,15 @@ class FlightRing {
 /// bundle snapshots, and the crash-dump path.
 class FlightRecorder {
  public:
+  /// Scratch rings hold 4096 records each, and a run keeps at most 4
+  /// bundles; further triggers only count (flight.cpp).
   struct Options {
-    std::size_t scratch_capacity = 4096;   // per-domain ring slots
-    /// Mirror metric deltas into the rings. run_fleet turns this off:
-    /// its capture plane is only thread-invariant at fixed shards, and
-    /// the flight bundle must stay invariant across the full matrix.
-    bool mirror_metrics = true;
-    /// Mirror trace spans (only fires while capture is on — span sites
-    /// are guarded by telemetry::on()).
-    bool mirror_spans = true;
-    /// Bundles per run; further triggers only count.
-    int max_bundles = 4;
+    /// Mirror metric deltas and trace events into the rings (events fire
+    /// only while capture is on: their sites are guarded by
+    /// telemetry::on()). run_fleet turns this off: its capture plane is
+    /// only thread-invariant at fixed shards, and the flight bundle must
+    /// stay invariant across the full matrix.
+    bool mirror = true;
     /// Bundle output directory; empty keeps bundles in memory only.
     std::string dir;
   };
@@ -245,7 +242,7 @@ class FlightRecorder {
 
   // --- results -------------------------------------------------------------
   const std::vector<Bundle>& bundles() const { return bundles_; }
-  /// Triggers observed (including those beyond max_bundles).
+  /// Triggers observed (including those past the bundle cap).
   std::uint64_t triggers_seen() const { return triggers_seen_; }
   /// Records folded into the master ring across the run.
   std::uint64_t folded_records() const { return folded_records_; }

@@ -70,7 +70,7 @@ namespace vdap::telemetry::analysis {
 /// barriers, once the run is long enough to judge), "overflow" (events
 /// spilled past the calendar horizon), "backpressure" (ring-late sample
 /// drops), "decode-errors", and "flight-drops" (the shard's flight scratch
-/// ring overwrote records between folds — size flight_opts up).
+/// ring overwrote records between folds — shorten the epoch).
 std::string judge_shard_runtime(const ShardRuntimeRow& row);
 
 }  // namespace vdap::telemetry::analysis

@@ -183,10 +183,4 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::reset() {
-  counters_.reset();
-  gauges_.clear();
-  hists_.clear();
-}
-
 }  // namespace vdap::telemetry

@@ -14,10 +14,12 @@
 //     path. Each simulator shard is single-threaded, so no atomics are
 //     needed inside a Domain.
 //   * Domain-scoped capture — instrumentation records into the Domain
-//     (tracer + registry pair) bound to the *current thread*. A
-//     telemetry::Session (session.hpp) binds a Domain it owns for one
-//     single-threaded run; sim::ShardedSimulator binds one Domain per
-//     worker shard for the duration of each epoch and merges them
+//     (tracer + registry pair) bound to the *current thread*, always
+//     through a telemetry::BindScope (planes.hpp). A single simulator's
+//     run binds one Domain for its duration and exports it with
+//     chrome_trace_json() and one end-of-run metrics_snapshot_json() line
+//     (export.hpp); sim::ShardedSimulator binds one Domain per worker
+//     shard for the duration of each epoch and merges them
 //     deterministically at the barrier (planes.hpp, domains.hpp,
 //     DESIGN.md §6h).
 //
@@ -196,8 +198,6 @@ class MetricsRegistry {
 
   /// Folds another registry into this one (multi-vehicle aggregation).
   void merge(const MetricsRegistry& other);
-
-  void reset();
 
  private:
   util::CounterSet counters_;

@@ -11,6 +11,8 @@
 #include <string>
 #include <string_view>
 
+#include "util/strings.hpp"
+
 namespace vdap::util {
 
 /// A self-contained PRNG stream (mersenne twister) with convenience draws.
@@ -66,13 +68,9 @@ class RngStream {
 
  private:
   static std::uint64_t mix(std::uint64_t seed, std::string_view name) {
-    // FNV-1a over the name folded into the master seed; cheap and stable.
-    std::uint64_t h = 1469598103934665603ULL ^ seed;
-    for (char c : name) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    return h;
+    // util::fnv1a over the name, from its basis with the master seed
+    // folded in; cheap and stable.
+    return fnv1a_add(1469598103934665603ULL ^ seed, name);
   }
 
   std::mt19937_64 engine_;

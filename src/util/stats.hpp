@@ -102,7 +102,6 @@ class CounterSet {
   void merge(const CounterSet& other) {
     for (const auto& [name, v] : other.c_) c_[name] += v;
   }
-  void reset() { c_.clear(); }
 
  private:
   std::map<std::string, std::int64_t> c_;

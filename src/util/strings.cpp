@@ -86,15 +86,6 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::string human_bytes(std::uint64_t bytes) {
   static const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB"};
   double v = static_cast<double>(bytes);

@@ -105,7 +105,8 @@ TEST(CriticalPath, ExclusiveSegmentsPartitionEveryRunLatency) {
 
 TEST(CriticalPath, InMemoryAndParsedExtractionsAgree) {
   sim::Simulator sim(5);
-  telemetry::Session session(sim);
+  telemetry::Domain domain;
+  telemetry::BindScope bind({&domain});
   core::OpenVdap car(sim);
   car.install_standard_services();
   for (int i = 0; i < 8; ++i) {
@@ -116,7 +117,7 @@ TEST(CriticalPath, InMemoryAndParsedExtractionsAgree) {
   analysis::CriticalPathReport direct =
       analysis::extract_critical_paths(telemetry::tracer());
   analysis::CriticalPathReport parsed =
-      report_from_json(session.chrome_trace());
+      report_from_json(telemetry::chrome_trace_json(domain.tracer()));
   EXPECT_EQ(analysis::critical_path_table(direct),
             analysis::critical_path_table(parsed));
   ASSERT_EQ(direct.runs.size(), 8u);

@@ -2,7 +2,8 @@
 // wires a FaultInjector to every reacting layer (net impairments, VCU
 // processors, DDI disk, EdgeOSv security), drives deterministic collector +
 // service load while a FaultPlan runs, then heals, drains and snapshots
-// everything the invariant checks need.
+// everything the invariant checks need. The run is captured into one
+// telemetry::Domain bound for its duration.
 #pragma once
 
 #include <cstdio>
@@ -18,7 +19,8 @@
 #include "ddi/collectors.hpp"
 #include "net/impair.hpp"
 #include "sim/faults.hpp"
-#include "telemetry/session.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/planes.hpp"
 #include "util/strings.hpp"
 #include "workload/apps.hpp"
 
@@ -55,10 +57,11 @@ struct ChaosOutcome {
   std::uint64_t disk_failures = 0;
 
   // Telemetry evidence: the full Chrome-trace export (byte-identical across
-  // same-(seed, plan) runs), periodic metric snapshots, and the number of
+  // same-(seed, plan) runs), the one end-of-run metrics line (with its
+  // newline, as the fleet runners write metrics.jsonl), and the number of
   // spans still open at drain — which must be zero (no leaked begin()s).
   std::string trace_json;
-  std::string snapshots_jsonl;
+  std::string metrics_jsonl;
   std::size_t open_spans = 0;
 };
 
@@ -75,19 +78,19 @@ struct ChaosConfig {
 inline ChaosOutcome run_chaos(const sim::FaultPlan& plan, std::uint64_t seed,
                               const std::string& dir_tag,
                               ChaosConfig cc = {}) {
-  namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() /
-                 ("vdap-chaos-" + plan.name + "-" + dir_tag);
-  fs::remove_all(dir);
+  // A fresh directory per run, so concurrent test processes never share
+  // (or delete) each other's DDI segments.
+  const std::string dir =
+      core::make_temp_dir("vdap-chaos-" + plan.name + "-" + dir_tag);
 
   ChaosOutcome out;
   {
     sim::Simulator sim(seed);
-    telemetry::Session session(sim);
-    session.start_snapshots(sim::seconds(30));
+    telemetry::Domain domain;
+    telemetry::BindScope bind({&domain});
     core::PlatformConfig cfg;
     cfg.vehicle_name = "chaos-cav";
-    cfg.ddi_dir = dir.string();
+    cfg.ddi_dir = dir;
     core::OpenVdap car(sim, cfg);
     car.install_standard_services();
     car.offload().enable_failover(3);
@@ -271,11 +274,12 @@ inline ChaosOutcome run_chaos(const sim::FaultPlan& plan, std::uint64_t seed,
     out.sync_failed = sync.failed_uploads();
     out.sync_retries = sync.retries();
     out.disk_failures = car.ddi().disk_write_failures();
-    out.trace_json = session.chrome_trace();
-    out.snapshots_jsonl = session.snapshots_jsonl();
-    out.open_spans = session.open_spans();
+    out.trace_json = telemetry::chrome_trace_json(domain.tracer());
+    out.metrics_jsonl = telemetry::metrics_snapshot_json(domain.metrics(),
+                                                         sim.now()) + '\n';
+    out.open_spans = domain.tracer().open_spans();
   }
-  fs::remove_all(dir);
+  std::filesystem::remove_all(dir);
   return out;
 }
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <filesystem>
 #include <map>
+#include <stdexcept>
 #include <utility>
 
 #include "net/impair.hpp"
@@ -13,19 +16,24 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// A fresh mkdtemp directory per test: concurrent runs of the suite never
+// share (or delete) each other's segments.
+fs::path make_temp_dir() {
+  std::string made =
+      (fs::temp_directory_path() / "vdap-cloudsync-XXXXXX").string();
+  if (mkdtemp(made.data()) == nullptr) {
+    throw std::runtime_error("mkdtemp " + made);
+  }
+  return made;
+}
+
 class CloudSyncTest : public ::testing::Test {
  protected:
   CloudSyncTest()
-      : dir_(fs::temp_directory_path() /
-             ("vdap-cloudsync-" + std::string(::testing::UnitTest::GetInstance()
-                                                  ->current_test_info()
-                                                  ->name()))),
-        topo_(sim_),
-        ddi_(sim_, make_opts()) {}
+      : dir_(make_temp_dir()), topo_(sim_), ddi_(sim_, make_opts()) {}
   ~CloudSyncTest() override { fs::remove_all(dir_); }
 
   DdiOptions make_opts() {
-    fs::remove_all(dir_);
     DdiOptions o;
     o.disk.dir = dir_.string();
     o.staging_ttl = sim::seconds(1);

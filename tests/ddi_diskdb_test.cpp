@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <filesystem>
 
 namespace vdap::ddi {
@@ -11,15 +13,13 @@ namespace fs = std::filesystem;
 
 class DiskDbTest : public ::testing::Test {
  protected:
+  // A fresh mkdtemp directory per test: concurrent runs of the suite
+  // never share (or delete) each other's segments.
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("vdap-diskdb-" +
-            std::to_string(
-                ::testing::UnitTest::GetInstance()->random_seed()) +
-            "-" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
-    fs::remove_all(dir_);
+    std::string made =
+        (fs::temp_directory_path() / "vdap-diskdb-XXXXXX").string();
+    ASSERT_NE(mkdtemp(made.data()), nullptr) << made;
+    dir_ = made;
   }
   void TearDown() override { fs::remove_all(dir_); }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <filesystem>
 
 namespace vdap::ddi {
@@ -11,12 +13,12 @@ namespace fs = std::filesystem;
 
 class DdiTest : public ::testing::Test {
  protected:
+  // A fresh mkdtemp directory per test: concurrent runs of the suite
+  // never share (or delete) each other's segments.
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("vdap-ddi-" + std::string(::testing::UnitTest::GetInstance()
-                                          ->current_test_info()
-                                          ->name()));
-    fs::remove_all(dir_);
+    std::string made = (fs::temp_directory_path() / "vdap-ddi-XXXXXX").string();
+    ASSERT_NE(mkdtemp(made.data()), nullptr) << made;
+    dir_ = made;
   }
   void TearDown() override { fs::remove_all(dir_); }
 

@@ -75,7 +75,7 @@ TEST(Tsdb, BucketsCountSumMinMax) {
   EXPECT_DOUBLE_EQ(series.total_sum(), 15.0);
   EXPECT_DOUBLE_EQ(series.total_min(), 1.0);
   EXPECT_DOUBLE_EQ(series.total_max(), 9.0);
-  EXPECT_EQ(series.latest(), sim::msec(150));
+  EXPECT_EQ(series.last_at_or_before(sim::kTimeMax)->first, sim::msec(150));
 }
 
 // Eviction past the block budget conserves samples: retained + evicted =
@@ -155,11 +155,12 @@ TEST(Tsdb, OutOfOrderAndRejects) {
       "m", sim::seconds(2), std::numeric_limits<double>::infinity()));
   EXPECT_FALSE(store.observe("m", -1, 3.0));
   EXPECT_EQ(store.rejected(), 3u);
-  EXPECT_EQ(store.total_count("m"), 3u);
   const ColumnarSeries* series = store.series("m");
   ASSERT_NE(series, nullptr);
+  EXPECT_EQ(series->total_count(), 3u);
   EXPECT_EQ(series->sealed_blocks(), 1u);
-  EXPECT_EQ(series->latest(), sim::seconds(5));
+  EXPECT_EQ(series->last_at_or_before(sim::kTimeMax)->first,
+            sim::seconds(5));
   // Ranges inside the sealed block's [1 s, 5 s] span decode it.
   const ColumnarSeries::RangeAgg early = series->range(0, sim::seconds(2));
   EXPECT_EQ(early.count, 1u);

@@ -21,7 +21,7 @@
 #include "core/platform.hpp"
 #include "sim/sharded.hpp"
 #include "telemetry/flight.hpp"
-#include "telemetry/session.hpp"
+#include "telemetry/planes.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -208,26 +208,25 @@ TEST(FlightFoldTest, FailedBundleWriteReportsNoDir) {
   std::filesystem::remove_all(opts.dir);
 }
 
+// A run keeps at most 4 bundles; every trigger still counts.
 TEST(FlightFoldTest, MaxBundlesCapsSnapshotsNotTriggerCount) {
-  FlightRecorder::Options opts;
-  opts.max_bundles = 2;
-  FlightRecorder fr(1, opts);
-  for (int i = 1; i <= 5; ++i) {
+  FlightRecorder fr(1);
+  for (int i = 1; i <= 7; ++i) {
     fr.incident_now(sim::usec(i * 10), "again");
   }
-  EXPECT_EQ(fr.bundles().size(), 2u);
-  EXPECT_EQ(fr.triggers_seen(), 5u);
+  EXPECT_EQ(fr.bundles().size(), 4u);
+  EXPECT_EQ(fr.triggers_seen(), 7u);
 }
 
 TEST(FlightFoldTest, TriggerOverwrittenFallbackStillSnapshots) {
-  FlightRecorder::Options opts;
-  opts.scratch_capacity = 2;  // tiny: the kIncident gets overwritten
-  FlightRecorder fr(1, opts);
+  FlightRecorder fr(1);
   fr.ring(0).set_time_hint(sim::usec(5));
   telemetry::FlightRing* prev = telemetry::bind_flight(&fr.ring(0));
   telemetry::incident("lost-trigger");
   telemetry::bind_flight(prev);
-  for (int i = 0; i < 4; ++i) fr.ring(0).append(rec(6 + i, "noise"));
+  // One more than the 4096-record scratch ring: the kIncident is lost.
+  for (int i = 0; i < 4096; ++i) fr.ring(0).append(rec(6 + i, "noise"));
+  ASSERT_EQ(fr.ring(0).overwritten(), 1u);
 
   fr.fold_barrier(sim::usec(20));
   ASSERT_EQ(fr.bundles().size(), 1u);
@@ -235,15 +234,19 @@ TEST(FlightFoldTest, TriggerOverwrittenFallbackStillSnapshots) {
             std::string::npos);
 }
 
+// A single simulator's flight ring is bound like any plane: through a
+// BindScope, with the ring reading the sim clock. Metrics mirror into it
+// with full capture off, and stop when the scope ends.
 TEST(SessionFlightTest, AttachFlightMirrorsMetrics) {
   sim::Simulator sim(7);
   FlightRecorder fr(1);
   fr.ring(0).set_clock(sim.now_ptr());
-  telemetry::Session session(sim);
-  session.attach_flight(&fr.ring(0));
   sim.at(sim::usec(50), [] { telemetry::count("session.flight", 2); });
-  sim.run_until(sim::usec(100));
-  session.attach_flight(nullptr);
+  {
+    telemetry::BindScope bind({nullptr, &fr.ring(0)});
+    sim.run_until(sim::usec(100));
+  }
+  telemetry::count("session.flight", 3);  // unbound: not mirrored
 
   std::vector<FlightRecord> out;
   fr.ring(0).drain_into(out);

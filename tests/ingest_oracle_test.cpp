@@ -824,6 +824,27 @@ TEST(IngestOracle, ConcurrentQueriesMatchSequential) {
   EXPECT_EQ(mismatches[1], 0);
 }
 
+// Standalone routing is FNV-1a-64(vehicle) % shards. Every output is
+// shard-count invariant by design, so no other test would notice the
+// routing move (a wrong FNV basis, say): pin it for fixed names.
+TEST(IngestOracle, ShardOfRoutesFixedNamesToGoldenShards) {
+  const std::vector<std::string> names = {
+      "cav-0", "cav-1", "cav-2",  "cav-3",    "cav-4",   "cav-5", "cav-6",
+      "cav-7", "cav-8", "cav-9", "cav-10", "cav-99", "cav-1234", "truck-a",
+      ""};
+  const std::map<int, std::vector<int>> golden = {
+      {4, {0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 1, 2, 0, 2, 1}},
+      {8, {0, 3, 6, 1, 4, 7, 2, 5, 0, 3, 1, 6, 4, 2, 5}}};
+  for (const auto& [shards, want] : golden) {
+    IngestOptions opts;
+    opts.shards = shards;
+    const ShardedIngestBackend backend(opts);
+    std::vector<int> got;
+    for (const std::string& name : names) got.push_back(backend.shard_of(name));
+    EXPECT_EQ(got, want) << "shards=" << shards;
+  }
+}
+
 // --- columnar series / store / pool units ----------------------------------
 
 TEST(ColumnarSeries, SealingRangeAndEvictionAccounting) {
@@ -929,7 +950,7 @@ TEST(ColumnarStore, PoolRecyclesBlockMemoryAcrossSeals) {
   EXPECT_FALSE(store.observe("m", sim::msec(1), std::nan("")));
   EXPECT_FALSE(store.observe("m", -1, 1.0));
   EXPECT_EQ(store.rejected(), 2u);
-  EXPECT_EQ(store.total_count("m"), 400u);
+  EXPECT_EQ(store.series("m")->total_count(), 400u);
 }
 
 }  // namespace

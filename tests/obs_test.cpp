@@ -15,7 +15,6 @@
 #include <map>
 #include <memory>
 #include <random>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,7 +25,6 @@
 #include "telemetry/domains.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/planes.hpp"
-#include "telemetry/session.hpp"
 #include "telemetry/shard_report.hpp"
 
 namespace {
@@ -356,7 +354,7 @@ TEST(DomainSetTest, ArgsOnlyTwinsSortByTextWithEmptyArgsLast) {
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
 }
 
-// --- thread-local binding + Session -----------------------------------------
+// --- thread-local binding ----------------------------------------------------
 
 // There is no global domain to fall back on: the accessors are the bound
 // domain's, and the guarded helpers record nothing while unbound.
@@ -410,15 +408,23 @@ TEST(BindScopeTest, NestedScopesRestoreEveryPlane) {
   expect_bound(nullptr, nullptr, nullptr);
 }
 
+// A capture nested inside another one shadows it: the inner domain gets
+// every record made in its scope, and the outer one — bound by a raw
+// bind_domain here — none of them, and is bound again afterwards.
 TEST(DomainBindingTest, SessionRefusesToShadowABoundDomain) {
-  sim::Simulator host(7);
-  Domain mine;
-  Domain* prev = telemetry::bind_domain(&mine);
-  EXPECT_THROW(telemetry::Session session(host), std::logic_error);
+  Domain outer;
+  Domain* prev = telemetry::bind_domain(&outer);
+  {
+    Domain inner;
+    telemetry::BindScope bind({&inner});
+    telemetry::count("inner");
+    EXPECT_EQ(inner.metrics().counter_value("inner"), 1);
+  }
+  EXPECT_EQ(telemetry::bound_domain(), &outer);
+  telemetry::count("outer");
+  EXPECT_EQ(outer.metrics().counter_value("inner"), 0);
+  EXPECT_EQ(outer.metrics().counter_value("outer"), 1);
   telemetry::bind_domain(prev);
-  // With the domain gone the Session works as before.
-  telemetry::Session session(host);
-  EXPECT_TRUE(telemetry::on());
 }
 
 // Worker threads + per-shard capture: the simulator sizes its own domains

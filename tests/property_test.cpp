@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <map>
 
+#include "core/platform.hpp"
 #include "ddi/diskdb.hpp"
 #include "ddi/memdb.hpp"
 #include "hw/board.hpp"
@@ -151,12 +152,11 @@ class DiskDbFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DiskDbFuzz, RandomRecordsSurviveReopen) {
   util::RngStream rng(static_cast<std::uint64_t>(GetParam()), "diskdb-fuzz");
-  fs::path dir = fs::temp_directory_path() /
-                 ("vdap-fuzz-" + std::to_string(GetParam()));
-  fs::remove_all(dir);
+  const std::string dir =
+      core::make_temp_dir("vdap-fuzz-" + std::to_string(GetParam()));
   std::vector<ddi::DataRecord> written;
   {
-    ddi::DiskDb db({dir.string(), 8 * 1024});
+    ddi::DiskDb db({dir, 8 * 1024});
     for (int i = 0; i < 400; ++i) {
       ddi::DataRecord r;
       r.stream = "s" + std::to_string(rng.uniform_int(0, 3));
@@ -169,7 +169,7 @@ TEST_P(DiskDbFuzz, RandomRecordsSurviveReopen) {
     }
     db.flush();
   }
-  ddi::DiskDb db({dir.string(), 8 * 1024});
+  ddi::DiskDb db({dir, 8 * 1024});
   EXPECT_EQ(db.record_count(), written.size());
   // Every written record is found in its stream's full-range query.
   std::map<std::string, std::multiset<sim::SimTime>> expect_ts;

@@ -22,7 +22,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/sharded.hpp"
 #include "sim/thread_pool.hpp"
-#include "telemetry/session.hpp"
+#include "telemetry/planes.hpp"
 
 namespace {
 
@@ -316,12 +316,14 @@ TEST(ShardedSimulatorTest, RefusesOpenEndedHorizon) {
 }
 
 // Every shard task and barrier binds the simulator's planes — null when a
-// plane is off — so a Session on the calling thread, which works shard
-// tasks too, records none of the shard or epoch-sink work at any thread
-// count. (Per-shard capture across threads is covered by obs_test.)
+// plane is off — so a domain and flight ring the calling thread has bound,
+// while it works shard tasks too, record none of the shard or epoch-sink
+// work at any thread count. (Per-shard capture across threads is covered
+// by obs_test.)
 TEST(ShardedSimulatorTest, CallerSessionNeverSeesShardWork) {
-  sim::Simulator host(7);
-  telemetry::Session session(host);
+  telemetry::Domain mine;
+  telemetry::FlightRing ring(16);
+  telemetry::BindScope bind({&mine, &ring});
   for (int threads : {1, 2}) {
     sim::ShardedSimulator ssim(7, {2, threads, sim::seconds(1), {}});
     for (int s = 0; s < 2; ++s) {
@@ -339,9 +341,10 @@ TEST(ShardedSimulatorTest, CallerSessionNeverSeesShardWork) {
     EXPECT_EQ(fired, 2u) << "threads=" << threads;
     EXPECT_EQ(sink_calls, 2) << "threads=" << threads;
   }
-  ASSERT_TRUE(telemetry::on());
-  EXPECT_EQ(telemetry::metrics().counter_value("shard.work"), 0);
-  EXPECT_EQ(telemetry::metrics().counter_value("sink.work"), 0);
+  EXPECT_EQ(telemetry::bound_domain(), &mine);
+  EXPECT_EQ(telemetry::bound_flight(), &ring);
+  EXPECT_TRUE(mine.metrics().counters().all().empty());
+  EXPECT_EQ(ring.appended(), 0u);
 }
 
 // --- byte-identity sweeps ----------------------------------------------------

@@ -9,7 +9,8 @@
 
 #include "core/platform.hpp"
 #include "telemetry/analysis/slo.hpp"
-#include "telemetry/session.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/planes.hpp"
 #include "workload/dag.hpp"
 
 namespace vdap {
@@ -194,7 +195,8 @@ TEST(SloEvaluator, UntrackedServicesAreIgnored) {
 // penalize the tier, and steer subsequent releases back on board.
 TEST(HealthLoop, LatencyFaultBreachesSloAndSwitchesPipeline) {
   sim::Simulator sim(42);
-  telemetry::Session session(sim);
+  telemetry::Domain domain;
+  telemetry::BindScope bind({&domain});
 
   core::PlatformConfig cfg;
   cfg.vehicle_name = "slo-cav";
@@ -289,7 +291,7 @@ TEST(HealthLoop, LatencyFaultBreachesSloAndSwitchesPipeline) {
   EXPECT_EQ(healed->implicated_tier, "on-board");
 
   // The loop's actions are visible in the trace for vdap-report to show.
-  std::string trace = session.chrome_trace();
+  std::string trace = telemetry::chrome_trace_json(domain.tracer());
   EXPECT_NE(trace.find("latency-breach"), std::string::npos);
   EXPECT_NE(trace.find("health.penalize"), std::string::npos);
 }

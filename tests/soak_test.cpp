@@ -153,7 +153,7 @@ TEST(Soak, HourLongRunReplaysBitIdentically) {
   EXPECT_EQ(a.failovers, b.failovers);
   EXPECT_EQ(a.reinstalls, b.reinstalls);
   EXPECT_EQ(a.trace_json, b.trace_json) << "exported trace not byte-stable";
-  EXPECT_EQ(a.snapshots_jsonl, b.snapshots_jsonl);
+  EXPECT_EQ(a.metrics_jsonl, b.metrics_jsonl);
 }
 
 }  // namespace

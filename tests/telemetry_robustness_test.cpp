@@ -1,12 +1,12 @@
-// Exporter robustness and Session misuse (DESIGN.md §6c): hostile strings
+// Exporter robustness and capture scoping (DESIGN.md §6c): hostile strings
 // (non-ASCII, control chars, invalid UTF-8) must round-trip through every
-// exported artifact; non-finite metric values are rejected at the door; and
-// Session misuse is non-throwing except the documented nested-capture
-// throw. Also the disk-shaped fleet surfaces (DESIGN.md §6g): the VCB1
-// columnar block codec and the DDI-style query parser are fuzzed here —
-// truncations, bit flips, hostile lengths and token soup must all come
-// back as clean errors, never crashes (the suite runs under ASan in
-// check.sh).
+// exported artifact; non-finite metric values are rejected at the door;
+// nested, empty and mid-run captures bound by BindScope behave, and
+// zero-event exports parse. Also the disk-shaped fleet surfaces (DESIGN.md
+// §6g): the VCB1 columnar block codec and the DDI-style query parser are
+// fuzzed here — truncations, bit flips, hostile lengths and token soup
+// must all come back as clean errors, never crashes (the suite runs under
+// ASan in check.sh).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,11 +20,13 @@
 
 #include "sim/simulator.hpp"
 #include "telemetry/analysis/critical_path.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/fleet/columnar.hpp"
 #include "telemetry/fleet/query.hpp"
 #include "telemetry/flight.hpp"
-#include "telemetry/session.hpp"
+#include "telemetry/planes.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace vdap {
 namespace {
@@ -79,8 +81,8 @@ TEST(JsonEscape, InvalidUtf8BecomesReplacementChar) {
 }
 
 TEST(Metrics, NonFiniteValuesAreRejected) {
-  sim::Simulator sim(1);
-  telemetry::Session session(sim);
+  telemetry::Domain domain;
+  telemetry::BindScope bind({&domain});
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
 
@@ -105,18 +107,17 @@ TEST(Metrics, NonFiniteValuesAreRejected) {
   EXPECT_EQ(telemetry::metrics().histogram("lat")->count(), 1u);
 
   // No artifact ever contains a non-finite token.
-  session.snapshot();
   for (const std::string& artifact :
-       {session.chrome_trace(), session.snapshots_jsonl()}) {
+       {telemetry::chrome_trace_json(domain.tracer()),
+        telemetry::metrics_snapshot_json(domain.metrics(), 0)}) {
     EXPECT_EQ(artifact.find("nan"), std::string::npos);
     EXPECT_EQ(artifact.find("inf"), std::string::npos);
   }
 }
 
 TEST(Exporters, HostileStringsRoundTripThroughEveryArtifact) {
-  sim::Simulator sim(1);
-  telemetry::Session session(sim);
-  session.start_snapshots(sim::seconds(1));
+  telemetry::Domain domain;
+  telemetry::BindScope bind({&domain});
 
   const std::string weird = "svc \u00b5/\u8eca \xF0\x9F\x9A\x97 \x01\"\\";
   const std::string bad = "bad\xff bytes";
@@ -128,11 +129,10 @@ TEST(Exporters, HostileStringsRoundTripThroughEveryArtifact) {
   telemetry::count("runs", {{"svc", weird}});
   telemetry::observe("lat", {{"svc", bad}}, 1.5);
   telemetry::gauge(weird, 1.0);
-  sim.run_until(sim::seconds(3));
 
   // Chrome trace: parses as JSON, and through the analysis parser; the
   // BMP/control portions decode back losslessly.
-  std::string trace = session.chrome_trace();
+  std::string trace = telemetry::chrome_trace_json(domain.tracer());
   json::Value doc = json::parse(trace);
   ASSERT_TRUE(doc.contains("traceEvents"));
 
@@ -155,61 +155,81 @@ TEST(Exporters, HostileStringsRoundTripThroughEveryArtifact) {
   }
   EXPECT_TRUE(found);
 
-  // Snapshots: every JSONL line is valid JSON with the expected keys.
-  ASSERT_FALSE(session.snapshot_lines().empty());
-  for (const std::string& line : session.snapshot_lines()) {
-    json::Value snap = json::parse(line);
-    EXPECT_TRUE(snap.contains("t"));
-    EXPECT_TRUE(snap.contains("counters"));
-    EXPECT_TRUE(snap.contains("histograms"));
-  }
-
-  // The text report renders without throwing.
-  EXPECT_FALSE(session.text_report().empty());
+  // The metrics line is valid JSON, and the hostile names come back.
+  json::Value snap = json::parse(
+      telemetry::metrics_snapshot_json(domain.metrics(), sim::seconds(3)));
+  EXPECT_EQ(snap.at("t").as_int(), sim::seconds(3));
+  EXPECT_TRUE(snap.at("gauges").contains(weird));
+  EXPECT_TRUE(snap.at("counters").contains(
+      telemetry::labeled("runs", {{"svc", weird}})));
+  EXPECT_EQ(snap.at("histograms").size(), 1u);
 }
 
+// Captures nest by shadowing, never by throwing: an inner scope that
+// binds nothing turns capture off for its extent only, and the outer
+// domain is bound again after it.
 TEST(Session, NestedCaptureThrows) {
-  sim::Simulator sim(1);
-  telemetry::Session outer(sim);
-  EXPECT_THROW(telemetry::Session inner(sim), std::logic_error);
-  // The failed nested construction must not have disabled the outer one.
-  EXPECT_TRUE(telemetry::on());
+  telemetry::Domain outer;
+  telemetry::BindScope bind({&outer});
+  {
+    telemetry::BindScope off({});
+    EXPECT_FALSE(telemetry::on());
+    telemetry::count("hidden");
+  }
+  EXPECT_EQ(telemetry::bound_domain(), &outer);
+  EXPECT_EQ(outer.metrics().counter_value("hidden"), 0);
 }
 
+// A domain bound mid-run records from the current sim time on, and its
+// metrics line is stamped with it.
 TEST(Session, MidRunCaptureUsesCurrentSimTime) {
   sim::Simulator sim(1);
   sim.run_until(sim::seconds(5));
-  telemetry::Session session(sim);  // capture starts mid-run: fine
-  session.snapshot();
-  ASSERT_EQ(session.snapshot_lines().size(), 1u);
-  EXPECT_EQ(json::parse(session.snapshot_lines()[0]).get_int("t"),
-            static_cast<std::int64_t>(sim::seconds(5)));
+  telemetry::Domain domain;
+  telemetry::BindScope bind({&domain});  // capture starts mid-run: fine
+  telemetry::ScopedSpan span(sim.now(), "cat", "late", "track");
+  sim.at(sim::seconds(7), [&] { span.close(sim.now()); });
+  sim.run_until(sim::seconds(10));
+  const std::vector<telemetry::TraceEvent>& evs = domain.tracer().events();
+  ASSERT_EQ(evs.size(), 2u);
+  EXPECT_EQ(evs[0].ts, sim::seconds(5));
+  EXPECT_EQ(evs[1].ts, sim::seconds(7));
+  EXPECT_EQ(json::parse(telemetry::metrics_snapshot_json(domain.metrics(),
+                                                         sim.now()))
+                .get_int("t"),
+            static_cast<std::int64_t>(sim::seconds(10)));
 }
 
+// Turning capture off where it is already off is harmless: empty scopes
+// nested on an unbound thread drop every record and leave it unbound.
 TEST(Session, StopAndDoubleStopAreNoops) {
-  sim::Simulator sim(1);
-  telemetry::Session session(sim);
-  session.stop_snapshots();  // never started: no-op
-  session.start_snapshots(sim::seconds(1));
-  session.start_snapshots(sim::seconds(2));  // restart replaces the schedule
-  sim.run_until(sim::seconds(5));
-  std::size_t n = session.snapshot_lines().size();
-  EXPECT_EQ(n, 2u);  // t=2s, t=4s — the 1 s schedule was replaced
-  session.stop_snapshots();
-  session.stop_snapshots();  // double stop: no-op
-  sim.run_until(sim::seconds(10));
-  EXPECT_EQ(session.snapshot_lines().size(), n);
+  ASSERT_FALSE(telemetry::on());
+  {
+    telemetry::BindScope off({});
+    {
+      telemetry::BindScope again({});
+      telemetry::count("dropped");
+      telemetry::observe("dropped", 1.0);
+      telemetry::ScopedSpan span(0, "cat", "dropped", "track");
+    }
+    EXPECT_FALSE(telemetry::on());
+  }
+  EXPECT_EQ(telemetry::bound_domain(), nullptr);
+  EXPECT_EQ(telemetry::bound_flight(), nullptr);
 }
 
 TEST(Session, ZeroEventExportsAreValid) {
-  sim::Simulator sim(1);
-  telemetry::Session session(sim);
-  std::string trace = session.chrome_trace();
+  telemetry::Domain domain;
+  telemetry::BindScope bind({&domain});
+  std::string trace = telemetry::chrome_trace_json(domain.tracer());
   json::Value doc = json::parse(trace);
   EXPECT_EQ(doc.at("traceEvents").size(), 0u);
-  EXPECT_TRUE(session.snapshots_jsonl().empty());
-  EXPECT_TRUE(session.text_report().empty());  // no metrics, no tables
-  EXPECT_EQ(session.open_spans(), 0u);
+  json::Value line =
+      json::parse(telemetry::metrics_snapshot_json(domain.metrics(), 0));
+  EXPECT_EQ(line.at("counters").size(), 0u);
+  EXPECT_EQ(line.at("gauges").size(), 0u);
+  EXPECT_EQ(line.at("histograms").size(), 0u);
+  EXPECT_EQ(domain.tracer().open_spans(), 0u);
 
   // And the zero-event trace feeds the analysis layer cleanly.
   std::vector<telemetry::TraceEvent> events;
@@ -227,16 +247,13 @@ TEST(Session, ZeroEventExportsAreValid) {
 // (the suite runs under ASan in check.sh).
 
 TEST(ParseBack, TruncatedAndMalformedJsonlLinesAreCleanErrors) {
-  // Cut a real snapshot line at every prefix length: each cut either parses
+  // Cut a real metrics line at every prefix length: each cut either parses
   // (short valid prefixes like "{}" don't exist here, so it won't) or
   // returns nullopt — no throw, no crash.
-  sim::Simulator sim(1);
-  telemetry::Session session(sim);
-  telemetry::count("runs", 3);
-  telemetry::observe("lat", 1.5);
-  session.snapshot();
-  ASSERT_EQ(session.snapshot_lines().size(), 1u);
-  const std::string line = session.snapshot_lines()[0];
+  telemetry::MetricsRegistry metrics;
+  metrics.inc("runs", 3);
+  metrics.observe("lat", 1.5);
+  const std::string line = telemetry::metrics_snapshot_json(metrics, 0);
   for (std::size_t cut = 0; cut < line.size(); ++cut) {
     std::optional<json::Value> v = json::try_parse(line.substr(0, cut));
     if (cut > 0) {
@@ -349,6 +366,30 @@ TEST(ColumnarCodec, RoundTripsIncludingBackwardTimeSteps) {
   const std::string empty_bytes = columnar_encode(empty);
   ASSERT_TRUE(columnar_decode(empty_bytes, &back, &error)) << error;
   EXPECT_TRUE(back.empty());
+}
+
+// Round trips cannot catch a change that moves the encoder and the
+// decoder together (a wrong FNV basis, say): pin one block's exact bytes.
+// Layout: "VCB1", u32 count, zigzag varint time deltas, f64 values, then
+// the FNV-1a-64 of everything after the magic.
+TEST(ColumnarCodec, FixedBlockEncodesToGoldenBytes) {
+  ColumnData cols;
+  cols.times = {0, 1'000'000, 900'000, 2'500'000};
+  cols.values = {1.5, -2.0, 0.0, 1e6};
+  std::string hex;
+  for (unsigned char c : columnar_encode(cols)) {
+    hex += util::format("%02x", c);
+  }
+  EXPECT_EQ(hex,
+            "56434231"                // "VCB1"
+            "04000000"                // count 4
+            "00" "80897a" "bf9a0c"    // deltas 0, +1 s, -0.1 s,
+            "80a8c301"                // +1.6 s
+            "000000000000f83f"        // 1.5
+            "00000000000000c0"        // -2.0
+            "0000000000000000"        // 0.0
+            "0000000080842e41"        // 1e6
+            "01da83d2e590dd7f");      // checksum
 }
 
 TEST(ColumnarCodec, EveryTruncationIsACleanError) {
@@ -664,8 +705,8 @@ TEST(FlightParseBack, BrokenBundleDirsAreCleanRenderErrors) {
 }
 
 TEST(Tracer, EndOfUnknownOrDoubleClosedSpanIsIgnored) {
-  sim::Simulator sim(1);
-  telemetry::Session session(sim);
+  telemetry::Domain domain;
+  telemetry::BindScope bind({&domain});
   telemetry::Tracer& tracer = telemetry::tracer();
   tracer.end(5, 12345);  // unknown id: ignored
   tracer.end(5, 0);      // id 0 (begin recorded while off): ignored

@@ -1,8 +1,8 @@
 // Unit tests for the telemetry subsystem: tracer span bookkeeping, labeled
-// metric canonicalization, registry merge/reset, the Chrome-trace and
-// snapshot exporters (parsed back through util::json, and compared byte
-// for byte with the json::Object exporters they replaced), write_text_file
-// failures, and the Session scoping rules.
+// metric canonicalization, registry merge, the Chrome-trace and metrics
+// exporters (parsed back through util::json, and compared byte for byte
+// with the json::Object exporters they replaced), write_text_file
+// failures, and the scoping rules of a capture bound by BindScope.
 #include "telemetry/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -21,8 +21,9 @@
 #include <set>
 #include <string_view>
 
+#include "sim/simulator.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/session.hpp"
+#include "telemetry/planes.hpp"
 
 namespace vdap::telemetry {
 namespace {
@@ -145,10 +146,10 @@ TEST_F(TelemetryTest, RegistryMergeAndReset) {
   EXPECT_DOUBLE_EQ(a.gauge_value("g"), 2.0);
   EXPECT_EQ(a.histogram("h")->count(), 2u);
   EXPECT_DOUBLE_EQ(a.histogram("h")->mean(), 2.0);
-  a.reset();
-  EXPECT_EQ(a.counter_value("c"), 0);
-  EXPECT_TRUE(a.gauges().empty());
-  EXPECT_TRUE(a.histograms().empty());
+  // The merged-in registry is left as it was.
+  EXPECT_EQ(b.counter_value("c"), 2);
+  EXPECT_DOUBLE_EQ(b.gauge_value("g"), 2.0);
+  EXPECT_EQ(b.histogram("h")->count(), 1u);
 }
 
 TEST_F(TelemetryTest, ScopedSpanClosesOnScopeExit) {
@@ -218,18 +219,19 @@ TEST_F(TelemetryTest, MetricsSnapshotJsonShape) {
   EXPECT_LT(doc.find("\"gauges\""), doc.find("\"histograms\""));
 }
 
+// The end-of-run metrics line names every family, each under its own key,
+// and an empty registry still writes all three (empty) families.
 TEST_F(TelemetryTest, TextReportListsEveryFamily) {
   MetricsRegistry r;
   r.inc("boots");
   r.set_gauge("bw", 0.5);
   r.observe("lat", 3.0);
-  std::string rep = metrics_text_report(r);
-  EXPECT_NE(rep.find("telemetry counters"), std::string::npos);
-  EXPECT_NE(rep.find("telemetry gauges"), std::string::npos);
-  EXPECT_NE(rep.find("telemetry histograms"), std::string::npos);
-  EXPECT_NE(rep.find("boots"), std::string::npos);
-  // Empty registry => empty report, not empty tables.
-  EXPECT_TRUE(metrics_text_report(MetricsRegistry{}).empty());
+  json::Value v = json::parse(metrics_snapshot_json(r, 0));
+  EXPECT_EQ(v.at("counters").at("boots").as_int(), 1);
+  EXPECT_DOUBLE_EQ(v.at("gauges").at("bw").as_double(), 0.5);
+  EXPECT_EQ(v.at("histograms").at("lat").at("count").as_int(), 1);
+  EXPECT_EQ(metrics_snapshot_json(MetricsRegistry{}, 0),
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{},\"t\":0}");
 }
 
 // --- exporter bytes against the DOM exporters -------------------------------
@@ -647,58 +649,73 @@ TEST(TelemetryExport, WriteTextFileReportsFailedWrites) {
   std::filesystem::remove_all(dir);
 }
 
-// --- Session ---------------------------------------------------------------
+// --- a capture bound by BindScope ------------------------------------------
 
 TEST(TelemetrySession, EnablesForItsScopeOnly) {
   ASSERT_FALSE(on());
-  sim::Simulator sim(1);
+  Domain domain;
   {
-    Session session(sim);
+    BindScope bind({&domain});
     EXPECT_TRUE(on());
     count("x");
-    EXPECT_EQ(metrics().counter_value("x"), 1);
   }
   EXPECT_FALSE(on());
+  count("x");  // unbound: recorded nowhere
+  EXPECT_EQ(domain.metrics().counter_value("x"), 1);
 }
 
+// Nested scopes restore the outer domain, which never sees the inner
+// scope's records.
 TEST(TelemetrySession, SecondConcurrentSessionThrows) {
-  sim::Simulator sim(1);
-  Session session(sim);
-  EXPECT_THROW(Session{sim}, std::logic_error);
-  // Sequential sessions are fine, and each starts clean.
+  Domain outer;
+  Domain inner;
+  BindScope bind_outer({&outer});
+  {
+    BindScope bind_inner({&inner});
+    EXPECT_EQ(bound_domain(), &inner);
+    count("inner");
+  }
+  EXPECT_EQ(bound_domain(), &outer);
+  count("outer");
+  EXPECT_EQ(outer.metrics().counter_value("inner"), 0);
+  EXPECT_EQ(outer.metrics().counter_value("outer"), 1);
+  EXPECT_EQ(inner.metrics().counter_value("inner"), 1);
 }
 
+// Sequential captures are separate domains: the second starts clean.
 TEST(TelemetrySession, FreshSessionResetsPriorCapture) {
-  sim::Simulator sim(1);
   {
-    Session session(sim);
+    Domain first;
+    BindScope bind({&first});
     count("left-over");
     tracer().begin(0, "c", "n", "trk");
+    EXPECT_EQ(first.tracer().open_spans(), 1u);
   }
-  Session session(sim);
+  Domain second;
+  BindScope bind({&second});
   EXPECT_EQ(metrics().counter_value("left-over"), 0);
-  EXPECT_EQ(session.open_spans(), 0u);
+  EXPECT_EQ(second.tracer().open_spans(), 0u);
+  EXPECT_TRUE(second.tracer().events().empty());
 }
 
+// A capture exports one metrics line, stamped with the sim time it is
+// taken at and holding only what was recorded while the domain was bound.
 TEST(TelemetrySession, PeriodicSnapshotsRideTheSimClock) {
   sim::Simulator sim(7);
-  Session session(sim);
-  session.start_snapshots(sim::seconds(10));
+  Domain domain;
   sim.every(sim::seconds(1), []() { count("tick"); });
-  sim.run_until(sim::seconds(35));
-  ASSERT_EQ(session.snapshot_lines().size(), 3u);  // t=10,20,30
-  json::Value first = json::parse(session.snapshot_lines()[0]);
-  json::Value last = json::parse(session.snapshot_lines()[2]);
-  EXPECT_EQ(first.at("t").as_int(), sim::seconds(10));
-  EXPECT_EQ(last.at("t").as_int(), sim::seconds(30));
-  EXPECT_EQ(first.at("counters").at("tick").as_int(), 10);
-  EXPECT_EQ(last.at("counters").at("tick").as_int(), 30);
-  // JSONL assembly: one line per snapshot.
-  std::string jsonl = session.snapshots_jsonl();
-  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 3);
-  session.stop_snapshots();
-  sim.run_until(sim::seconds(60));
-  EXPECT_EQ(session.snapshot_lines().size(), 3u);
+  sim.run_until(sim::seconds(10));  // ticks at t=0..10 s, unbound
+  std::string line;
+  {
+    BindScope bind({&domain});
+    sim.run_until(sim::seconds(35));  // ticks at t=11..35 s
+    line = metrics_snapshot_json(domain.metrics(), sim.now());
+  }
+  sim.run_until(sim::seconds(60));  // unbound again
+  json::Value v = json::parse(line);
+  EXPECT_EQ(v.at("t").as_int(), sim::seconds(35));
+  EXPECT_EQ(v.at("counters").at("tick").as_int(), 25);
+  EXPECT_EQ(domain.metrics().counter_value("tick"), 25);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Trace suite (`ctest -L trace`): runs a full chaos plan under a telemetry
-// Session and checks the exported artifacts end to end —
+// Trace suite (`ctest -L trace`): runs a full chaos plan captured into a
+// bound telemetry::Domain and checks the exported artifacts end to end —
 //   * the Chrome trace JSON is well-formed (parsed back with util::json)
 //     and structurally sound (metadata records, balanced async pairs);
 //   * two runs of the same (seed, plan) export BYTE-identical traces and
-//     metric snapshots — the determinism contract from DESIGN.md §6c;
+//     metrics lines — the determinism contract from DESIGN.md §6c;
 //   * the capture actually saw every instrumented layer.
 #include <gtest/gtest.h>
 
@@ -66,21 +66,14 @@ TEST(TelemetryTrace, ChaosRunExportsWellFormedChromeTrace) {
   EXPECT_GT(phases["i"], 0u);
   EXPECT_GT(phases["C"], 0u);
 
-  // Snapshots are valid JSONL: every line parses to an object with "t".
-  ASSERT_FALSE(out.snapshots_jsonl.empty());
-  std::size_t start = 0;
-  std::size_t lines = 0;
-  while (start < out.snapshots_jsonl.size()) {
-    std::size_t nl = out.snapshots_jsonl.find('\n', start);
-    ASSERT_NE(nl, std::string::npos);
-    json::Value snap =
-        json::parse(out.snapshots_jsonl.substr(start, nl - start));
-    EXPECT_TRUE(snap.contains("t"));
-    EXPECT_TRUE(snap.contains("counters"));
-    start = nl + 1;
-    ++lines;
-  }
-  EXPECT_GT(lines, 5u);
+  // The metrics export is one JSONL line, stamped at the end of the run.
+  ASSERT_FALSE(out.metrics_jsonl.empty());
+  ASSERT_EQ(out.metrics_jsonl.find('\n'), out.metrics_jsonl.size() - 1);
+  json::Value snap = json::parse(out.metrics_jsonl);
+  EXPECT_GT(snap.at("t").as_int(), sim::minutes(8));  // run_until + drain
+  EXPECT_FALSE(snap.at("counters").as_object().empty());
+  EXPECT_TRUE(snap.contains("gauges"));
+  EXPECT_TRUE(snap.contains("histograms"));
 }
 
 TEST(TelemetryTrace, SameSeedAndPlanExportByteIdenticalTraces) {
@@ -89,7 +82,7 @@ TEST(TelemetryTrace, SameSeedAndPlanExportByteIdenticalTraces) {
   ASSERT_FALSE(a.trace_json.empty());
   EXPECT_EQ(a.trace_json, b.trace_json)
       << "telemetry perturbed the run or exported nondeterministically";
-  EXPECT_EQ(a.snapshots_jsonl, b.snapshots_jsonl);
+  EXPECT_EQ(a.metrics_jsonl, b.metrics_jsonl);
   EXPECT_EQ(a.open_spans, 0u);
   EXPECT_EQ(b.open_spans, 0u);
 }
@@ -121,14 +114,8 @@ TEST(TelemetryTrace, CaptureSpansEveryInstrumentedLayer) {
         << "no events recorded on track " << expected;
   }
 
-  // And the metric snapshots cover every layer's counter families.
-  std::size_t last_nl = out.snapshots_jsonl.find_last_of('\n');
-  std::size_t prev_nl =
-      out.snapshots_jsonl.find_last_of('\n', last_nl - 1);
-  std::string last_line = out.snapshots_jsonl.substr(
-      prev_nl == std::string::npos ? 0 : prev_nl + 1,
-      last_nl - (prev_nl == std::string::npos ? 0 : prev_nl + 1));
-  json::Value snap = json::parse(last_line);
+  // And the metrics line covers every layer's counter families.
+  json::Value snap = json::parse(out.metrics_jsonl);
   const json::Object& counters = snap.at("counters").as_object();
   auto has_prefix = [&](const std::string& prefix) {
     for (const auto& [name, v] : counters) {
@@ -139,7 +126,7 @@ TEST(TelemetryTrace, CaptureSpansEveryInstrumentedLayer) {
   for (const char* prefix : {"platform.", "elastic.", "offload.", "ddi.",
                              "sync.", "net.", "faults.", "security."}) {
     EXPECT_TRUE(has_prefix(prefix))
-        << "no counters with prefix " << prefix << " in the last snapshot";
+        << "no counters with prefix " << prefix << " in the metrics line";
   }
 }
 

@@ -6,8 +6,9 @@
 //   vdap-report --incident <incident-dir>
 //   vdap-report --profile <profile.jsonl> [--diff <baseline.jsonl>]
 //
-// Trace mode reads a chrome_trace_json() capture (and optionally the JSONL
-// metrics snapshots Session emits), then prints:
+// Trace mode reads a chrome_trace_json() capture (and optionally its
+// metrics.jsonl: metrics_snapshot_json() lines, of which the runners write
+// one, at the end of the run), then prints:
 //   1. the per-service critical-path table — each run's latency decomposed
 //      by interval sweep into exclusive queue/net/compute/failover/slack
 //      segments (see telemetry/analysis/critical_path.hpp);

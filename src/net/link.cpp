@@ -1,7 +1,6 @@
 #include "net/link.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
@@ -69,6 +68,7 @@ void Link::set_spec(LinkSpec spec) {
   if (spec.bandwidth_mbps <= 0) {
     throw std::invalid_argument("link bandwidth must be positive");
   }
+  if (spec.name != spec_.name) loss_rng_ = nullptr;
   spec_ = std::move(spec);
 }
 
@@ -83,48 +83,65 @@ std::uint64_t Link::send(std::uint64_t bytes,
 void Link::maybe_start() {
   if (busy_ || pending_.empty()) return;
   busy_ = true;
-  auto msg = std::make_shared<Msg>(std::move(pending_.front()));
-  pending_.pop_front();
-  double serialize_s =
-      static_cast<double>(msg->bytes) * 8.0 / (spec_.bandwidth_mbps * 1e6);
-  sim::SimDuration ser = sim::from_seconds(serialize_s);
+  std::uint32_t slot;
+  if (!free_inflight_.empty()) {
+    slot = free_inflight_.back();
+    free_inflight_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(inflight_.size());
+    inflight_.emplace_back();
+  }
+  inflight_[slot] = pending_.pop_front();
+  double serialize_s = static_cast<double>(inflight_[slot].bytes) * 8.0 /
+                       (spec_.bandwidth_mbps * 1e6);
   // The link frees up after serialization; delivery lands after propagation.
-  sim_.after(ser, [this, msg]() {
-    busy_ = false;
-    bytes_sent_ += msg->bytes;
-    bool lost = spec_.loss_rate > 0.0 &&
-                sim_.rng("link." + spec_.name).chance(spec_.loss_rate);
-    maybe_start();
-    sim_.after(spec_.latency, [this, msg, lost]() {
-      if (lost) {
-        ++dropped_;
-      } else {
-        ++delivered_;
-      }
-      if (telemetry::on()) {
-        json::Object args;
-        args["bytes"] = static_cast<std::int64_t>(msg->bytes);
-        args["delivered"] = !lost;
-        telemetry::tracer().complete(msg->submitted,
-                                     sim_.now() - msg->submitted, "net",
-                                     "xfer", "net/" + spec_.name,
-                                     std::move(args));
-        telemetry::count("net.messages", {{"link", spec_.name}});
-        telemetry::count("net.bytes", {{"link", spec_.name}},
-                         static_cast<std::int64_t>(msg->bytes));
-        if (lost) telemetry::count("net.dropped", {{"link", spec_.name}});
-      }
-      if (msg->done) {
-        TransferReport rep;
-        rep.transfer_id = msg->id;
-        rep.bytes = msg->bytes;
-        rep.submitted = msg->submitted;
-        rep.finished = sim_.now();
-        rep.delivered = !lost;
-        msg->done(rep);
-      }
-    });
-  });
+  sim_.after(sim::from_seconds(serialize_s),
+             [this, slot]() { serialized(slot); });
+}
+
+void Link::serialized(std::uint32_t slot) {
+  busy_ = false;
+  bytes_sent_ += inflight_[slot].bytes;
+  bool lost = false;
+  if (spec_.loss_rate > 0.0) {
+    if (loss_rng_ == nullptr) loss_rng_ = &sim_.rng("link." + spec_.name);
+    lost = loss_rng_->chance(spec_.loss_rate);
+  }
+  maybe_start();
+  sim_.after(spec_.latency, [this, slot, lost]() { arrived(slot, lost); });
+}
+
+void Link::arrived(std::uint32_t slot, bool lost) {
+  // Take the message out before `done` runs: it may send again, and the
+  // next transfer may reuse this slot or grow `inflight_`.
+  Msg msg = std::move(inflight_[slot]);
+  free_inflight_.push_back(slot);
+  if (lost) {
+    ++dropped_;
+  } else {
+    ++delivered_;
+  }
+  if (telemetry::on()) {
+    json::Object args;
+    args["bytes"] = static_cast<std::int64_t>(msg.bytes);
+    args["delivered"] = !lost;
+    telemetry::tracer().complete(msg.submitted, sim_.now() - msg.submitted,
+                                 "net", "xfer", "net/" + spec_.name,
+                                 std::move(args));
+    telemetry::count("net.messages", {{"link", spec_.name}});
+    telemetry::count("net.bytes", {{"link", spec_.name}},
+                     static_cast<std::int64_t>(msg.bytes));
+    if (lost) telemetry::count("net.dropped", {{"link", spec_.name}});
+  }
+  if (msg.done) {
+    TransferReport rep;
+    rep.transfer_id = msg.id;
+    rep.bytes = msg.bytes;
+    rep.submitted = msg.submitted;
+    rep.finished = sim_.now();
+    rep.delivered = !lost;
+    msg.done(rep);
+  }
 }
 
 }  // namespace vdap::net

@@ -6,14 +6,23 @@
 // A Link is a FIFO store-and-forward pipe: serialization at `bandwidth_mbps`
 // plus fixed propagation `latency`, with optional iid packet/message loss.
 // Analytic estimates (no queueing) are exposed for the offload planner.
+//
+// The link owns every message it carries: queued ones in `pending_`, and
+// each serializing or propagating one in an `inflight_` slot, which its
+// two events name by index (`[this, slot]`, then `[this, slot, lost]`).
+// Both closures are trivially copyable and fit std::function's local
+// buffer, so a steady-state transfer allocates nothing beyond its
+// caller's `done`. The loss stream ("link.<name>") is resolved on the
+// first lossy transfer and kept until set_spec() renames the link.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
+#include "util/fifo.hpp"
 
 namespace vdap::net {
 
@@ -96,16 +105,21 @@ class Link {
 
  private:
   struct Msg {
-    std::uint64_t id;
-    std::uint64_t bytes;
-    sim::SimTime submitted;
+    std::uint64_t id = 0;
+    std::uint64_t bytes = 0;
+    sim::SimTime submitted = 0;
     std::function<void(const TransferReport&)> done;
   };
   void maybe_start();
+  void serialized(std::uint32_t slot);
+  void arrived(std::uint32_t slot, bool lost);
 
   sim::Simulator& sim_;
   LinkSpec spec_;
-  std::deque<Msg> pending_;
+  util::Fifo<Msg> pending_;
+  std::vector<Msg> inflight_;
+  std::vector<std::uint32_t> free_inflight_;
+  util::RngStream* loss_rng_ = nullptr;
   bool busy_ = false;
   std::uint64_t next_id_ = 1;
   std::uint64_t delivered_ = 0;

@@ -14,24 +14,33 @@ Simulator::PeriodicHandle Simulator::every(SimDuration period, EventFn fn,
                                            SimDuration first_delay) {
   if (period <= 0) throw std::invalid_argument("periodic: period must be > 0");
   PeriodicHandle handle;
-  auto alive = handle.alive_;
-  // Self-rescheduling closure: each firing checks liveness, runs the user
-  // callback, then re-arms itself. The closure holds only a weak_ptr to
-  // itself — ownership lives in the queued events — so no shared_ptr cycle
-  // outlives the queue.
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = tick;
-  auto cb = std::move(fn);
-  *tick = [this, alive, period, cb, weak]() {
-    if (!*alive) return;
-    cb();
-    if (!*alive) return;
-    if (auto self = weak.lock()) {
-      after(period, [self]() { (*self)(); });
-    }
-  };
-  after(first_delay, [tick]() { (*tick)(); });
+  handle.alive_ = std::make_shared<bool>(true);
+  std::uint32_t slot;
+  if (!free_periodics_.empty()) {
+    slot = free_periodics_.back();
+    free_periodics_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(periodics_.size());
+    periodics_.push_back(std::make_unique<Periodic>());
+  }
+  *periodics_[slot] = Periodic{period, std::move(fn), handle.alive_};
+  after(first_delay, [this, slot]() { fire_periodic(slot); });
   return handle;
+}
+
+void Simulator::fire_periodic(std::uint32_t slot) {
+  // Each firing checks liveness, runs the callback, then re-arms: exactly
+  // one queued event per live task, pushed where the callback returns.
+  Periodic& task = *periodics_[slot];
+  if (*task.alive) {
+    task.fn();
+    if (*task.alive) {
+      after(task.period, [this, slot]() { fire_periodic(slot); });
+      return;
+    }
+  }
+  task = Periodic{};  // releases the callback and the liveness flag
+  free_periodics_.push_back(slot);
 }
 
 std::size_t Simulator::run_until(SimTime until) {
@@ -67,7 +76,7 @@ void Simulator::advance_to(SimTime when) {
 }
 
 util::RngStream& Simulator::rng(std::string_view name) {
-  auto it = streams_.find(std::string(name));
+  auto it = streams_.find(name);
   if (it == streams_.end()) {
     it = streams_
              .emplace(std::string(name),

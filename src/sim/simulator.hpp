@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -45,15 +46,18 @@ class Simulator {
 
   /// Schedules `fn` every `period`, starting after `first_delay`. The
   /// returned handle cancels future firings. The callback may call
-  /// PeriodicHandle::stop() on its own handle.
+  /// PeriodicHandle::stop() on its own handle. A default-constructed
+  /// handle is attached to no task: it is inactive and allocates nothing.
   class PeriodicHandle {
    public:
-    void stop() { *alive_ = false; }
-    bool active() const { return *alive_; }
+    void stop() {
+      if (alive_) *alive_ = false;
+    }
+    bool active() const { return alive_ && *alive_; }
 
    private:
     friend class Simulator;
-    std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+    std::shared_ptr<bool> alive_;
   };
   PeriodicHandle every(SimDuration period, EventFn fn,
                        SimDuration first_delay = 0);
@@ -79,10 +83,35 @@ class Simulator {
   util::RngStream& rng(std::string_view name);
 
  private:
+  /// A periodic task, owned here at a stable address: the one event a
+  /// task keeps queued is `[this, slot]`, trivially copyable and small
+  /// enough for std::function's local buffer, so a firing allocates
+  /// nothing. A callback may call every(), which may grow `periodics_`,
+  /// so a running task is reached through its own pointer, never through
+  /// the vector. A stopped task's slot is reused by the next every().
+  struct Periodic {
+    SimDuration period = 0;
+    EventFn fn;
+    std::shared_ptr<bool> alive;
+  };
+  void fire_periodic(std::uint32_t slot);
+
+  /// Stream names hash as string_views, so a lookup builds no string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::uint64_t seed_;
   SimTime now_ = kTimeZero;
   EventQueue queue_;
-  std::unordered_map<std::string, std::unique_ptr<util::RngStream>> streams_;
+  std::unordered_map<std::string, std::unique_ptr<util::RngStream>, NameHash,
+                     std::equal_to<>>
+      streams_;
+  std::vector<std::unique_ptr<Periodic>> periodics_;
+  std::vector<std::uint32_t> free_periodics_;
 };
 
 }  // namespace vdap::sim

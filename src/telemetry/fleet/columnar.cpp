@@ -176,7 +176,6 @@ bool columnar_decode(std::string_view bytes, ColumnData* out,
 ColumnarSeries::ColumnarSeries(const Options& options) : opts_(options) {
   opts_.block_samples = std::max<std::size_t>(opts_.block_samples, 2);
   opts_.max_blocks = std::max<std::size_t>(opts_.max_blocks, 1);
-  active_sketch_.set_sample_cap(opts_.sketch_cap);
 }
 
 void ColumnarSeries::append(sim::SimTime at, double value, BlockPool* pool) {
@@ -207,19 +206,23 @@ void ColumnarSeries::seal(BlockPool* pool) {
   s.bytes = pool != nullptr ? pool->acquire_bytes() : std::string{};
   columnar_encode_to(active_, &s.bytes);
   encoded_bytes_ += s.bytes.size();
+  // Evict before the push, so the FIFO never holds more than max_blocks.
+  // Evicted bytes return to the pool only after this block took its
+  // buffer: the block must not reuse them, or the pool's reuse counts
+  // (bench_ingest, shards.jsonl) would move.
+  while (sealed_.size() >= opts_.max_blocks) {
+    Sealed old = sealed_.pop_front();
+    ++evicted_blocks_;
+    evicted_samples_ += old.count;
+    encoded_bytes_ -= old.bytes.size();
+    if (pool != nullptr) pool->release_bytes(std::move(old.bytes));
+  }
   sealed_.push_back(std::move(s));
   if (pool != nullptr) {
     pool->release(std::move(active_));
     active_ = pool->acquire();
   } else {
     active_.clear();
-  }
-  while (sealed_.size() > opts_.max_blocks) {
-    ++evicted_blocks_;
-    evicted_samples_ += sealed_.front().count;
-    encoded_bytes_ -= sealed_.front().bytes.size();
-    if (pool != nullptr) pool->release_bytes(std::move(sealed_.front().bytes));
-    sealed_.pop_front();
   }
 }
 
@@ -238,7 +241,8 @@ ColumnarSeries::RangeAgg ColumnarSeries::range(sim::SimTime from,
     agg.sum += v;
   };
   ColumnData scratch;
-  for (const Sealed& s : sealed_) {
+  for (std::size_t b = 0; b < sealed_.size(); ++b) {
+    const Sealed& s = sealed_[b];
     if (s.max_time < from || s.min_time > to) continue;
     if (s.min_time >= from && s.max_time <= to) {
       // Fully covered: the summary is the exact answer.
@@ -275,7 +279,8 @@ util::Histogram ColumnarSeries::sketch(sim::SimTime from,
   util::Histogram out;
   out.set_sample_cap(opts_.sketch_cap);
   if (from > to) return out;
-  for (const Sealed& s : sealed_) {
+  for (std::size_t b = 0; b < sealed_.size(); ++b) {
+    const Sealed& s = sealed_[b];
     if (s.max_time < from || s.min_time > to) continue;
     out.merge(s.sketch);
   }
@@ -302,7 +307,8 @@ std::optional<std::pair<sim::SimTime, double>> ColumnarSeries::last_at_or_before
     if (!best.has_value() || at >= best->first) best = {at, v};
   };
   ColumnData scratch;
-  for (const Sealed& s : sealed_) {
+  for (std::size_t b = 0; b < sealed_.size(); ++b) {
+    const Sealed& s = sealed_[b];
     if (s.min_time > t) continue;
     // Blocks strictly older than the current best cannot improve it;
     // equal-time blocks must still be scanned for the tie rule above.

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/fifo.hpp"
 #include "util/stats.hpp"
 
 namespace vdap::telemetry::fleet {
@@ -185,9 +185,10 @@ class ColumnarSeries {
   void seal(BlockPool* pool);
 
   Options opts_;
-  std::deque<Sealed> sealed_;
+  /// Oldest first, at most max_blocks; a series that never seals holds
+  /// no block storage at all.
+  util::Fifo<Sealed> sealed_;
   ColumnData active_;
-  util::Histogram active_sketch_;
   std::size_t total_count_ = 0;
   double total_sum_ = 0.0;
   double total_min_ = 0.0;

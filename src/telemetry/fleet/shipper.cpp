@@ -81,9 +81,10 @@ void TelemetryShipper::on_health_event(const analysis::HealthEvent& event) {
 void TelemetryShipper::start() {
   if (started_) return;
   started_ = true;
-  flusher_ = sim_.every(opts_.flush_period, [this, alive = alive_]() {
-    if (*alive) cut_frame();
-  });
+  // The destructor stops flusher_, so a tick never fires after it: the
+  // callback needs no guard of its own, and `[this]` fits std::function's
+  // local buffer.
+  flusher_ = sim_.every(opts_.flush_period, [this]() { cut_frame(); });
 }
 
 void TelemetryShipper::stop() {
@@ -121,18 +122,19 @@ void TelemetryShipper::cut_frame() {
 }
 
 void TelemetryShipper::enqueue(Outbound frame) {
-  queue_.push_back(std::move(frame));
-  while (queue_.size() > opts_.max_queue) {
+  // Drop the oldest before the push, so the queue never holds more than
+  // max_queue frames (and its ring never more than it needs for them).
+  while (queue_.size() >= opts_.max_queue) {
     queue_.pop_front();
     drop_frame(1);
   }
+  queue_.push_back(std::move(frame));
   maybe_send();
 }
 
 void TelemetryShipper::maybe_send() {
   if (inflight_.has_value() || waiting_ || queue_.empty()) return;
-  inflight_ = std::move(queue_.front());
-  queue_.pop_front();
+  inflight_ = queue_.pop_front();
   attempts_ = 0;
   attempt();
 }
@@ -146,13 +148,17 @@ void TelemetryShipper::attempt() {
     settle(false);
     return;
   }
-  link_->set_spec(shipping_spec(topo_, opts_.tier, "ship/" + vehicle_));
+  // The link keeps its "ship/<vehicle>" name; re-collapse the path under
+  // it, so impairments applied since the last attempt take effect.
+  link_->set_spec(shipping_spec(topo_, opts_.tier, link_->spec().name));
   const std::uint64_t bytes = inflight_->bytes.size();
   stats_.wire_bytes += bytes;
   mirror_count("fleet.shipper.wire_bytes", static_cast<std::int64_t>(bytes));
-  link_->send(bytes, [this, alive = alive_](const net::TransferReport& r) {
-    if (*alive) settle(r.delivered);
-  });
+  // Completions run inside the link, which this shipper owns and destroys
+  // with itself, so a liveness guard here would protect nothing. `[this]`
+  // alone fits std::function's local buffer.
+  link_->send(bytes,
+              [this](const net::TransferReport& r) { settle(r.delivered); });
 }
 
 void TelemetryShipper::settle(bool delivered) {

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -36,6 +35,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/analysis/slo.hpp"
 #include "telemetry/fleet/wire.hpp"
+#include "util/fifo.hpp"
 
 namespace vdap::telemetry::fleet {
 
@@ -136,7 +136,9 @@ class TelemetryShipper {
   std::map<std::string, std::vector<WireSample>> pending_samples_;
   std::vector<WireHealthEvent> pending_events_;
 
-  std::deque<Outbound> queue_;
+  /// Frames waiting behind the in-flight one, at most max_queue. An
+  /// empty queue allocates nothing, so an idle vehicle pays for none.
+  util::Fifo<Outbound> queue_;
   std::optional<Outbound> inflight_;
   int attempts_ = 0;      // transmissions tried for the in-flight frame
   bool waiting_ = false;  // a backoff retry or link completion is pending
@@ -145,8 +147,9 @@ class TelemetryShipper {
   Stats stats_;
   sim::Simulator::PeriodicHandle flusher_;
   bool started_ = false;
-  /// Guards scheduled callbacks (flush ticks, backoff retries, link
-  /// completions) against firing after this shipper is destroyed.
+  /// Guards backoff retries against firing after this shipper is
+  /// destroyed. Flush ticks stop with flusher_, and link completions run
+  /// inside `link_`, which dies with the shipper.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -346,8 +346,11 @@ void separate(std::string& out) {
 
 std::string wire_encode(const WireFrame& frame) {
   // Keys in sorted (json::Object) order, empty sections omitted; the
-  // Wire.EncoderMatchesObjectEncoder test pins these bytes.
-  std::string out = "{";
+  // Wire.EncoderMatchesObjectEncoder test pins these bytes. The frame is
+  // built in a buffer this thread reuses (shards encode concurrently), so
+  // the only allocation is the exact-size copy returned.
+  thread_local std::string out;
+  out.assign(1, '{');
   if (!frame.counters.empty()) {
     out += "\"counters\":{";
     for (const auto& [name, v] : frame.counters) {
@@ -417,7 +420,7 @@ std::string wire_encode(const WireFrame& frame) {
   out += ",\"v\":";
   json::append_string(out, frame.vehicle);
   out.push_back('}');
-  return out;
+  return std::string(out);
 }
 
 std::optional<WireFrame> wire_decode(std::string_view line,

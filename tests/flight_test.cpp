@@ -302,6 +302,33 @@ TEST(FlightSweepTest, ScaleBundleByteIdenticalAcrossMatrix) {
   }
 }
 
+core::FleetScaleOutcome run_scale_flight(int vehicles, int shards) {
+  core::FleetScaleConfig cfg;
+  cfg.vehicles = vehicles;
+  cfg.seed = 7;
+  cfg.shards = shards;
+  cfg.threads = shards;
+  cfg.flight = true;
+  cfg.flight_incident_at = sim::seconds(5);
+  return core::run_fleet_scale(cfg);
+}
+
+// Each shard's 4,096-slot scratch ring holds one epoch of its vehicles'
+// metric mirrors. At the default 1 s flush that is about 1,350 vehicles
+// per shard; past it, records are overwritten before the fold, and the
+// rings stop being geometry-invariant. README's `--flight` example keeps
+// under this bound.
+TEST(FlightSweepTest, ScratchRingHoldsAboutThirteenHundredVehiclesPerShard) {
+  const core::FleetScaleOutcome one = run_scale_flight(1300, 1);
+  const core::FleetScaleOutcome four = run_scale_flight(1300, 4);
+  EXPECT_EQ(one.flight_scratch_dropped, 0u);
+  EXPECT_EQ(four.flight_scratch_dropped, 0u);
+  EXPECT_EQ(four.digest, one.digest);
+  EXPECT_EQ(four.flight_rings, one.flight_rings);
+
+  EXPECT_GT(run_scale_flight(1500, 1).flight_scratch_dropped, 0u);
+}
+
 // --- full-platform sweep ----------------------------------------------------
 
 core::FleetOutcome run_fleet_flight(int shards, int threads) {

@@ -173,7 +173,7 @@ FleetOutcome run_fleet(const sim::FaultPlan& plan, const FleetConfig& config) {
           *worlds[static_cast<std::size_t>(s)].ship_topo,
           [&ssim, &backend, s, i, shard_sim](const std::string& bytes) {
             PROF_SCOPE("fleet/deliver");
-            backend.ingest_on_shard(s, bytes);
+            backend.shard(s).ingest_line(bytes);
             ssim.post(s, shard_sim->now(), static_cast<std::uint64_t>(i),
                       bytes);
           },

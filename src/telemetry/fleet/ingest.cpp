@@ -318,10 +318,6 @@ bool ShardedIngestBackend::ingest_line(std::string_view line,
       ->ingest_line(line, error);
 }
 
-bool ShardedIngestBackend::ingest_on_shard(int shard, std::string_view line) {
-  return shards_[static_cast<std::size_t>(shard)]->ingest_line(line);
-}
-
 void ShardedIngestBackend::barrier() {
   PROF_SCOPE("ingest/barrier");
   sim::SimTime wm = watermark_;

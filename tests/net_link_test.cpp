@@ -98,6 +98,40 @@ TEST(Link, LossRateApproximatelyRespected) {
   EXPECT_EQ(link.dropped(), static_cast<std::uint64_t>(dropped));
 }
 
+TEST(Link, RenamedLossyLinkDrawsFromItsNewStream) {
+  // A lossy link draws each transfer's fate from "link.<name>". After
+  // set_spec() renames it, draws come from "link.<new name>", and the old
+  // stream is left where it was.
+  constexpr std::uint64_t kSeed = 11;
+  constexpr int kPerName = 64;
+  sim::Simulator sim(kSeed);
+  Link link(sim, {"before", LinkKind::kLte, 1000.0, sim::msec(1), 0.5});
+  std::vector<bool> delivered;
+  auto send_batch = [&] {
+    for (int i = 0; i < kPerName; ++i) {
+      link.send(100, [&](const TransferReport& r) {
+        delivered.push_back(r.delivered);
+      });
+    }
+    sim.run_until();
+  };
+  send_batch();
+  link.set_spec({"after", LinkKind::kLte, 1000.0, sim::msec(1), 0.5});
+  send_batch();
+
+  sim::Simulator ref(kSeed);
+  std::vector<bool> want;
+  for (int i = 0; i < kPerName; ++i) {
+    want.push_back(!ref.rng("link.before").chance(0.5));
+  }
+  for (int i = 0; i < kPerName; ++i) {
+    want.push_back(!ref.rng("link.after").chance(0.5));
+  }
+  EXPECT_EQ(delivered, want);
+  EXPECT_EQ(sim.rng("link.before").uniform(),
+            ref.rng("link.before").uniform());
+}
+
 TEST(Link, RejectsNonPositiveBandwidth) {
   sim::Simulator sim;
   LinkSpec s = test_link(0.0);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -173,6 +174,85 @@ TEST(Simulator, PeriodicStopFromAnotherEventBeforeFirstFiring) {
   sim.run_until(seconds(60));
   EXPECT_EQ(count, 0);
   EXPECT_FALSE(h.active());
+}
+
+TEST(Simulator, PeriodicCallbackMayStartPeriodicTasks) {
+  // Each of the parent's first eight firings starts four children, so the
+  // task table grows several times while the parent's callback runs. The
+  // parent keeps its period, and its re-arm is pushed when its callback
+  // returns: an event the callback queues for the next firing time fires
+  // first.
+  Simulator sim;
+  std::vector<SimTime> parent;
+  std::vector<std::string> order;
+  std::vector<std::vector<SimTime>> children;
+  sim.every(10, [&] {
+    parent.push_back(sim.now());
+    order.push_back("parent");
+    sim.after(10, [&] { order.push_back("queued"); });
+    if (parent.size() > 8) return;
+    for (int k = 0; k < 4; ++k) {
+      const std::size_t c = children.size();
+      children.emplace_back();
+      sim.every(7 + k, [&, c] { children[c].push_back(sim.now()); }, 3);
+    }
+  });
+  sim.run_until(100);
+
+  std::vector<SimTime> want_parent;
+  for (SimTime t = 0; t <= 100; t += 10) want_parent.push_back(t);
+  EXPECT_EQ(parent, want_parent);
+  ASSERT_EQ(order.size(), 21u);  // 11 parent firings, 10 queued events
+  for (std::size_t i = 1; i < order.size(); i += 2) {
+    EXPECT_EQ(order[i], "queued") << i;
+    EXPECT_EQ(order[i + 1], "parent") << i;
+  }
+  ASSERT_EQ(children.size(), 32u);
+  for (std::size_t c = 0; c < children.size(); ++c) {
+    const SimTime period = 7 + static_cast<SimTime>(c % 4);
+    std::vector<SimTime> want;
+    for (SimTime t = static_cast<SimTime>(c / 4) * 10 + 3; t <= 100;
+         t += period) {
+      want.push_back(t);
+    }
+    EXPECT_EQ(children[c], want) << "child " << c;
+  }
+}
+
+TEST(Simulator, PeriodicStoppedSlotIsReusedWithExactFiringTimes) {
+  // `a` is stopped from outside with its next firing already queued. `b`,
+  // started before that stale firing, must not be reached by it; `c`,
+  // started after it, takes `a`'s freed slot. `d` starts after `c` stops
+  // itself and takes that slot in turn.
+  Simulator sim;
+  std::vector<SimTime> a, b, c, d;
+  Simulator::PeriodicHandle ha = sim.every(10, [&] { a.push_back(sim.now()); });
+  Simulator::PeriodicHandle hb, hc, hd;
+  sim.at(5, [&] {
+    ha.stop();
+    hb = sim.every(10, [&] { b.push_back(sim.now()); }, 7);
+  });
+  sim.at(15, [&] {
+    hc = sim.every(10, [&] {
+      c.push_back(sim.now());
+      if (c.size() == 2) hc.stop();
+    }, 1);
+  });
+  sim.at(30, [&] {
+    hd = sim.every(4, [&] { d.push_back(sim.now()); }, 1);
+    ha.stop();  // stopping a spent handle again touches no other task
+    hc.stop();
+  });
+  sim.run_until(45);
+
+  EXPECT_EQ(a, (std::vector<SimTime>{0}));
+  EXPECT_EQ(b, (std::vector<SimTime>{12, 22, 32, 42}));
+  EXPECT_EQ(c, (std::vector<SimTime>{16, 26}));
+  EXPECT_EQ(d, (std::vector<SimTime>{31, 35, 39, 43}));
+  EXPECT_FALSE(ha.active());
+  EXPECT_TRUE(hb.active());
+  EXPECT_FALSE(hc.active());
+  EXPECT_TRUE(hd.active());
 }
 
 TEST(Simulator, PeriodicRejectsNonPositivePeriod) {

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "telemetry/prof/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vdap::edgeos {
@@ -265,6 +266,7 @@ const Pipeline* ElasticManager::choose(const PolymorphicService& svc) const {
 std::uint64_t ElasticManager::run(
     const PolymorphicService& svc,
     std::function<void(const ServiceRunReport&)> done) {
+  telemetry::prof::ProfScope scope(svc.dag.name());
   const Pipeline* choice = choose(svc);
   std::uint64_t id = next_id_++;
   if (choice == nullptr) {
@@ -303,6 +305,7 @@ std::uint64_t ElasticManager::run(
 void ElasticManager::reevaluate() {
   std::vector<HungRun> still_hung;
   for (HungRun& h : hung_) {
+    telemetry::prof::ProfScope scope(h.svc.dag.name());
     const Pipeline* choice = choose(h.svc);
     if (choice == nullptr) {
       still_hung.push_back(std::move(h));
@@ -438,31 +441,31 @@ void ElasticManager::tracked_transfer(std::uint64_t run_id, net::Tier from,
   transfer(from, to, bytes,
            [this, run_id, from, to, t0, done = std::move(done)](bool ok) {
              auto it = runs_.find(run_id);
-             if (it != runs_.end()) {
-               Run& r = *it->second;
-               sim::SimDuration d = sim_.now() - t0;
-               r.seg.network += d;
-               // Attribute the wall time (and any failure) to the remote
-               // endpoint; for a remote→remote edge, the `from` leg runs
-               // first and gets the blame.
-               net::Tier remote = from != net::Tier::kOnBoard ? from : to;
-               if (remote != net::Tier::kOnBoard) {
-                 r.tier_time[std::string(net::to_string(remote))] += d;
-                 if (!ok) r.failed_tier = std::string(net::to_string(remote));
-               }
-               if (from != net::Tier::kOnBoard && to != net::Tier::kOnBoard &&
-                   from != to) {
-                 r.tier_time[std::string(net::to_string(to))] += d;
-               }
-               if (telemetry::on() && d > 0) {
-                 json::Object args;
-                 args["run"] = static_cast<std::int64_t>(r.public_id);
-                 args["tier"] = std::string(net::to_string(remote));
-                 if (!ok) args["failed"] = true;
-                 telemetry::tracer().complete(t0, d, "segment", "net",
-                                              "elastic/segments",
-                                              std::move(args));
-               }
+             if (it == runs_.end()) return;
+             Run& r = *it->second;
+             telemetry::prof::ProfScope scope(r.svc.dag.name());
+             sim::SimDuration d = sim_.now() - t0;
+             r.seg.network += d;
+             // Attribute the wall time (and any failure) to the remote
+             // endpoint; for a remote→remote edge, the `from` leg runs
+             // first and gets the blame.
+             net::Tier remote = from != net::Tier::kOnBoard ? from : to;
+             if (remote != net::Tier::kOnBoard) {
+               r.tier_time[std::string(net::to_string(remote))] += d;
+               if (!ok) r.failed_tier = std::string(net::to_string(remote));
+             }
+             if (from != net::Tier::kOnBoard && to != net::Tier::kOnBoard &&
+                 from != to) {
+               r.tier_time[std::string(net::to_string(to))] += d;
+             }
+             if (telemetry::on() && d > 0) {
+               json::Object args;
+               args["run"] = static_cast<std::int64_t>(r.public_id);
+               args["tier"] = std::string(net::to_string(remote));
+               if (!ok) args["failed"] = true;
+               telemetry::tracer().complete(t0, d, "segment", "net",
+                                            "elastic/segments",
+                                            std::move(args));
              }
              done(ok);
            });
@@ -521,26 +524,25 @@ void ElasticManager::compute(Run& run, int task_id) {
   dev->submit({t.cls, t.gflop, run.svc.dag.qos().priority,
                [this, id, task_id, tier](const hw::WorkReport& rep) {
                  auto it = runs_.find(id);
-                 if (it != runs_.end()) {
-                   Run& r = *it->second;
-                   sim::SimDuration d = rep.finished - rep.submitted;
-                   r.seg.compute += d;
-                   if (tier != net::Tier::kOnBoard) {
-                     r.tier_time[std::string(net::to_string(tier))] += d;
-                     if (!rep.ok) {
-                       r.failed_tier = std::string(net::to_string(tier));
-                     }
+                 if (it == runs_.end()) return;
+                 Run& r = *it->second;
+                 telemetry::prof::ProfScope scope(r.svc.dag.name());
+                 sim::SimDuration d = rep.finished - rep.submitted;
+                 r.seg.compute += d;
+                 if (tier != net::Tier::kOnBoard) {
+                   r.tier_time[std::string(net::to_string(tier))] += d;
+                   if (!rep.ok) {
+                     r.failed_tier = std::string(net::to_string(tier));
                    }
-                   if (telemetry::on() && d > 0) {
-                     json::Object args;
-                     args["run"] = static_cast<std::int64_t>(r.public_id);
-                     args["tier"] = std::string(net::to_string(tier));
-                     args["device"] = rep.device;
-                     telemetry::tracer().complete(rep.submitted, d, "segment",
-                                                  "compute",
-                                                  "elastic/segments",
-                                                  std::move(args));
-                   }
+                 }
+                 if (telemetry::on() && d > 0) {
+                   json::Object args;
+                   args["run"] = static_cast<std::int64_t>(r.public_id);
+                   args["tier"] = std::string(net::to_string(tier));
+                   args["device"] = rep.device;
+                   telemetry::tracer().complete(rep.submitted, d, "segment",
+                                                "compute", "elastic/segments",
+                                                std::move(args));
                  }
                  complete_task(id, task_id, rep.ok);
                }});

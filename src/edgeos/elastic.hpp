@@ -204,6 +204,8 @@ class ElasticManager {
   void transfer(net::Tier from, net::Tier to, std::uint64_t bytes,
                 std::function<void(bool)> done);
   /// transfer() plus per-run segment accounting and a "net" trace slice.
+  /// `done` runs only while the run is live, under the service's prof
+  /// frame.
   void tracked_transfer(std::uint64_t run_id, net::Tier from, net::Tier to,
                         std::uint64_t bytes, std::function<void(bool)> done);
   double pipeline_penalty(const Pipeline& p) const;

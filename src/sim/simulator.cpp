@@ -58,23 +58,6 @@ std::size_t Simulator::run_until(SimTime until) {
   return fired;
 }
 
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto ev = queue_.pop();
-  now_ = ev.at;
-  ev.fn();
-  return true;
-}
-
-void Simulator::advance_to(SimTime when) {
-  if (when < now_) return;
-  if (queue_.next_time() < when) {
-    throw std::logic_error(
-        "advance_to would skip pending events; use run_until instead");
-  }
-  now_ = when;
-}
-
 util::RngStream& Simulator::rng(std::string_view name) {
   auto it = streams_.find(name);
   if (it == streams_.end()) {

@@ -66,13 +66,6 @@ class Simulator {
   /// exactly at `until` still fire. Returns the number of events fired.
   std::size_t run_until(SimTime until = kTimeMax);
 
-  /// Fires exactly one event if any is pending; returns whether one fired.
-  bool step();
-
-  /// Advances the clock to `when` without firing later events (only valid
-  /// when no earlier event is pending; used by sequential transfer models).
-  void advance_to(SimTime when);
-
   bool idle() { return queue_.empty(); }
   std::size_t pending_events() { return queue_.size(); }
   /// Calendar-queue occupancy introspection (the sharded runtime report).

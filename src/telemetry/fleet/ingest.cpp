@@ -432,7 +432,8 @@ void ShardedIngestBackend::detect(
 }
 
 void ShardedIngestBackend::mirror_metrics() {
-  if (!telemetry::on()) return;
+  // count() and gauge() feed capture and the flight ring, each when bound.
+  if (!telemetry::on() && telemetry::bound_flight() == nullptr) return;
   MirrorState now;
   now.frames = frames_ingested();
   now.samples = samples_ingested();

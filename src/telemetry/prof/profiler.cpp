@@ -26,13 +26,22 @@ TagTable& tag_table() {
 }  // namespace
 
 TagId intern_tag(std::string_view name) {
+  thread_local std::map<std::string, TagId, std::less<>> seen;
+  if (auto hit = seen.find(name); hit != seen.end()) return hit->second;
   TagTable& t = tag_table();
-  std::lock_guard<std::mutex> lock(t.mu);
-  auto it = t.ids.find(name);
-  if (it != t.ids.end()) return it->second;
-  TagId id = static_cast<TagId>(t.names.size());
-  t.names.emplace_back(name);
-  t.ids.emplace(std::string(name), id);
+  TagId id = kInvalidTag;
+  {
+    std::lock_guard<std::mutex> lock(t.mu);
+    auto it = t.ids.find(name);
+    if (it != t.ids.end()) {
+      id = it->second;
+    } else {
+      id = static_cast<TagId>(t.names.size());
+      t.names.emplace_back(name);
+      t.ids.emplace(std::string(name), id);
+    }
+  }
+  seen.emplace(std::string(name), id);
   return id;
 }
 
@@ -94,31 +103,11 @@ void ProfSlot::pop() {
   seq_.store(s + 2, std::memory_order_release);
 }
 
-void ProfSlot::pop_tag(TagId id) {
-  std::uint32_t d = depth_.load(std::memory_order_relaxed);
-  if (d == 0) return;
-  if (d > kMaxProfDepth) {
-    // The topmost frames were truncated; assume `id` is among them.
-    depth_.store(d - 1, std::memory_order_relaxed);
-    return;
-  }
-  // Find the topmost matching frame (owning thread: relaxed reads are its
-  // own prior writes).
-  std::uint32_t idx = d;
-  while (idx > 0) {
-    if (tags_[idx - 1].load(std::memory_order_relaxed) == id) break;
-    --idx;
-  }
-  if (idx == 0) return;  // not on the stack (span closed after rebinding)
-  std::uint32_t s = seq_.load(std::memory_order_relaxed);
-  seq_.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (std::uint32_t i = idx; i < d; ++i) {
-    tags_[i - 1].store(tags_[i].load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  }
-  depth_.store(d - 1, std::memory_order_relaxed);
-  seq_.store(s + 2, std::memory_order_release);
+TagId ProfSlot::top() const {
+  // Owning thread only: relaxed reads of its own prior writes.
+  const std::uint32_t d = depth_.load(std::memory_order_relaxed);
+  if (d == 0 || d > kMaxProfDepth) return kInvalidTag;
+  return tags_[d - 1].load(std::memory_order_relaxed);
 }
 
 int ProfSlot::snapshot(std::array<TagId, kMaxProfDepth>& out) const {
@@ -225,14 +214,25 @@ ProfileData Profiler::collect() const {
 
 namespace {
 
-// Tag names are controlled literals, but mirrored Tracer span names pass
-// through too — escape the JSON string specials rather than trusting them.
+// Tag names include run-time names (service DAGs): escape the JSON string
+// specials and control bytes, so no name can break the one-row-per-line
+// framing. Other bytes pass through as the reader passes them back.
 std::string json_escape(const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+    const auto b = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (b < 0x20) {
+      out += "\\u00";
+      out += kHex[b >> 4];
+      out += kHex[b & 0xf];
+    } else {
+      out += c;
+    }
   }
   return out;
 }

@@ -2,12 +2,15 @@
 // attributes wall time to code regions without stack unwinding.
 //
 // Each registered thread keeps a fixed-depth stack of interned tag ids,
-// maintained by RAII PROF_SCOPE("area/op") scopes (and mirrored from
-// telemetry::Tracer spans, so existing instrumentation is reused). The
-// stack is published through a per-thread seqlock; a background sampler
-// thread snapshots every registered stack at a fixed interval and folds
-// the samples into collapsed-stack tables ("frame;frame;frame count",
-// Brendan Gregg's flamegraph input format).
+// maintained by strictly nested RAII scopes only: PROF_SCOPE("area/op")
+// at fixed sites, and ProfScope(name) for frames named at run time (a
+// service's DAG). A frame means "this thread is running this code now",
+// so telemetry::Tracer's async spans, which outlive the code that opens
+// them, never enter a stack. The stack is published through a
+// per-thread seqlock; a background sampler thread snapshots every
+// registered stack at a fixed interval and folds the samples into
+// collapsed-stack tables ("frame;frame;frame count", Brendan Gregg's
+// flamegraph input format).
 //
 // Design constraints, following the runtime-plane precedent of
 // shards.jsonl (§6h) and the flight recorder (§6i):
@@ -37,14 +40,14 @@
 namespace vdap::telemetry::prof {
 
 /// Interned tag id. 0 is reserved as "invalid / not interned" so callers
-/// can use it as a sentinel (e.g. Tracer spans recorded while no slot was
-/// bound).
+/// can use it as a sentinel.
 using TagId = std::uint32_t;
 inline constexpr TagId kInvalidTag = 0;
 
 /// Interns `name` in the process-wide tag table and returns its stable id
-/// (>= 1). Thread-safe; idempotent per name. PROF_SCOPE caches the result
-/// in a function-local static so steady-state scopes never take the lock.
+/// (>= 1). Thread-safe; idempotent per name. Each thread remembers the
+/// ids it has interned, so a name takes the table's lock once per thread;
+/// PROF_SCOPE also caches its id in a function-local static.
 TagId intern_tag(std::string_view name);
 
 /// Name for an interned id ("" for kInvalidTag / unknown ids). Returns a
@@ -67,9 +70,9 @@ class ProfSlot {
   void push(TagId id);
   /// Pops the topmost frame (no-op on an empty stack).
   void pop();
-  /// Removes the topmost frame equal to `id`, shifting deeper frames up —
-  /// tolerates out-of-order async span closes. No-op if absent.
-  void pop_tag(TagId id);
+  /// The topmost recorded frame: kInvalidTag on an empty stack or past
+  /// the depth cap.
+  TagId top() const;
 
   /// Reader side (sampler thread). Copies a consistent snapshot into
   /// `out` and returns its depth; returns 0 for an empty stack, and -1 if
@@ -114,6 +117,19 @@ class ProfScope {
  public:
   explicit ProfScope(TagId tag) : slot_(internal::tls_prof) {
     if (slot_ != nullptr) slot_->push(tag);
+  }
+  /// A frame named at run time, such as a service's DAG name. The name is
+  /// interned only when a slot is bound. A completion that runs
+  /// synchronously inside the call that started it is still that work, so
+  /// a scope whose frame is already topmost pushes nothing.
+  explicit ProfScope(std::string_view name) : slot_(internal::tls_prof) {
+    if (slot_ == nullptr) return;
+    const TagId tag = intern_tag(name);
+    if (slot_->top() == tag) {
+      slot_ = nullptr;
+    } else {
+      slot_->push(tag);
+    }
   }
   ~ProfScope() {
     if (slot_ != nullptr) slot_->pop();

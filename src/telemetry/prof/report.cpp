@@ -16,43 +16,50 @@ bool parse_profile_jsonl(std::string_view text, ProfileData* data,
   *data = ProfileData{};
   bool saw_meta = false;
   std::size_t line_no = 0;
+  auto fail = [&](const std::string& why) {
+    if (error != nullptr) {
+      *error = "profile line " + std::to_string(line_no) + ": " + why;
+    }
+    return false;
+  };
+  // profile_jsonl writes every number as an unsigned integer, so anything
+  // else could not be written back as read; an absent one reads as 0.
+  auto count = [](const json::Value& v, const std::string& key,
+                  std::uint64_t* out) {
+    const json::Value* n = v.find(key);
+    *out = 0;
+    if (n == nullptr) return true;
+    if (!n->is_int() || n->as_int() < 0) return false;
+    *out = static_cast<std::uint64_t>(n->as_int());
+    return true;
+  };
   for (const std::string& line : util::split(text, '\n')) {
     ++line_no;
     if (line.empty()) continue;
     std::optional<json::Value> v = json::try_parse(line);
-    if (!v || !v->is_object()) {
-      if (error != nullptr) {
-        *error = "profile line " + std::to_string(line_no) +
-                 ": not a JSON object";
-      }
-      return false;
-    }
+    if (!v || !v->is_object()) return fail("not a JSON object");
     if (!saw_meta) {
       // First object is the meta line.
-      if (!v->contains("interval_us")) {
-        if (error != nullptr) {
-          *error = "profile line " + std::to_string(line_no) +
-                   ": missing interval_us meta";
-        }
-        return false;
+      if (!v->contains("interval_us")) return fail("missing interval_us meta");
+      std::uint64_t slots = 0;
+      if (!count(*v, "interval_us", &data->interval_us) ||
+          !count(*v, "samples", &data->samples) ||
+          !count(*v, "slots", &slots) ||
+          !count(*v, "truncated", &data->truncated)) {
+        return fail("meta counts must be non-negative integers");
       }
-      data->interval_us = static_cast<std::uint64_t>(v->get_int("interval_us"));
-      data->samples = static_cast<std::uint64_t>(v->get_int("samples"));
-      data->slots = static_cast<std::size_t>(v->get_int("slots"));
-      data->truncated = static_cast<std::uint64_t>(v->get_int("truncated"));
+      data->slots = static_cast<std::size_t>(slots);
       saw_meta = true;
       continue;
     }
     ProfileRow row;
-    row.shard = static_cast<std::size_t>(v->get_int("shard"));
-    row.stack = v->get_string("stack");
-    row.count = static_cast<std::uint64_t>(v->get_int("count"));
-    if (row.stack.empty()) {
-      if (error != nullptr) {
-        *error = "profile line " + std::to_string(line_no) + ": empty stack";
-      }
-      return false;
+    std::uint64_t shard = 0;
+    if (!count(*v, "shard", &shard) || !count(*v, "count", &row.count)) {
+      return fail("shard and count must be non-negative integers");
     }
+    row.shard = static_cast<std::size_t>(shard);
+    row.stack = v->get_string("stack");
+    if (row.stack.empty()) return fail("empty stack");
     data->rows.push_back(std::move(row));
   }
   if (!saw_meta) {
@@ -99,6 +106,15 @@ std::uint64_t sampled_total(const ProfileData& data) {
   return total;
 }
 
+/// `title`, marked INCOMPLETE when frames past the depth cap were dropped:
+/// they were never recorded, so the shares do not add up to the run.
+std::string flag_truncated(std::string title, std::uint64_t truncated) {
+  if (truncated == 0) return title;
+  return "INCOMPLETE " + title + ": " + std::to_string(truncated) +
+         " frames dropped past the " + std::to_string(kMaxProfDepth) +
+         "-frame depth cap";
+}
+
 std::string pct(std::uint64_t part, std::uint64_t whole) {
   if (whole == 0) return "-";
   return util::TextTable::num(100.0 * static_cast<double>(part) /
@@ -111,9 +127,10 @@ std::string pct(std::uint64_t part, std::uint64_t whole) {
 std::string profile_table(const ProfileData& data, std::size_t top_n) {
   std::vector<FrameStat> stats = frame_stats(data);
   const std::uint64_t total = sampled_total(data);
-  util::TextTable table(
+  util::TextTable table(flag_truncated(
       "profile (wall-clock plane — sampled tag stacks, not part of the "
-      "deterministic capture)");
+      "deterministic capture)",
+      data.truncated));
   table.set_header({"frame", "self", "self%", "total", "total%"});
   std::size_t n = 0;
   for (const FrameStat& s : stats) {
@@ -123,6 +140,7 @@ std::string profile_table(const ProfileData& data, std::size_t top_n) {
   }
   table.add_row({"(sampled)", std::to_string(total), "100.0",
                  std::to_string(total), "100.0"});
+  table.add_row({"(truncated)", std::to_string(data.truncated), "-", "-", "-"});
   return table.to_string();
 }
 
@@ -170,9 +188,10 @@ std::string profile_diff_table(const ProfileData& base,
     return a.frame < b.frame;
   });
 
-  util::TextTable table(
+  util::TextTable table(flag_truncated(
       "profile diff (self-share percentage points, candidate vs baseline — "
-      "frames that absorbed time come first)");
+      "frames that absorbed time come first)",
+      base.truncated + cand.truncated));
   table.set_header(
       {"frame", "base self", "base%", "cand self", "cand%", "delta pp"});
   std::size_t n = 0;

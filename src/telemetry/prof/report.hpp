@@ -16,8 +16,9 @@
 namespace vdap::telemetry::prof {
 
 /// Parses profile_jsonl output (meta line + collapsed-stack rows). Returns
-/// false (with *error set, including the line number) on malformed input;
-/// unknown keys are ignored for forward compatibility.
+/// false (with *error set, including the line number) on malformed input,
+/// including a number that is not a non-negative integer; unknown keys are
+/// ignored for forward compatibility.
 bool parse_profile_jsonl(std::string_view text, ProfileData* data,
                          std::string* error);
 
@@ -36,13 +37,16 @@ struct FrameStat {
 std::vector<FrameStat> frame_stats(const ProfileData& data);
 
 /// The table `vdap-report --profile` prints: top `top_n` frames by self
-/// samples, with self/total shares of the sampled (non-idle) time.
+/// samples, with self/total shares of the sampled (non-idle) time, and the
+/// meta line's `truncated` count. A non-zero count marks the title
+/// INCOMPLETE.
 std::string profile_table(const ProfileData& data, std::size_t top_n = 20);
 
 /// The table `vdap-report --profile a --diff b` prints: per-frame change
 /// in self-share between baseline `base` and candidate `cand`, sorted by
 /// descending share gain — the frames that absorbed the regressed time
-/// come first. Frames present in only one profile are included.
+/// come first. Frames present in only one profile are included. A
+/// truncated frame in either profile marks the title INCOMPLETE.
 std::string profile_diff_table(const ProfileData& base,
                                const ProfileData& cand,
                                std::size_t top_n = 20);

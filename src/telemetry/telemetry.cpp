@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "telemetry/flight.hpp"
-#include "telemetry/prof/profiler.hpp"
 
 namespace vdap::telemetry {
 
@@ -57,15 +56,7 @@ std::uint64_t Tracer::begin(sim::SimTime ts, std::string_view cat,
   ev.cat = cat;
   ev.name = name;
   ev.args = args_text(std::move(args));
-  OpenSpan open{ev.cat, ev.name, ev.tid, prof::kInvalidTag};
-  // Mirror the span into the profiling plane (DESIGN.md §6j): the span
-  // name becomes a tag frame on this thread's bound slot, so existing
-  // Tracer instrumentation shows up in sampled profiles for free.
-  if (prof::internal::tls_prof != nullptr) {
-    open.prof_tag = prof::intern_tag(name);
-    prof::internal::tls_prof->push(open.prof_tag);
-  }
-  open_[id] = std::move(open);
+  open_[id] = OpenSpan{ev.cat, ev.name, ev.tid};
   events_.push_back(std::move(ev));
   if (internal::tls_flight != nullptr) {
     flight_span(FlightKind::kSpanBegin, ts, cat, name, track, 0, 0.0);
@@ -84,12 +75,6 @@ void Tracer::end(sim::SimTime ts, std::uint64_t id, json::Object args) {
   ev.cat = std::move(it->second.cat);
   ev.name = std::move(it->second.name);
   ev.args = args_text(std::move(args));
-  // Unmirror from the profiling plane. pop_tag removes the topmost
-  // matching frame, so out-of-order async closes cannot strand frames.
-  if (it->second.prof_tag != prof::kInvalidTag &&
-      prof::internal::tls_prof != nullptr) {
-    prof::internal::tls_prof->pop_tag(it->second.prof_tag);
-  }
   open_.erase(it);
   if (internal::tls_flight != nullptr) {
     // The mirror carries the span's identity by name, not id — span ids

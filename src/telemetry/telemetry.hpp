@@ -30,7 +30,9 @@
 //   * async span pairs ('b'/'e'): operations that overlap freely on one
 //     track (service runs, fault windows, sync batches) — begin() returns
 //     an id that end() closes, and open_spans() counts the unclosed ones
-//     (the chaos suites assert it drains to zero);
+//     (the chaos suites assert it drains to zero). A span is a window of
+//     sim time, not CPU work on one thread, so it never enters the
+//     profiler's tag stacks (telemetry/prof/profiler.hpp);
 //   * instants ('i'): decision points (offload choice, failover, hang);
 //   * counter samples ('C'): numeric series (backlog depth, bandwidth).
 #pragma once
@@ -127,9 +129,6 @@ class Tracer {
     std::string cat;
     std::string name;
     std::uint32_t tid = 0;
-    // Interned prof tag mirrored on begin() (0 = none) — end() pops the
-    // matching frame from the bound prof slot (telemetry/prof/profiler.hpp).
-    std::uint32_t prof_tag = 0;
   };
 
   std::vector<TraceEvent> events_;
@@ -301,32 +300,5 @@ inline void gauge(std::string_view name, double value) {
   if (on()) metrics().set_gauge(name, value);
   if (internal::tls_flight != nullptr) flight_gauge(name, value);
 }
-
-/// RAII helper for stack-shaped spans (scoped sections of driver code; the
-/// async layers store raw begin() ids in their run state instead).
-class ScopedSpan {
- public:
-  ScopedSpan(sim::SimTime now, std::string_view cat, std::string_view name,
-             std::string_view track, json::Object args = {})
-      : end_ts_(now) {
-    if (on()) id_ = tracer().begin(now, cat, name, track, std::move(args));
-  }
-  ~ScopedSpan() { close(end_ts_); }
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  /// Sets the timestamp the destructor closes with (call before scope exit
-  /// when sim time advanced inside the scope).
-  void close_at(sim::SimTime ts) { end_ts_ = ts; }
-  void close(sim::SimTime ts, json::Object args = {}) {
-    if (id_ != 0 && on()) tracer().end(ts, id_, std::move(args));
-    id_ = 0;
-  }
-
- private:
-  std::uint64_t id_ = 0;
-  sim::SimTime end_ts_;
-};
 
 }  // namespace vdap::telemetry

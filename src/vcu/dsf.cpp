@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "telemetry/prof/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vdap::vcu {
@@ -116,6 +117,7 @@ void Dsf::on_task_done(std::uint64_t instance_id, int task_id,
   auto it = instances_.find(instance_id);
   if (it == instances_.end()) return;  // instance already finalized
   Instance& inst = *it->second;
+  telemetry::prof::ProfScope scope(inst.dag.name());
   TaskRecord& rec = inst.records[static_cast<std::size_t>(task_id)];
 
   if (!rep.ok && !inst.failed &&

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -300,6 +301,31 @@ TEST(FlightSweepTest, ScaleBundleByteIdenticalAcrossMatrix) {
     EXPECT_EQ(out.flight_bundles[0].rings, base.flight_bundles[0].rings);
     EXPECT_EQ(out.flight_rings, base.flight_rings);
   }
+}
+
+// With capture off, the hosted ingest backend still mirrors its per-epoch
+// counters into the always-on ring: telemetry::count() routes to whichever
+// of capture and flight is bound, and so does the backend.
+TEST(FlightSweepTest, HostedIngestCountersFoldWithCaptureOff) {
+  const core::FleetScaleOutcome out = run_scale(2, 2, true, true);
+  ASSERT_GT(out.frames_ingested, 0u);
+  const FlightParse parse = telemetry::parse_flight_rings(out.flight_rings);
+  ASSERT_TRUE(parse.ok) << parse.error;
+  std::int64_t records = 0;
+  std::int64_t frames = 0;
+  for (const telemetry::FlightSection& section : parse.sections) {
+    if (section.domain != -1) continue;  // the master ring
+    for (const FlightRecord& r : section.records) {
+      if (r.kind == (std::uint32_t)FlightKind::kMetric &&
+          std::string_view(r.name) == "fleet.ingest.frames") {
+        ++records;
+        frames += r.value;
+      }
+    }
+  }
+  EXPECT_GT(records, 0);
+  EXPECT_GT(frames, 0);
+  EXPECT_LE(frames, static_cast<std::int64_t>(out.frames_ingested));
 }
 
 core::FleetScaleOutcome run_scale_flight(int vehicles, int shards) {

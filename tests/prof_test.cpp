@@ -4,8 +4,9 @@
 // on must not move a single byte of any deterministic output — digest,
 // capture artifacts, ingest summary — across the whole shard × thread
 // matrix. Profiles are wall-plane samples; everything else here (seqlock
-// slot mechanics, tag interning, Tracer mirroring, the JSONL round trip,
-// table rendering) exists to localize a sweep failure.
+// slot mechanics, tag interning, scopes that async trace spans never
+// disturb, the JSONL round trip and its mutation fuzz, table rendering)
+// exists to localize a sweep failure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,9 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/fleet_scale.hpp"
@@ -83,27 +86,6 @@ TEST(ProfSlotTest, PushPopMaintainsTheStack) {
   EXPECT_TRUE(snap(slot).empty());
 }
 
-TEST(ProfSlotTest, PopTagRemovesTopmostMatchAndShifts) {
-  ProfSlot slot;
-  const TagId a = intern_tag("prof-test/a");
-  const TagId b = intern_tag("prof-test/b");
-  const TagId c = intern_tag("prof-test/c");
-  slot.push(a);
-  slot.push(b);
-  slot.push(c);
-  // Out-of-order close: b leaves from the middle, deeper frames shift up.
-  slot.pop_tag(b);
-  EXPECT_EQ(snap(slot), (std::vector<TagId>{a, c}));
-  // Absent tag: no-op.
-  slot.pop_tag(b);
-  EXPECT_EQ(snap(slot), (std::vector<TagId>{a, c}));
-  // Duplicate frames: the TOPMOST match leaves first.
-  slot.push(a);
-  slot.pop_tag(a);
-  EXPECT_EQ(snap(slot), (std::vector<TagId>{a, c}));
-  EXPECT_EQ(slot.truncated(), 0u);
-}
-
 TEST(ProfSlotTest, OverflowTruncatesButStaysBalanced) {
   ProfSlot slot;
   const TagId t = intern_tag("prof-test/deep");
@@ -112,9 +94,7 @@ TEST(ProfSlotTest, OverflowTruncatesButStaysBalanced) {
   // The sampler sees the outermost kMaxProfDepth frames.
   EXPECT_EQ(snap(slot).size(), kMaxProfDepth);
   // Unwinding the truncated frames restores balance exactly.
-  slot.pop();
-  slot.pop_tag(t);  // pop_tag on a truncated depth also only moves the count
-  slot.pop();
+  for (int i = 0; i < 3; ++i) slot.pop();
   EXPECT_EQ(snap(slot).size(), kMaxProfDepth);
   for (std::size_t i = 0; i < kMaxProfDepth; ++i) slot.pop();
   EXPECT_TRUE(snap(slot).empty());
@@ -163,33 +143,62 @@ TEST(ProfScopeTest, ScopeSticksToItsConstructionSlot) {
   bind_prof(prev);
 }
 
-// --- Tracer span mirroring ---------------------------------------------------
+// A scope named at run time interns its name only when a slot is bound,
+// and a synchronous re-entry of the frame already on top pushes nothing:
+// a completion run inside the call that started it is still that work.
+TEST(ProfScopeTest, NamedScopeIsOneFrameAcrossReentry) {
+  const std::size_t tags = tag_count();
+  {
+    ProfScope unbound("prof-test/never-interned");
+  }
+  EXPECT_EQ(tag_count(), tags);
+  ProfSlot slot;
+  ProfSlot* prev = bind_prof(&slot);
+  const TagId svc = intern_tag("prof-test/service");
+  {
+    ProfScope run(std::string("prof-test/service"));
+    {
+      ProfScope completion(std::string_view("prof-test/service"));
+      EXPECT_EQ(snap(slot), (std::vector<TagId>{svc}));
+      PROF_SCOPE("prof-test/inner");
+      ProfScope nested("prof-test/service");  // not on top: a new frame
+      EXPECT_EQ(snap(slot).size(), 3u);
+    }
+    EXPECT_EQ(snap(slot), (std::vector<TagId>{svc}));
+  }
+  EXPECT_TRUE(snap(slot).empty());
+  bind_prof(prev);
+}
 
-TEST(ProfTracerTest, SpansMirrorIntoTheBoundSlot) {
+// --- async trace spans stay out of the stacks --------------------------------
+
+// A frame means "this thread is running this code now". An async span
+// outlives the code that opened it, so it never enters the stack: the
+// scope around begin() pops its own frame and leaves the slot empty.
+TEST(ProfTracerTest, ScopeOutlivingAnAsyncSpanLeavesItsSlotEmpty) {
   telemetry::Tracer tracer;
   ProfSlot slot;
   ProfSlot* prev = bind_prof(&slot);
-  const std::uint64_t outer =
-      tracer.begin(sim::usec(10), "svc", "prof-test/outer", "svc");
-  const std::uint64_t inner =
-      tracer.begin(sim::usec(20), "svc", "prof-test/inner", "svc");
-  EXPECT_EQ(snap(slot), (std::vector<TagId>{intern_tag("prof-test/outer"),
-                                            intern_tag("prof-test/inner")}));
-  // Async spans may close out of order; the mirror pops by tag, not depth.
-  tracer.end(sim::usec(30), outer);
-  EXPECT_EQ(snap(slot), (std::vector<TagId>{intern_tag("prof-test/inner")}));
-  tracer.end(sim::usec(40), inner);
+  std::uint64_t span = 0;
+  {
+    PROF_SCOPE("prof-test/opener");
+    span = tracer.begin(sim::usec(10), "svc", "prof-test/span", "svc");
+    EXPECT_EQ(snap(slot),
+              (std::vector<TagId>{intern_tag("prof-test/opener")}));
+  }
   EXPECT_TRUE(snap(slot).empty());
+  tracer.end(sim::usec(20), span);
+  EXPECT_TRUE(snap(slot).empty());
+  EXPECT_EQ(tracer.open_spans(), 0u);
   bind_prof(prev);
 }
 
 TEST(ProfTracerTest, SpansRecordedUnboundNeverTouchASlot) {
   telemetry::Tracer tracer;
   ProfSlot slot;
-  // begin() with nothing bound: the span records prof_tag 0...
   const std::uint64_t id =
       tracer.begin(sim::usec(10), "svc", "prof-test/unbound", "svc");
-  // ...so a later end() with a slot bound must not pop anything.
+  // end() with a slot bound leaves the slot's own frame alone.
   ProfSlot* prev = bind_prof(&slot);
   slot.push(intern_tag("prof-test/resident"));
   tracer.end(sim::usec(20), id);
@@ -260,6 +269,37 @@ TEST(ProfShardedTest, DestroyedWithLivePoolNeedsNoDetach) {
   ssim.reset();
 }
 
+// A span opened in one epoch and left open across later ones leaves every
+// shard slot empty at each barrier: the epoch scope pops its own frame.
+TEST(ProfShardedTest, SpanOpenAcrossEpochsLeavesShardSlotsEmpty) {
+  telemetry::ObsOptions obs;
+  obs.capture = true;
+  obs.prof = true;
+  obs.prof_opts.interval_us = 100;
+  sim::ShardedSimulator ssim(
+      7, sim::ShardedSimulator::Options{2, 2, sim::seconds(1), obs});
+  sim::Simulator& shard = ssim.shard(0);
+  std::uint64_t span = 0;
+  shard.at(sim::msec(500), [&shard, &span] {
+    ASSERT_TRUE(telemetry::on());
+    span = telemetry::tracer().begin(shard.now(), "svc", "prof-test/open",
+                                     "svc");
+  });
+  shard.at(sim::msec(3500), [&shard, &span] {
+    telemetry::tracer().end(shard.now(), span);
+  });
+  Profiler* prof = ssim.planes().prof();
+  ASSERT_NE(prof, nullptr);
+  std::array<TagId, kMaxProfDepth> stack{};
+  for (sim::SimTime until : {sim::seconds(3), sim::seconds(5)}) {
+    ssim.run_until(until);
+    for (std::size_t s = 0; s < 2; ++s) {
+      EXPECT_EQ(prof->slot(s)->snapshot(stack), 0)
+          << "shard " << s << " after " << until;
+    }
+  }
+}
+
 TEST(ProfOptionsTest, EnvOverrideParsesPositiveIntegersOnly) {
   ASSERT_EQ(setenv("VDAP_PROF_INTERVAL_US", "250", 1), 0);
   EXPECT_EQ(ProfOptions::from_env().interval_us, 250u);
@@ -317,6 +357,83 @@ TEST(ProfArtifactTest, ParseDiagnosesMalformedInput) {
       "{\"count\":1,\"shard\":0}\n";
   EXPECT_FALSE(parse_profile_jsonl(bad_row, &data, &error));
   EXPECT_NE(error.find("line 2"), std::string::npos);
+  // profile_jsonl writes unsigned integers only: a negative or fractional
+  // number could not be written back as read.
+  for (const char* row : {"{\"count\":-2,\"shard\":0,\"stack\":\"a\"}\n",
+                          "{\"count\":1.5,\"shard\":0,\"stack\":\"a\"}\n",
+                          "{\"count\":1,\"shard\":-1,\"stack\":\"a\"}\n"}) {
+    error.clear();
+    EXPECT_FALSE(parse_profile_jsonl(
+        "{\"interval_us\":1000,\"samples\":1,\"slots\":1,\"truncated\":0}\n" +
+            std::string(row),
+        &data, &error))
+        << row;
+    EXPECT_NE(error.find("line 2: shard and count must be non-negative"),
+              std::string::npos)
+        << error;
+  }
+  EXPECT_FALSE(parse_profile_jsonl("{\"interval_us\":-1}\n", &data, &error));
+  EXPECT_NE(error.find("line 1: meta counts"), std::string::npos) << error;
+}
+
+// Rows of a profile.jsonl bench_prof wrote. One byte turns some of their
+// letters into JSON escapes: "flight\fold" holds a form feed,
+// "ingest\barrier" a backspace and "\ngest" a newline.
+constexpr std::string_view kRealProfile =
+    R"({"interval_us":1000,"samples":104,"slots":13,"truncated":0}
+{"count":3,"shard":0,"stack":"sim/epoch;fleet/deliver;ingest/decode"}
+{"count":9,"shard":8,"stack":"sim/exchange;ingest/barrier;ingest/detect"}
+{"count":4,"shard":8,"stack":"flight/fold"}
+{"count":25,"shard":9,"stack":"pool/wait"}
+)";
+
+using FrameRows = std::vector<std::tuple<std::string, std::uint64_t,
+                                         std::uint64_t>>;
+
+FrameRows frame_rows(const ProfileData& data) {
+  FrameRows out;
+  for (const FrameStat& s : frame_stats(data)) {
+    out.emplace_back(s.frame, s.self, s.total);
+  }
+  return out;
+}
+
+// The reader takes profiles from disk. Every truncation and every
+// single-byte mutation of a real one is accepted or rejected with a
+// diagnostic. An accepted one renders, and written back and parsed again
+// it gives the same frame stats.
+TEST(ProfArtifactTest, MutatedProfilesParseCleanlyOrRoundTrip) {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  auto check = [&](std::string_view text, const std::string& what) {
+    ProfileData data;
+    std::string error;
+    if (!parse_profile_jsonl(text, &data, &error)) {
+      EXPECT_FALSE(error.empty()) << what;
+      ++rejected;
+      return;
+    }
+    ++accepted;
+    EXPECT_FALSE(profile_table(data).empty()) << what;
+    ProfileData again;
+    ASSERT_TRUE(parse_profile_jsonl(profile_jsonl(data), &again, &error))
+        << what << ": " << error;
+    EXPECT_EQ(frame_rows(again), frame_rows(data)) << what;
+  };
+  for (std::size_t cut = 0; cut <= kRealProfile.size(); ++cut) {
+    check(kRealProfile.substr(0, cut), "cut=" + std::to_string(cut));
+  }
+  for (std::size_t i = 0; i < kRealProfile.size(); ++i) {
+    std::string mutated(kRealProfile);
+    for (int b = 0; b < 256; ++b) {
+      if (static_cast<char>(b) == kRealProfile[i]) continue;
+      mutated[i] = static_cast<char>(b);
+      check(mutated, "byte=" + std::to_string(i) + " value=" +
+                         std::to_string(b));
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(ProfArtifactTest, FoldedMergesSlotsForFlamegraphs) {
@@ -361,6 +478,34 @@ TEST(ProfReportTest, TableRendersSharesOfSampledTime) {
   EXPECT_NE(table.find("pool/wait"), std::string::npos);
   EXPECT_NE(table.find("50.0"), std::string::npos);  // 40 of 80 sampled
   EXPECT_NE(table.find("(sampled)"), std::string::npos);
+}
+
+// Frames past the depth cap were never recorded: the table prints the
+// meta line's count and flags a profile that lost any as incomplete, and
+// so does a diff against or of such a profile.
+TEST(ProfReportTest, TableShowsTruncatedFramesAndFlagsIncompleteProfiles) {
+  const std::string complete = profile_table(sample_profile());
+  EXPECT_NE(complete.find("(truncated)"), std::string::npos);
+  EXPECT_EQ(complete.find("INCOMPLETE"), std::string::npos);
+  EXPECT_EQ(profile_diff_table(sample_profile(), sample_profile())
+                .find("INCOMPLETE"),
+            std::string::npos);
+  ProfileData data = sample_profile();
+  data.truncated = 34056;
+  const std::string table = profile_table(data);
+  EXPECT_EQ(table.rfind("== INCOMPLETE profile", 0), 0u) << table;
+  EXPECT_NE(table.find("34056 frames dropped"), std::string::npos);
+  const std::size_t row = table.find("(truncated)");
+  ASSERT_NE(row, std::string::npos) << table;
+  EXPECT_NE(table.substr(row, table.find('\n', row) - row).find("34056"),
+            std::string::npos)
+      << table;
+  EXPECT_EQ(profile_diff_table(sample_profile(), data)
+                .rfind("== INCOMPLETE profile diff", 0),
+            0u);
+  EXPECT_EQ(profile_diff_table(data, sample_profile())
+                .rfind("== INCOMPLETE profile diff", 0),
+            0u);
 }
 
 TEST(ProfReportTest, DiffTableNamesTheFramesThatAbsorbedTime) {

@@ -260,28 +260,6 @@ TEST(Simulator, PeriodicRejectsNonPositivePeriod) {
   EXPECT_THROW(sim.every(0, [] {}), std::invalid_argument);
 }
 
-TEST(Simulator, StepFiresOne) {
-  Simulator sim;
-  int fired = 0;
-  sim.after(10, [&] { ++fired; });
-  sim.after(20, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-}
-
-TEST(Simulator, AdvanceToGuardsPendingEvents) {
-  Simulator sim;
-  sim.after(10, [] {});
-  EXPECT_THROW(sim.advance_to(20), std::logic_error);
-  sim.run_until();
-  sim.advance_to(50);
-  EXPECT_EQ(sim.now(), 50);
-  sim.advance_to(40);  // backwards is a no-op
-  EXPECT_EQ(sim.now(), 50);
-}
-
 TEST(Simulator, NamedRngStreamsAreStableAndIndependent) {
   Simulator a(123);
   Simulator b(123);

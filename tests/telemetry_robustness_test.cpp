@@ -187,8 +187,12 @@ TEST(Session, MidRunCaptureUsesCurrentSimTime) {
   sim.run_until(sim::seconds(5));
   telemetry::Domain domain;
   telemetry::BindScope bind({&domain});  // capture starts mid-run: fine
-  telemetry::ScopedSpan span(sim.now(), "cat", "late", "track");
-  sim.at(sim::seconds(7), [&] { span.close(sim.now()); });
+  ASSERT_TRUE(telemetry::on());
+  const std::uint64_t span =
+      telemetry::tracer().begin(sim.now(), "cat", "late", "track");
+  sim.at(sim::seconds(7), [&] {
+    if (telemetry::on()) telemetry::tracer().end(sim.now(), span);
+  });
   sim.run_until(sim::seconds(10));
   const std::vector<telemetry::TraceEvent>& evs = domain.tracer().events();
   ASSERT_EQ(evs.size(), 2u);
@@ -210,7 +214,11 @@ TEST(Session, StopAndDoubleStopAreNoops) {
       telemetry::BindScope again({});
       telemetry::count("dropped");
       telemetry::observe("dropped", 1.0);
-      telemetry::ScopedSpan span(0, "cat", "dropped", "track");
+      if (telemetry::on()) {
+        const std::uint64_t span =
+            telemetry::tracer().begin(0, "cat", "dropped", "track");
+        telemetry::tracer().end(0, span);
+      }
     }
     EXPECT_FALSE(telemetry::on());
   }

@@ -152,17 +152,6 @@ TEST_F(TelemetryTest, RegistryMergeAndReset) {
   EXPECT_EQ(b.histogram("h")->count(), 1u);
 }
 
-TEST_F(TelemetryTest, ScopedSpanClosesOnScopeExit) {
-  {
-    ScopedSpan span(10, "cat", "scoped", "trk");
-    EXPECT_EQ(tracer().open_spans(), 1u);
-    span.close_at(50);
-  }
-  EXPECT_EQ(tracer().open_spans(), 0u);
-  ASSERT_EQ(tracer().events().size(), 2u);
-  EXPECT_EQ(tracer().events()[1].ts, 50);
-}
-
 // --- exporters -------------------------------------------------------------
 
 TEST_F(TelemetryTest, ChromeTraceJsonRoundTrips) {

@@ -1,13 +1,19 @@
 // Observability overhead (DESIGN.md §6h): run_fleet_scale with per-shard
 // capture domains OFF vs ON.
 //
-// Two committed tables:
+// Three committed tables:
 //   * A capture-determinism table (frames, trace events, open spans,
 //     metric keys, and FNV-1a hashes of the merged trace.json and
 //     metrics.jsonl per fleet size, plus whether the digest matched the
 //     capture-off run) — every cell is a pure function of (seed, config),
 //     independent of the shard/thread counts used to produce it. The
 //     hashes pin the exported bytes across commits.
+//   * The same columns for run_fleet's full platforms under a compute
+//     outlier plus uplink chaos (the perfbench fleet_platform plan): its
+//     trace carries the args of every recording layer (elastic, dsf,
+//     health, ddi, faults, net), so the hashes pin those bytes too. On
+//     this path capture depends on the shard count (fleet.hpp), so the
+//     shard count is fixed and only the thread count is free.
 //   * A capture-overhead table: the capture-on / capture-off wall-clock
 //     RATIO (best of 3 each, 2 decimals). Absolute wall times are never
 //     committed — the ratio is unit-free and machine-portable, and the
@@ -29,6 +35,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "core/fleet.hpp"
 #include "core/fleet_scale.hpp"
 #include "sim/thread_pool.hpp"
 #include "telemetry/export.hpp"
@@ -82,6 +89,41 @@ void print_capture_table() {
       "Expected shape: trace events scale with frames; open spans drain to\n"
       "0; the digest never moves when capture toggles (the capture plane\n"
       "observes the run, it must not perturb it).\n\n");
+}
+
+void print_platform_capture_table() {
+  constexpr int kVehicles = 16;
+  constexpr int kImpaired = 3;
+  sim::FaultPlan plan = core::fleet_compute_outlier_plan(kImpaired);
+  const sim::FaultPlan chaos = core::fleet_uplink_chaos_plan();
+  plan.name += "+" + chaos.name;
+  plan.faults.insert(plan.faults.end(), chaos.faults.begin(),
+                     chaos.faults.end());
+  core::FleetConfig cfg;
+  cfg.vehicles = kVehicles;
+  cfg.seed = 7;
+  cfg.shards = 2;
+  cfg.threads = 2;
+  cfg.dir_tag = "bench-obs-platform";
+  cfg.capture = true;
+  const core::FleetOutcome out = core::run_fleet(plan, cfg);
+  util::TextTable table(
+      "platform capture determinism — run_fleet, 16 vehicles on 2 shards, "
+      "seed 7, compute outlier + uplink chaos (thread-count independent)");
+  table.set_header({"vehicles", "frames", "trace events", "open spans",
+                    "metric keys", "trace fnv", "metrics fnv"});
+  table.add_row({std::to_string(kVehicles),
+                 std::to_string(out.frames_ingested),
+                 std::to_string(out.trace_events),
+                 std::to_string(out.open_spans),
+                 std::to_string(out.metric_keys),
+                 bench::fnv_hex(out.chrome_trace),
+                 bench::fnv_hex(out.metrics_jsonl)});
+  bench::BenchOutput::record(table);
+  std::printf("%s", table.to_string().c_str());
+  std::printf(
+      "Expected shape: open spans drain to 0; the fnv cells move only when\n"
+      "a layer records different trace args or metrics.\n\n");
 }
 
 double best_wall(const FleetScaleConfig& cfg, FleetScaleOutcome* out) {
@@ -145,6 +187,7 @@ BENCHMARK(BM_ScaleCapture)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   vdap::bench::BenchOutput bench_out("obs");
   print_capture_table();
+  print_platform_capture_table();
   // Unlike bench_shard's speedup table, the overhead RATIO is committed —
   // it must run (and record) even when the bench gate collects tables
   // with --benchmark_list_tests.

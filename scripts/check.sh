@@ -3,7 +3,9 @@
 # catcher repeating the platform/fleet/obs/flight/prof suites, the bench
 # regression gate (BENCH_*.json vs bench/baselines/, >15% drift fails,
 # --strict: missing baselines fail rather than auto-seed) plus a
-# vdap-report render of bench_obs's trace.json/metrics.jsonl, then an
+# vdap-report render of bench_obs's trace.json/metrics.jsonl and a
+# 20k-vehicle scaling smoke that compares the capture exports of a 1x1
+# and an 8x4 run byte for byte, then an
 # AddressSanitizer+UBSan build running the chaos/soak, telemetry-trace,
 # SLO-health, fleet-telemetry, sharded-simulator, sharded-ingest,
 # shard-observability, flight-recorder and profiling suites (the
@@ -15,8 +17,9 @@
 #          [--tier1-only | --bench-only | --bench-rebaseline | --tsan]
 #   --tier1-only        build + full ctest, skip the flake catcher (CI runs
 #                       it as its own step), bench gate and sanitizers
-#   --bench-only        build + bench regression gate, skip ctest, the
-#                       flake catcher and sanitizers (the CI bench job)
+#   --bench-only        build + bench regression gate and scaling smoke,
+#                       skip ctest, the flake catcher and sanitizers (the
+#                       CI bench job)
 #   --bench-rebaseline  regenerate bench/baselines/ from this build and
 #                       exit (bench tables are deterministic — fixed seeds
 #                       — so the refreshed files are byte-stable)
@@ -99,6 +102,28 @@ rm -rf build/bench-results
 export VDAP_OBS_ARTIFACTS="$ROOT/build/bench-results/obs-artifacts"
 mkdir -p "$VDAP_OBS_ARTIFACTS"
 run_benches "$ROOT/build/bench-results"
+
+# Geometry invariance at fleet size: one 20k-vehicle run at 1x1 and at
+# 8x4, both captured, must print the same summary line and export the
+# same trace.json and metrics.jsonl. (rings.vfr is left out while the
+# flight recorder's scratch rings overflow at this size: ROADMAP item 8.)
+# The 8x4 capture stays under smoke-capture/ for CI to render and upload;
+# the 1x1 exports are deleted once they compare equal. It runs before
+# the table comparison, so a red gate does not skip it.
+echo "== scaling smoke: 20k vehicles, 1x1 vs 8x4, capture exports compared =="
+SMOKE="$ROOT/build/bench-results"
+mkdir -p "$SMOKE/smoke-1x1" "$SMOKE/smoke-capture"
+build/examples/scenario_runner --scale 20000 7 --shards 1 --threads 1 \
+    --capture "$SMOKE/smoke-1x1" > "$SMOKE/smoke-1x1/stdout.txt"
+build/examples/scenario_runner --scale 20000 7 --shards 8 --threads 4 \
+    --capture "$SMOKE/smoke-capture" > "$SMOKE/smoke-capture/stdout.txt"
+diff <(head -1 "$SMOKE/smoke-1x1/stdout.txt") \
+     <(head -1 "$SMOKE/smoke-capture/stdout.txt")
+for f in trace.json metrics.jsonl; do
+  cmp "$SMOKE/smoke-1x1/$f" "$SMOKE/smoke-capture/$f"
+  rm "$SMOKE/smoke-1x1/$f"
+done
+
 # --strict: a bench without a committed baseline fails here (and in CI)
 # instead of being auto-seeded; --bench-rebaseline is the seeding path.
 # --report: print the full drift report even on success, so every run

@@ -7,7 +7,6 @@
 
 #include "net/topology.hpp"
 #include "sim/sharded.hpp"
-#include "telemetry/fleet/wire.hpp"
 #include "telemetry/shard_report.hpp"
 #include "util/strings.hpp"
 
@@ -76,7 +75,6 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
         telemetry::incident("scripted", "fleet-scale");
       });
     }
-    if (config.flight_crash_dump) flight->arm_crash_dump();
   }
 
   // All vehicle state lives in one flat vector sized up front, so the
@@ -84,9 +82,6 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
   // by its home shard's thread.
   struct VehicleState {
     std::uint64_t digest = util::kFnv1aBasis;  // frames in delivery order
-    std::uint64_t frames = 0;
-    std::uint64_t samples = 0;
-    std::uint64_t decode_errors = 0;
     std::unique_ptr<fleet::TelemetryShipper> shipper;
     sim::Simulator::PeriodicHandle tick;
   };
@@ -96,9 +91,10 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
     const int s = ssim.shard_of(static_cast<std::uint64_t>(i));
     sim::Simulator& shard_sim = ssim.shard(s);
     VehicleState* v = &vehicles[static_cast<std::size_t>(i)];
-    // Shard-local aggregation: decode + digest on the delivering shard's
-    // thread, no cross-shard traffic in the hot loop. `[v, ingest]` fits
-    // std::function's local buffer.
+    // Shard-local aggregation: the digest folds each frame's bytes on the
+    // delivering shard's thread, no cross-shard traffic in the hot loop;
+    // the shipper's stats count the frames and samples it delivered.
+    // `[v, ingest]` fits std::function's local buffer.
     fleet::IngestShard* ingest =
         backend != nullptr ? &backend->shard(s) : nullptr;
     v->shipper = std::make_unique<fleet::TelemetryShipper>(
@@ -106,24 +102,7 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
         [v, ingest](const std::string& bytes) {
           PROF_SCOPE("fleet/deliver");
           v->digest = util::fnv1a_add(v->digest, bytes);
-          ++v->frames;
-          // One decode serves the sample count and the hosted backend. It
-          // is profiled as ingest/decode, like the shard's own decode. An
-          // undecodable frame goes through the shard's ingest_line, so the
-          // shard still counts it in its decode_errors.
-          std::optional<fleet::WireFrame> frame = [&bytes] {
-            PROF_SCOPE("ingest/decode");
-            return fleet::wire_decode(bytes);
-          }();
-          if (frame) {
-            for (const auto& [metric, samples] : frame->samples) {
-              v->samples += samples.size();
-            }
-            if (ingest != nullptr) ingest->ingest(*frame);
-          } else {
-            ++v->decode_errors;
-            if (ingest != nullptr) ingest->ingest_line(bytes);
-          }
+          if (ingest != nullptr) ingest->ingest_line(bytes);
         },
         config.shipper);
     v->shipper->start();
@@ -174,9 +153,8 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
   for (int i = 0; i < n; ++i) {
     const VehicleState& v = vehicles[static_cast<std::size_t>(i)];
     const fleet::TelemetryShipper::Stats& st = v.shipper->stats();
-    out.frames_delivered += v.frames;
-    out.samples_delivered += v.samples;
-    out.decode_errors += v.decode_errors;
+    out.frames_delivered += st.frames_acked;
+    out.samples_delivered += st.samples_acked;
     out.frames_enqueued += st.frames_enqueued;
     out.frames_dropped += st.frames_dropped;
     out.wire_bytes += st.wire_bytes;
@@ -185,6 +163,7 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
   }
   out.digest = digest;
   if (backend != nullptr) {
+    out.decode_errors = backend->decode_errors();
     out.frames_ingested = backend->frames_ingested();
     out.samples_ingested = backend->samples_ingested();
     out.ingest_anomalies = backend->anomalies().size();

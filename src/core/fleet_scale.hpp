@@ -6,14 +6,16 @@
 // calendar queue, the RNG streams, the wire codec and the transport —
 // the parts whose scaling the bench gate tracks.
 //
-// Aggregation is shard-local by design: the deliver callback decodes and
-// folds each wire frame into its vehicle's running FNV-1a digest on the
+// Aggregation is shard-local by design: the deliver callback folds each
+// wire frame's bytes into its vehicle's running FNV-1a digest on the
 // shard's own worker thread (a vehicle lives entirely on one shard, so no
-// locking). The committed outcome — per-vehicle digests combined in
-// vehicle-index order plus summed transport stats — is therefore a pure
-// function of (seed, config), byte-identical across shard AND thread
-// counts; tests/sharded_test.cpp sweeps both to prove it, and
-// bench_shard.cpp commits the digest for 1k..100k fleets.
+// locking), and hands the line to the hosted ingest backend when there is
+// one, the only place a frame is decoded. The committed outcome —
+// per-vehicle digests combined in vehicle-index order plus the shippers'
+// summed transport stats — is therefore a pure function of (seed,
+// config), byte-identical across shard AND thread counts;
+// tests/sharded_test.cpp sweeps both to prove it, and bench_shard.cpp
+// commits the digest for 1k..100k fleets.
 #pragma once
 
 #include <cstdint>
@@ -60,13 +62,9 @@ struct FleetScaleConfig : telemetry::ObsOptions {
   /// are byte-for-byte unaffected unless this is set.
   bool ingest_backend = false;
   telemetry::fleet::IngestOptions ingest;
-  /// Arm the fatal-signal crash dump (requires flight_opts.dir): on
-  /// SIGSEGV/SIGABRT/... an async-signal-safe handler streams the raw
-  /// rings and a minimal manifest to <dir>/incident-crash/.
-  bool flight_crash_dump = false;
   /// Test hook: runs after all wiring (recorder bound, vehicles built)
-  /// and before the first run_until — e.g. the death test schedules a
-  /// mid-run abort here.
+  /// and before the first run_until — e.g. the death test arms the
+  /// flight recorder's crash dump and schedules a mid-run abort here.
   std::function<void(sim::ShardedSimulator&)> prepare;
 };
 
@@ -79,13 +77,13 @@ struct FleetScaleOutcome : telemetry::ObsArtifacts {
   std::uint64_t events_fired = 0;
 
   // Summed transport accounting (shard-order independent: per-vehicle
-  // stats summed in vehicle-index order).
-  std::uint64_t frames_delivered = 0;
+  // shipper stats summed in vehicle-index order).
+  std::uint64_t frames_delivered = 0;  // acked
   std::uint64_t frames_enqueued = 0;
   std::uint64_t frames_dropped = 0;
   std::uint64_t wire_bytes = 0;
-  std::uint64_t samples_delivered = 0;
-  std::uint64_t decode_errors = 0;
+  std::uint64_t samples_delivered = 0;  // counted at cut, added when acked
+  std::uint64_t decode_errors = 0;  // the hosted backend's; 0 without one
 
   /// FNV-1a fold of every vehicle's delivery-ordered frame digest, in
   /// vehicle-index order — the one number the byte-identity sweep and the

@@ -40,15 +40,15 @@ void HealthController::on_event(const analysis::HealthEvent& event) {
                       event.kind ==
                           analysis::HealthEventKind::kAvailabilityBreach;
   if (telemetry::on()) {
-    json::Object args;
-    args["service"] = event.service;
-    args["observed"] = event.observed;
-    args["target"] = event.target;
-    args["severity"] = std::string(analysis::to_string(event.severity));
+    telemetry::TraceArgs args;
+    args.add("observed", event.observed);
     if (!event.attributed_segment.empty()) {
-      args["segment"] = event.attributed_segment;
+      args.add("segment", event.attributed_segment);
     }
-    if (!event.implicated_tier.empty()) args["tier"] = event.implicated_tier;
+    args.add("service", event.service)
+        .add("severity", analysis::to_string(event.severity))
+        .add("target", event.target);
+    if (!event.implicated_tier.empty()) args.add("tier", event.implicated_tier);
     telemetry::tracer().instant(
         event.at, "health", std::string(analysis::to_string(event.kind)),
         "health", std::move(args));
@@ -97,12 +97,12 @@ void HealthController::reconcile_penalties() {
         // The "services" arg answers *why* the loop acted: which breaching
         // services blame this tier right now (vdap-report's health
         // timeline prints it next to the demotion).
-        json::Object args;
-        args["tier"] = std::string(net::to_string(tier));
-        args["factor"] = factor;
-        args["services"] = blaming_services(tier);
         telemetry::tracer().instant(sim_.now(), "health", "health.penalize",
-                                    "health", std::move(args));
+                                    "health",
+                                    telemetry::TraceArgs()
+                                        .add("factor", factor)
+                                        .add("services", blaming_services(tier))
+                                        .add("tier", net::to_string(tier)));
         telemetry::count("health.penalties");
       }
     }
@@ -111,11 +111,12 @@ void HealthController::reconcile_penalties() {
     if (desired.count(tier) == 0) {
       elastic_.clear_tier_penalty(tier);
       if (telemetry::on()) {
-        json::Object args;
-        args["tier"] = std::string(net::to_string(tier));
-        args["services"] = blaming_services(tier);  // empty: nobody blames it
+        // "services" is empty: nobody blames the tier any more.
         telemetry::tracer().instant(sim_.now(), "health", "health.restore",
-                                    "health", std::move(args));
+                                    "health",
+                                    telemetry::TraceArgs()
+                                        .add("services", blaming_services(tier))
+                                        .add("tier", net::to_string(tier)));
         telemetry::count("health.restores");
       }
     }

@@ -54,13 +54,13 @@ OffloadDecision OffloadPlanner::decide(const workload::AppDag& dag) const {
       }
       scores[e.pipeline] = json::Value(std::move(s));
     }
-    json::Object args;
-    args["chosen"] =
-        d.feasible ? std::string(net::to_string(d.tier)) : "(infeasible)";
-    args["scores"] = json::Value(std::move(scores));
-    telemetry::tracer().instant(elastic_.simulator().now(), "offload",
-                                "decide:" + dag.name(), "offload",
-                                std::move(args));
+    telemetry::tracer().instant(
+        elastic_.simulator().now(), "offload", "decide:" + dag.name(),
+        "offload",
+        telemetry::TraceArgs()
+            .add("chosen", d.feasible ? std::string(net::to_string(d.tier))
+                                      : "(infeasible)")
+            .add("scores", json::Value(std::move(scores))));
     if (d.feasible) {
       telemetry::count("offload.decisions",
                        {{"tier", net::to_string(d.tier)}});

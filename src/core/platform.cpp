@@ -94,12 +94,12 @@ OpenVdap::OpenVdap(sim::Simulator& sim, PlatformConfig config)
   }
 
   if (telemetry::on()) {
-    json::Object args;
-    args["vehicle"] = config_.vehicle_name;
-    args["devices"] = static_cast<std::int64_t>(board_->devices().size());
-    args["remote_tiers"] = config_.with_remote_tiers;
-    telemetry::tracer().instant(sim_.now(), "platform", "platform.boot",
-                                "platform", std::move(args));
+    telemetry::tracer().instant(
+        sim_.now(), "platform", "platform.boot", "platform",
+        telemetry::TraceArgs()
+            .add("devices", board_->devices().size())
+            .add("remote_tiers", config_.with_remote_tiers)
+            .add("vehicle", config_.vehicle_name));
     telemetry::count("platform.boots");
   }
 }

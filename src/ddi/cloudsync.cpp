@@ -71,11 +71,11 @@ std::size_t CloudSync::sync_stream(const std::string& stream) {
   in_flight_.insert(stream_name);
   std::uint64_t span = 0;
   if (telemetry::on()) {
-    json::Object args;
-    args["records"] = static_cast<std::int64_t>(batch->size());
-    args["bytes"] = static_cast<std::int64_t>(bytes);
-    span = telemetry::tracer().begin(sim_.now(), "ddi", "sync:" + stream_name,
-                                     "cloudsync", std::move(args));
+    span = telemetry::tracer().begin(
+        sim_.now(), "ddi", "sync:" + stream_name, "cloudsync",
+        telemetry::TraceArgs()
+            .add("bytes", bytes)
+            .add("records", batch->size()));
   }
   topo_.transfer_up(
       options_.tier, bytes,
@@ -83,9 +83,9 @@ std::size_t CloudSync::sync_stream(const std::string& stream) {
        span](const net::TransferOutcome& out) {
         in_flight_.erase(stream_name);
         if (telemetry::on()) {
-          json::Object args;
-          args["delivered"] = out.delivered;
-          telemetry::tracer().end(sim_.now(), span, std::move(args));
+          telemetry::tracer().end(
+              sim_.now(), span,
+              telemetry::TraceArgs().add("delivered", out.delivered));
         }
         if (!out.delivered) {
           ++failed_;
@@ -117,12 +117,11 @@ void CloudSync::schedule_retry(const std::string& stream) {
   }
   delay = std::min(delay, options_.retry_backoff_max);
   if (telemetry::on()) {
-    json::Object args;
-    args["stream"] = stream;
-    args["attempt"] = k;
-    args["delay_ms"] = sim::to_millis(delay);
     telemetry::tracer().instant(sim_.now(), "ddi", "sync.backoff", "cloudsync",
-                                std::move(args));
+                                telemetry::TraceArgs()
+                                    .add("attempt", k)
+                                    .add("delay_ms", sim::to_millis(delay))
+                                    .add("stream", stream));
   }
   sim_.after(delay, [this, stream]() {
     if (stopped_) return;

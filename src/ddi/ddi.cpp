@@ -59,9 +59,9 @@ void Ddi::flush_staged(bool force_all) {
     if (failures > 0) telemetry::count("ddi.disk_write_failures", failures);
     telemetry::gauge("ddi.staged", static_cast<double>(staged_count()));
     if (flushed > 0 || failures > 0) {
-      json::Object args;
-      args["flushed"] = flushed;
-      if (failures > 0) args["failures"] = failures;
+      telemetry::TraceArgs args;
+      if (failures > 0) args.add("failures", failures);
+      args.add("flushed", flushed);
       telemetry::tracer().instant(sim_.now(), "ddi", "ddi.flush", "ddi",
                                   std::move(args));
     }

@@ -15,11 +15,9 @@ namespace {
 std::uint64_t open_run_span(sim::SimTime now, const std::string& service,
                             std::uint64_t public_id,
                             const std::string& pipeline) {
-  json::Object args;
-  args["run"] = static_cast<std::int64_t>(public_id);
-  args["pipeline"] = pipeline;
-  return telemetry::tracer().begin(now, "service", service, "elastic",
-                                   std::move(args));
+  return telemetry::tracer().begin(
+      now, "service", service, "elastic",
+      telemetry::TraceArgs().add("pipeline", pipeline).add("run", public_id));
 }
 
 // The tier a run's fate is pinned on: an explicit failure wins, then the
@@ -328,17 +326,16 @@ void ElasticManager::reevaluate() {
     sim::SimDuration waited = sim_.now() - h.hung_since;
     run->seg.queue += waited;
     if (telemetry::on() && waited > 0) {
-      json::Object seg_args;
-      seg_args["run"] = static_cast<std::int64_t>(run->public_id);
-      telemetry::tracer().complete(h.hung_since, waited, "segment", "queue",
-                                   "elastic/segments", std::move(seg_args));
+      telemetry::tracer().complete(
+          h.hung_since, waited, "segment", "queue", "elastic/segments",
+          telemetry::TraceArgs().add("run", run->public_id));
     }
     if (telemetry::on()) {
-      json::Object args;
-      args["run"] = static_cast<std::int64_t>(run->public_id);
-      args["pipeline"] = run->pipeline.name;
       telemetry::tracer().instant(sim_.now(), "service", "elastic.resume",
-                                  "elastic", std::move(args));
+                                  "elastic",
+                                  telemetry::TraceArgs()
+                                      .add("pipeline", run->pipeline.name)
+                                      .add("run", run->public_id));
       telemetry::count("elastic.resumed");
     }
     start(std::move(run));
@@ -367,15 +364,13 @@ std::size_t ElasticManager::abandon_hung() {
     if (telemetry::on()) {
       sim::SimDuration waited = sim_.now() - h.hung_since;
       if (waited > 0) {
-        json::Object seg_args;
-        seg_args["run"] = static_cast<std::int64_t>(h.id);
         telemetry::tracer().complete(h.hung_since, waited, "segment", "queue",
-                                     "elastic/segments", std::move(seg_args));
+                                     "elastic/segments",
+                                     telemetry::TraceArgs().add("run", h.id));
       }
       if (h.telem_span != 0) {
-        json::Object args;
-        args["infeasible"] = true;
-        telemetry::tracer().end(sim_.now(), h.telem_span, std::move(args));
+        telemetry::tracer().end(sim_.now(), h.telem_span,
+                                telemetry::TraceArgs().add("infeasible", true));
       }
       telemetry::count("elastic.abandoned");
       telemetry::count("elastic.runs",
@@ -459,10 +454,9 @@ void ElasticManager::tracked_transfer(std::uint64_t run_id, net::Tier from,
                r.tier_time[std::string(net::to_string(to))] += d;
              }
              if (telemetry::on() && d > 0) {
-               json::Object args;
-               args["run"] = static_cast<std::int64_t>(r.public_id);
-               args["tier"] = std::string(net::to_string(remote));
-               if (!ok) args["failed"] = true;
+               telemetry::TraceArgs args;
+               if (!ok) args.add("failed", true);
+               args.add("run", r.public_id).add("tier", net::to_string(remote));
                telemetry::tracer().complete(t0, d, "segment", "net",
                                             "elastic/segments",
                                             std::move(args));
@@ -536,13 +530,13 @@ void ElasticManager::compute(Run& run, int task_id) {
                    }
                  }
                  if (telemetry::on() && d > 0) {
-                   json::Object args;
-                   args["run"] = static_cast<std::int64_t>(r.public_id);
-                   args["tier"] = std::string(net::to_string(tier));
-                   args["device"] = rep.device;
-                   telemetry::tracer().complete(rep.submitted, d, "segment",
-                                                "compute", "elastic/segments",
-                                                std::move(args));
+                   telemetry::tracer().complete(
+                       rep.submitted, d, "segment", "compute",
+                       "elastic/segments",
+                       telemetry::TraceArgs()
+                           .add("device", rep.device)
+                           .add("run", r.public_id)
+                           .add("tier", net::to_string(tier)));
                  }
                  complete_task(id, task_id, rep.ok);
                }});
@@ -643,19 +637,19 @@ void ElasticManager::failover(std::uint64_t run_id) {
   const Pipeline* choice = choose(old->svc);
   if (telemetry::on()) {
     if (wasted > 0) {
-      json::Object seg_args;
-      seg_args["run"] = static_cast<std::int64_t>(old->public_id);
-      if (!old->failed_tier.empty()) seg_args["tier"] = old->failed_tier;
+      telemetry::TraceArgs seg_args;
+      seg_args.add("run", old->public_id);
+      if (!old->failed_tier.empty()) seg_args.add("tier", old->failed_tier);
       telemetry::tracer().complete(old->attempt_started, wasted, "segment",
                                    "failover", "elastic/segments",
                                    std::move(seg_args));
     }
-    json::Object args;
-    args["run"] = static_cast<std::int64_t>(old->public_id);
-    args["failovers"] = old->failovers + 1;
-    args["rechosen"] = choice != nullptr ? choice->name : "(hung)";
-    telemetry::tracer().instant(sim_.now(), "service", "elastic.failover",
-                                "elastic", std::move(args));
+    telemetry::tracer().instant(
+        sim_.now(), "service", "elastic.failover", "elastic",
+        telemetry::TraceArgs()
+            .add("failovers", old->failovers + 1)
+            .add("rechosen", choice != nullptr ? choice->name : "(hung)")
+            .add("run", old->public_id));
     telemetry::count("elastic.failovers");
   }
   if (choice == nullptr) {
@@ -715,12 +709,12 @@ void ElasticManager::finish(Run& run) {
   }
   if (telemetry::on()) {
     if (run.telem_span != 0) {
-      json::Object args;
-      args["ok"] = rep.ok;
-      args["pipeline"] = rep.pipeline;
-      args["deadline_met"] = rep.deadline_met;
-      if (rep.failovers > 0) args["failovers"] = rep.failovers;
-      args["latency_ms"] = sim::to_millis(rep.latency());
+      telemetry::TraceArgs args;
+      args.add("deadline_met", rep.deadline_met);
+      if (rep.failovers > 0) args.add("failovers", rep.failovers);
+      args.add("latency_ms", sim::to_millis(rep.latency()))
+          .add("ok", rep.ok)
+          .add("pipeline", rep.pipeline);
       telemetry::tracer().end(sim_.now(), run.telem_span, std::move(args));
     }
     telemetry::count(rep.ok ? "elastic.completed" : "elastic.failed");

@@ -25,11 +25,9 @@ std::uint64_t PseudonymManager::epoch(sim::SimTime now) const {
 std::string PseudonymManager::pseudonym(sim::SimTime now) const {
   std::uint64_t e = epoch(now);
   if (last_epoch_ != ~0ULL && e != last_epoch_ && telemetry::on()) {
-    json::Object args;
-    args["epoch"] = static_cast<std::int64_t>(e);
-    args["from_epoch"] = static_cast<std::int64_t>(last_epoch_);
-    telemetry::tracer().instant(now, "privacy", "privacy.rotate", "privacy",
-                                std::move(args));
+    telemetry::tracer().instant(
+        now, "privacy", "privacy.rotate", "privacy",
+        telemetry::TraceArgs().add("epoch", e).add("from_epoch", last_epoch_));
     telemetry::count("privacy.rotations");
   }
   last_epoch_ = e;

@@ -93,22 +93,18 @@ bool SecurityModule::compromise(const std::string& service) {
   if (e.mode == IsolationMode::kTee) {
     // Encrypted instructions in memory: the internal attack fails (§IV-C).
     if (telemetry::on()) {
-      json::Object args;
-      args["service"] = service;
-      telemetry::tracer().instant(sim_.now(), "security",
-                                  "attack-blocked:" + service, "security",
-                                  std::move(args));
+      telemetry::tracer().instant(
+          sim_.now(), "security", "attack-blocked:" + service, "security",
+          telemetry::TraceArgs().add("service", service));
       telemetry::count("security.attacks_blocked");
     }
     return false;
   }
   if (e.state == ServiceState::kRunning) e.state = ServiceState::kCompromised;
   if (telemetry::on() && e.state == ServiceState::kCompromised) {
-    json::Object args;
-    args["service"] = service;
-    telemetry::tracer().instant(sim_.now(), "security",
-                                "compromised:" + service, "security",
-                                std::move(args));
+    telemetry::tracer().instant(
+        sim_.now(), "security", "compromised:" + service, "security",
+        telemetry::TraceArgs().add("service", service));
     telemetry::count("security.compromised");
   }
   return e.state == ServiceState::kCompromised;
@@ -146,11 +142,9 @@ void SecurityModule::scan() {
 void SecurityModule::schedule_reinstall(const std::string& service) {
   std::uint64_t span = 0;
   if (telemetry::on()) {
-    json::Object args;
-    args["service"] = service;
-    span = telemetry::tracer().begin(sim_.now(), "security",
-                                     "reinstall:" + service, "security",
-                                     std::move(args));
+    span = telemetry::tracer().begin(
+        sim_.now(), "security", "reinstall:" + service, "security",
+        telemetry::TraceArgs().add("service", service));
   }
   // Fresh key on reinstall: stolen credentials die with the old instance.
   sim_.after(options_.reinstall_duration, [this, service, span]() {

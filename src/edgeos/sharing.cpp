@@ -7,12 +7,11 @@ namespace vdap::edgeos {
 void DataSharingBus::note_grant(const char* op, const std::string& topic,
                                 const std::string& service) {
   if (!telemetry::on()) return;
-  json::Object args;
-  args["op"] = op;
-  args["topic"] = topic;
-  args["service"] = service;
   telemetry::tracer().instant(now(), "sharing", "sharing.grant", "sharing",
-                              std::move(args));
+                              telemetry::TraceArgs()
+                                  .add("op", op)
+                                  .add("service", service)
+                                  .add("topic", topic));
   telemetry::count("sharing.grants", {{"op", op}});
 }
 
@@ -20,13 +19,12 @@ void DataSharingBus::note_deny(const char* op, const char* reason,
                                const std::string& topic,
                                const std::string& service) {
   if (!telemetry::on()) return;
-  json::Object args;
-  args["op"] = op;
-  args["reason"] = reason;
-  args["topic"] = topic;
-  args["service"] = service;
   telemetry::tracer().instant(now(), "sharing", "sharing.deny", "sharing",
-                              std::move(args));
+                              telemetry::TraceArgs()
+                                  .add("op", op)
+                                  .add("reason", reason)
+                                  .add("service", service)
+                                  .add("topic", topic));
   telemetry::count("sharing.denials", {{"reason", reason}});
 }
 

@@ -122,12 +122,10 @@ void Link::arrived(std::uint32_t slot, bool lost) {
     ++delivered_;
   }
   if (telemetry::on()) {
-    json::Object args;
-    args["bytes"] = static_cast<std::int64_t>(msg.bytes);
-    args["delivered"] = !lost;
-    telemetry::tracer().complete(msg.submitted, sim_.now() - msg.submitted,
-                                 "net", "xfer", "net/" + spec_.name,
-                                 std::move(args));
+    telemetry::tracer().complete(
+        msg.submitted, sim_.now() - msg.submitted, "net", "xfer",
+        "net/" + spec_.name,
+        telemetry::TraceArgs().add("bytes", msg.bytes).add("delivered", !lost));
     telemetry::count("net.messages", {{"link", spec_.name}});
     telemetry::count("net.bytes", {{"link", spec_.name}},
                      static_cast<std::int64_t>(msg.bytes));

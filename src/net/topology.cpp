@@ -79,12 +79,11 @@ void Topology::set_available(Tier t, bool available) {
   }
   TierState& s2 = state(t);
   if (s2.available != available && telemetry::on()) {
-    json::Object args;
-    args["tier"] = std::string(to_string(t));
-    args["available"] = available;
-    telemetry::tracer().instant(sim_.now(), "net",
-                                available ? "tier-up" : "tier-down",
-                                "net/topology", std::move(args));
+    telemetry::tracer().instant(
+        sim_.now(), "net", available ? "tier-up" : "tier-down", "net/topology",
+        telemetry::TraceArgs()
+            .add("available", available)
+            .add("tier", to_string(t)));
     telemetry::count("net.tier_changes", {{"tier", to_string(t)}});
   }
   s2.available = available;

@@ -80,13 +80,13 @@ void FaultInjector::fire(const FaultSpec& spec, bool begin) {
   }
   if (telemetry::on()) {
     telemetry::Tracer& tr = telemetry::tracer();
-    json::Object args;
-    args["kind"] = std::string(to_string(spec.kind));
-    args["target"] = spec.target;
-    args["severity"] = spec.severity;
     if (begin) {
       telemetry::count("faults.applied",
                        {{"kind", to_string(spec.kind)}});
+      telemetry::TraceArgs args;
+      args.add("kind", to_string(spec.kind))
+          .add("severity", spec.severity)
+          .add("target", spec.target);
       if (spec.duration > 0) {
         telem_open_[spec.name].push_back(tr.begin(
             sim_.now(), "fault", spec.name, "faults", std::move(args)));

@@ -110,11 +110,9 @@ class IngestShard {
 
   explicit IngestShard(const IngestOptions& options);
 
-  /// Decodes and ingests one wire line (hot path). Returns false for
-  /// decode errors (counted, diagnostic in *error) and duplicates.
+  /// Decodes and ingests one wire line, the shard's one entry. Returns
+  /// false for decode errors (counted, diagnostic in *error) and duplicates.
   bool ingest_line(std::string_view line, std::string* error = nullptr);
-  /// Ingests one decoded frame. Returns false for duplicates.
-  bool ingest(const WireFrame& frame);
 
   // --- barrier-side (shard quiesced) ---------------------------------
   sim::SimTime watermark() const { return watermark_; }
@@ -140,6 +138,8 @@ class IngestShard {
   std::uint64_t lost_frames() const;
 
  private:
+  /// Ingests one decoded frame. Returns false for duplicates.
+  bool ingest(const WireFrame& frame);
   void ring_add(WindowRing* ring, sim::SimTime at, double value);
 
   ColumnarSeries::Options block_;

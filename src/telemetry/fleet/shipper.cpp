@@ -10,12 +10,19 @@ namespace vdap::telemetry::fleet {
 
 namespace {
 
-net::LinkSpec shipping_spec(const net::Topology& topo, net::Tier tier,
+// The tier frames ship toward, the pending samples per metric and health
+// events kept between cuts (drop-oldest), and the longest retry backoff.
+constexpr net::Tier kTier = net::Tier::kCloud;
+constexpr std::size_t kMaxSamplesPerMetric = 512;
+constexpr std::size_t kMaxEvents = 64;
+constexpr sim::SimDuration kBackoffCap = sim::seconds(8);
+
+net::LinkSpec shipping_spec(const net::Topology& topo,
                             const std::string& link_name) {
-  const net::PathSpec& path = topo.uplink(tier);
+  const net::PathSpec& path = topo.uplink(kTier);
   if (!path.empty()) return path.collapse(link_name);
-  // kOnBoard (or an empty path): a loopback-ish wired link so the shipper
-  // still works in single-box setups.
+  // An empty path: a loopback-ish wired link so the shipper still works
+  // in single-box setups.
   net::LinkSpec spec;
   spec.name = link_name;
   spec.kind = net::LinkKind::kWired;
@@ -35,7 +42,7 @@ TelemetryShipper::TelemetryShipper(sim::Simulator& sim, std::string vehicle,
   opts_.max_attempts = std::max(opts_.max_attempts, 1);
   opts_.flush_period = std::max<sim::SimDuration>(opts_.flush_period, 1);
   link_ = std::make_unique<net::Link>(
-      sim_, shipping_spec(topo_, opts_.tier, "ship/" + vehicle_));
+      sim_, shipping_spec(topo_, "ship/" + vehicle_));
 }
 
 TelemetryShipper::~TelemetryShipper() {
@@ -57,7 +64,7 @@ void TelemetryShipper::observe(std::string_view name, double value) {
   std::vector<WireSample>& buf = pending_samples_[std::string(name)];
   buf.emplace_back(sim_.now(), value);
   ++stats_.samples_recorded;
-  if (buf.size() > opts_.max_samples_per_metric) {
+  if (buf.size() > kMaxSamplesPerMetric) {
     buf.erase(buf.begin());
     ++stats_.samples_dropped;
   }
@@ -73,7 +80,7 @@ void TelemetryShipper::on_health_event(const analysis::HealthEvent& event) {
   w.target = event.target;
   w.implicated_tier = event.implicated_tier;
   pending_events_.push_back(std::move(w));
-  if (pending_events_.size() > opts_.max_events) {
+  if (pending_events_.size() > kMaxEvents) {
     pending_events_.erase(pending_events_.begin());
   }
 }
@@ -114,7 +121,9 @@ void TelemetryShipper::cut_frame() {
   pending_events_.clear();
 
   Outbound ob;
-  ob.seq = frame.seq;
+  for (const auto& [metric, samples] : frame.samples) {
+    ob.samples += samples.size();
+  }
   ob.bytes = wire_encode(frame);
   ++stats_.frames_enqueued;
   mirror_count("fleet.shipper.enqueued", 1);
@@ -144,13 +153,13 @@ void TelemetryShipper::attempt() {
   ++stats_.send_attempts;
   if (attempts_ > 0) ++stats_.retries;
   ++attempts_;
-  if (!topo_.available(opts_.tier)) {
+  if (!topo_.available(kTier)) {
     settle(false);
     return;
   }
   // The link keeps its "ship/<vehicle>" name; re-collapse the path under
   // it, so impairments applied since the last attempt take effect.
-  link_->set_spec(shipping_spec(topo_, opts_.tier, link_->spec().name));
+  link_->set_spec(shipping_spec(topo_, link_->spec().name));
   const std::uint64_t bytes = inflight_->bytes.size();
   stats_.wire_bytes += bytes;
   mirror_count("fleet.shipper.wire_bytes", static_cast<std::int64_t>(bytes));
@@ -165,6 +174,7 @@ void TelemetryShipper::settle(bool delivered) {
   if (!inflight_.has_value()) return;
   if (delivered) {
     ++stats_.frames_acked;
+    stats_.samples_acked += inflight_->samples;
     mirror_count("fleet.shipper.acked", 1);
     std::string bytes = std::move(inflight_->bytes);
     inflight_.reset();
@@ -195,8 +205,8 @@ void TelemetryShipper::drop_frame(std::uint64_t count) {
 
 sim::SimDuration TelemetryShipper::backoff(int attempt) const {
   sim::SimDuration delay = opts_.backoff_base;
-  for (int i = 1; i < attempt && delay < opts_.backoff_cap; ++i) delay *= 2;
-  return std::min(delay, opts_.backoff_cap);
+  for (int i = 1; i < attempt && delay < kBackoffCap; ++i) delay *= 2;
+  return std::min(delay, kBackoffCap);
 }
 
 void TelemetryShipper::mirror_count(std::string_view name, std::int64_t by) {

@@ -1,15 +1,16 @@
 // Per-vehicle telemetry shipper (DESIGN.md §6e): batches the vehicle's
 // metric deltas and health events into sequence-numbered wire frames and
-// ships them over its own net::Link toward the fleet aggregation tier.
+// ships them over its own net::Link toward the cloud aggregation tier.
 //
 // Transport behavior under net::ImpairmentController faults:
 //   * the link spec is refreshed from the shared Topology before every
 //     transmission, so degradations bite mid-flight and an unavailable
 //     tier fails the attempt outright;
-//   * failed attempts retry with doubling (capped) backoff up to
+//   * failed attempts retry with doubling backoff, capped at 8 s, up to
 //     max_attempts, after which the frame is dropped;
 //   * the outbound queue is bounded; overflow drops the OLDEST queued
-//     frame (fresh telemetry is worth more than stale telemetry).
+//     frame (fresh telemetry is worth more than stale telemetry), as do
+//     the pending buffers between cuts (constants in shipper.cpp).
 // Every drop path is accounted: after a drain,
 //   frames_enqueued − frames_acked == frames_dropped
 // exactly — the invariant the fleet chaos test asserts. While the calling
@@ -42,26 +43,20 @@ namespace vdap::telemetry::fleet {
 class TelemetryShipper {
  public:
   struct Options {
-    /// Tier the frames ship toward (its uplink path, collapsed).
-    net::Tier tier = net::Tier::kCloud;
     /// Frame cut cadence; empty intervals cut no frame.
     sim::SimDuration flush_period = sim::seconds(1);
     /// Outbound frames queued behind the one in flight; overflow drops
     /// the oldest queued frame.
     std::size_t max_queue = 64;
-    /// Pending samples kept per metric between cuts (drop-oldest).
-    std::size_t max_samples_per_metric = 512;
-    /// Pending health events kept between cuts (drop-oldest).
-    std::size_t max_events = 64;
     /// Transmission attempts per frame before it is dropped.
     int max_attempts = 5;
     sim::SimDuration backoff_base = sim::msec(250);
-    sim::SimDuration backoff_cap = sim::seconds(8);
   };
 
   struct Stats {
     std::uint64_t frames_enqueued = 0;
     std::uint64_t frames_acked = 0;
+    std::uint64_t samples_acked = 0;   // samples in the acked frames
     std::uint64_t frames_dropped = 0;  // queue overflow + attempts exhausted
     std::uint64_t send_attempts = 0;
     std::uint64_t retries = 0;
@@ -110,7 +105,7 @@ class TelemetryShipper {
 
  private:
   struct Outbound {
-    std::uint64_t seq = 0;
+    std::uint64_t samples = 0;
     std::string bytes;
   };
 

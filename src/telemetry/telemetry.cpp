@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "telemetry/flight.hpp"
 
@@ -11,6 +12,23 @@ std::string args_text(json::Object args) {
   std::string out;
   if (!args.empty()) json::append_value(out, json::Value(std::move(args)));
   return out;
+}
+
+TraceArgs& TraceArgs::add(std::string_view key, const json::Value& value) & {
+  if (!text_.empty() && key <= last_key_) {
+    throw std::logic_error("TraceArgs: key out of order: " + std::string(key));
+  }
+  last_key_ = key;
+  text_ += text_.empty() ? '{' : ',';
+  json::append_string(text_, key);
+  text_ += ':';
+  json::append_value(text_, value);
+  return *this;
+}
+
+std::string TraceArgs::text() && {
+  if (!text_.empty()) text_ += '}';
+  return std::move(text_);
 }
 
 json::Object TraceEvent::args_object() const {
@@ -29,7 +47,7 @@ std::uint32_t Tracer::track(std::string_view name) {
 
 void Tracer::complete(sim::SimTime ts, sim::SimDuration dur,
                       std::string_view cat, std::string_view name,
-                      std::string_view track, json::Object args) {
+                      std::string_view track, TraceArgs args) {
   TraceEvent ev;
   ev.ph = 'X';
   ev.ts = ts;
@@ -37,7 +55,7 @@ void Tracer::complete(sim::SimTime ts, sim::SimDuration dur,
   ev.tid = this->track(track);
   ev.cat = cat;
   ev.name = name;
-  ev.args = args_text(std::move(args));
+  ev.args = std::move(args).text();
   events_.push_back(std::move(ev));
   if (internal::tls_flight != nullptr) {
     flight_span(FlightKind::kComplete, ts, cat, name, track, dur, 0.0);
@@ -46,7 +64,7 @@ void Tracer::complete(sim::SimTime ts, sim::SimDuration dur,
 
 std::uint64_t Tracer::begin(sim::SimTime ts, std::string_view cat,
                             std::string_view name, std::string_view track,
-                            json::Object args) {
+                            TraceArgs args) {
   std::uint64_t id = next_span_++;
   TraceEvent ev;
   ev.ph = 'b';
@@ -55,7 +73,7 @@ std::uint64_t Tracer::begin(sim::SimTime ts, std::string_view cat,
   ev.tid = this->track(track);
   ev.cat = cat;
   ev.name = name;
-  ev.args = args_text(std::move(args));
+  ev.args = std::move(args).text();
   open_[id] = OpenSpan{ev.cat, ev.name, ev.tid};
   events_.push_back(std::move(ev));
   if (internal::tls_flight != nullptr) {
@@ -64,7 +82,7 @@ std::uint64_t Tracer::begin(sim::SimTime ts, std::string_view cat,
   return id;
 }
 
-void Tracer::end(sim::SimTime ts, std::uint64_t id, json::Object args) {
+void Tracer::end(sim::SimTime ts, std::uint64_t id, TraceArgs args) {
   auto it = open_.find(id);
   if (it == open_.end()) return;  // unknown or already closed (or id 0)
   TraceEvent ev;
@@ -74,7 +92,7 @@ void Tracer::end(sim::SimTime ts, std::uint64_t id, json::Object args) {
   ev.tid = it->second.tid;
   ev.cat = std::move(it->second.cat);
   ev.name = std::move(it->second.name);
-  ev.args = args_text(std::move(args));
+  ev.args = std::move(args).text();
   open_.erase(it);
   if (internal::tls_flight != nullptr) {
     // The mirror carries the span's identity by name, not id — span ids
@@ -87,14 +105,14 @@ void Tracer::end(sim::SimTime ts, std::uint64_t id, json::Object args) {
 
 void Tracer::instant(sim::SimTime ts, std::string_view cat,
                      std::string_view name, std::string_view track,
-                     json::Object args) {
+                     TraceArgs args) {
   TraceEvent ev;
   ev.ph = 'i';
   ev.ts = ts;
   ev.tid = this->track(track);
   ev.cat = cat;
   ev.name = name;
-  ev.args = args_text(std::move(args));
+  ev.args = std::move(args).text();
   events_.push_back(std::move(ev));
   if (internal::tls_flight != nullptr) {
     flight_span(FlightKind::kInstant, ts, cat, name, track, 0, 0.0);
@@ -110,10 +128,7 @@ void Tracer::counter(sim::SimTime ts, std::string_view track,
   ev.tid = this->track(track);
   ev.cat = "metric";
   ev.name = name;
-  // {"value":v}, the bytes args_text({{"value", v}}) writes.
-  ev.args = "{\"value\":";
-  json::append_double(ev.args, value);
-  ev.args += '}';
+  ev.args = TraceArgs().add("value", value).text();
   events_.push_back(std::move(ev));
   if (internal::tls_flight != nullptr) {
     flight_span(FlightKind::kCounter, ts, "metric", name, track, 0, value);

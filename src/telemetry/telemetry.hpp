@@ -61,7 +61,7 @@ struct TraceEvent {
   std::uint32_t tid = 0;    // track index
   std::string cat;          // category: "task","offload","ddi","net","fault",...
   std::string name;
-  // The args object as its compact JSON text (args_text below), written
+  // The args object as its compact JSON text (TraceArgs below), written
   // once at record time; empty when the event has no args.
   std::string args;
 
@@ -70,10 +70,26 @@ struct TraceEvent {
   json::Object args_object() const;
 };
 
-/// The args text Tracer records for `args`: exactly the bytes
-/// json::Value(args).dump() writes (keys in std::map order, non-finite
-/// doubles as null), or "" when `args` has no members.
+/// The args text json::Value(args).dump() writes (keys in std::map order,
+/// non-finite doubles as null), or "" when `args` has no members.
 std::string args_text(json::Object args);
+
+/// A trace event's args as args_text() writes them, appended member by
+/// member. Keys must come in strictly ascending (std::map) order; an
+/// out-of-order or repeated key throws std::logic_error.
+class TraceArgs {
+ public:
+  TraceArgs& add(std::string_view key, const json::Value& value) &;
+  TraceArgs&& add(std::string_view key, const json::Value& value) && {
+    return std::move(add(key, value));
+  }
+  /// The finished text; "" when nothing was added.
+  std::string text() &&;
+
+ private:
+  std::string text_;
+  std::string last_key_;
+};
 
 /// Append-only event log with interned track names. All methods assume the
 /// caller already checked telemetry::on() — the Tracer itself never
@@ -88,22 +104,22 @@ class Tracer {
   /// Records a complete slice: [ts, ts+dur) on `track`.
   void complete(sim::SimTime ts, sim::SimDuration dur, std::string_view cat,
                 std::string_view name, std::string_view track,
-                json::Object args = {});
+                TraceArgs args = {});
 
   /// Opens an async span; returns the id end() closes. Spans on one track
   /// may overlap freely (they render as async tracks in Perfetto).
   std::uint64_t begin(sim::SimTime ts, std::string_view cat,
                       std::string_view name, std::string_view track,
-                      json::Object args = {});
+                      TraceArgs args = {});
 
   /// Closes an async span; extra args are attached to the end event.
   /// Unknown / already-closed ids are ignored (id 0 — a begin() recorded
   /// while telemetry was off — is always safe to pass).
-  void end(sim::SimTime ts, std::uint64_t id, json::Object args = {});
+  void end(sim::SimTime ts, std::uint64_t id, TraceArgs args = {});
 
   /// Records an instant event (a point-in-time decision).
   void instant(sim::SimTime ts, std::string_view cat, std::string_view name,
-               std::string_view track, json::Object args = {});
+               std::string_view track, TraceArgs args = {});
 
   /// Records a counter sample (numeric time series).
   void counter(sim::SimTime ts, std::string_view track, std::string_view name,

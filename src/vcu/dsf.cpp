@@ -45,19 +45,17 @@ std::uint64_t Dsf::submit(const workload::AppDag& dag, Callback done) {
 
   if (telemetry::on()) {
     telemetry::Tracer& tr = telemetry::tracer();
-    json::Object args;
-    args["instance"] = static_cast<std::int64_t>(inst->id);
-    args["tasks"] = n;
-    args["scheduler"] = std::string(scheduler_->name());
-    inst->telem_span =
-        tr.begin(sim_.now(), "task", dag.name(), "dsf", std::move(args));
+    inst->telem_span = tr.begin(sim_.now(), "task", dag.name(), "dsf",
+                                telemetry::TraceArgs()
+                                    .add("instance", inst->id)
+                                    .add("scheduler", scheduler_->name())
+                                    .add("tasks", n));
     telemetry::count("dsf.submitted", {{"app", dag.name()}});
     if (options_.enable_partitioning && n != dag.size()) {
-      json::Object pargs;
-      pargs["tasks_in"] = dag.size();
-      pargs["tasks_out"] = n;
       tr.instant(sim_.now(), "task", "partition:" + dag.name(), "dsf",
-                 std::move(pargs));
+                 telemetry::TraceArgs()
+                     .add("tasks_in", dag.size())
+                     .add("tasks_out", n));
     }
   }
 
@@ -134,10 +132,9 @@ void Dsf::on_task_done(std::uint64_t instance_id, int task_id,
 
   if (telemetry::on() && !rec.device.empty()) {
     telemetry::Tracer& tr = telemetry::tracer();
-    json::Object args;
-    args["instance"] = static_cast<std::int64_t>(instance_id);
-    args["ok"] = rep.ok;
-    if (rec.attempts > 1) args["attempts"] = rec.attempts;
+    telemetry::TraceArgs args;
+    if (rec.attempts > 1) args.add("attempts", rec.attempts);
+    args.add("instance", instance_id).add("ok", rep.ok);
     tr.complete(rep.started, rep.finished - rep.started, "task", rec.task,
                 "vcu/" + rec.device, std::move(args));
     telemetry::observe("dsf.task_ms", {{"device", rec.device}},
@@ -202,11 +199,12 @@ void Dsf::finish(Instance& inst) {
 
   if (telemetry::on()) {
     if (inst.telem_span != 0) {
-      json::Object args;
-      args["ok"] = run.ok;
-      args["deadline_met"] = run.deadline_met;
-      args["latency_ms"] = sim::to_millis(run.latency());
-      telemetry::tracer().end(sim_.now(), inst.telem_span, std::move(args));
+      telemetry::tracer().end(
+          sim_.now(), inst.telem_span,
+          telemetry::TraceArgs()
+              .add("deadline_met", run.deadline_met)
+              .add("latency_ms", sim::to_millis(run.latency()))
+              .add("ok", run.ok));
     }
     telemetry::count(run.ok ? "dsf.completed" : "dsf.failed");
     telemetry::observe("dsf.latency_ms", {{"app", run.app}},

@@ -27,10 +27,8 @@ analysis::CriticalPathReport report_from_json(const std::string& trace_json) {
 
 TEST(ParseChromeTrace, RoundTripsTracksAndEvents) {
   telemetry::Tracer tracer;
-  json::Object args;
-  args["run"] = static_cast<std::int64_t>(7);
   tracer.complete(100, 50, "segment", "net", "elastic/segments",
-                  std::move(args));
+                  telemetry::TraceArgs().add("run", 7));
   std::uint64_t id = tracer.begin(10, "service", "svc", "elastic");
   tracer.end(400, id);
   tracer.instant(5, "cat", "point", "other");

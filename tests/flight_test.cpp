@@ -423,10 +423,19 @@ TEST(FlightSweepTest, FleetFaultTriggeredBundleInvariantAcrossMatrix) {
 // then re-raises, so the process dies by SIGABRT as usual.
 TEST(FlightCrashTest, AbortMidRunYieldsParseableBundle) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "vdap-flight-crash";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  // A threadsafe death test runs this body again in a child process. The
+  // child must write into the fresh directory the parent made and reads
+  // back, so the parent names it in the environment the child inherits.
+  constexpr const char* kDirEnv = "VDAP_FLIGHT_CRASH_TEST_DIR";
+  std::string dir;
+  if (const char* inherited = std::getenv(kDirEnv)) {
+    dir = inherited;  // the death-test child
+  } else {
+    dir = (std::filesystem::temp_directory_path() / "vdap-flight-crash-XXXXXX")
+              .string();
+    ASSERT_NE(mkdtemp(dir.data()), nullptr);
+    ASSERT_EQ(setenv(kDirEnv, dir.c_str(), 1), 0);
+  }
 
   auto crash_run = [&dir] {
     core::FleetScaleConfig cfg;
@@ -435,20 +444,22 @@ TEST(FlightCrashTest, AbortMidRunYieldsParseableBundle) {
     cfg.run_until = sim::seconds(6);
     cfg.drain = sim::seconds(2);
     cfg.flight = true;
-    cfg.flight_opts.dir = dir.string();
-    cfg.flight_crash_dump = true;
+    cfg.flight_opts.dir = dir;
     cfg.prepare = [](sim::ShardedSimulator& ssim) {
+      // Armed after the recorder got its context, so the crash manifest
+      // carries it.
+      ssim.planes().flight()->arm_crash_dump();
       ssim.shard(0).at(sim::seconds(3), [] { std::abort(); });
     };
     core::run_fleet_scale(cfg);
   };
   EXPECT_EXIT(crash_run(), ::testing::KilledBySignal(SIGABRT), "");
+  unsetenv(kDirEnv);
 
   // The child's handler streamed a bundle; parse it back in this process.
   std::string error;
   const std::string report =
-      telemetry::render_incident_dir((dir / "incident-crash").string(),
-                                     &error);
+      telemetry::render_incident_dir(dir + "/incident-crash", &error);
   ASSERT_FALSE(report.empty()) << error;
   EXPECT_NE(report.find("crash"), std::string::npos);
   std::filesystem::remove_all(dir);

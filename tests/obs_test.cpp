@@ -33,6 +33,7 @@ using namespace vdap;
 using telemetry::Domain;
 using telemetry::DomainSet;
 using telemetry::ShardRuntimeRow;
+using telemetry::TraceArgs;
 
 // The 100k acceptance sweep runs at full size on a plain build but is
 // scaled down under ASan/TSan, where a 100k-vehicle run costs minutes.
@@ -257,8 +258,8 @@ TEST(DomainSetTest, MergeByReferenceMatchesCopyMerge) {
         const std::string name = below(2) == 0 ? "run" : "xfer";
         const std::string cat = below(3) == 0 ? "net" : "svc";
         const sim::SimDuration dur = below(2);
-        json::Object args;
-        if (below(2) == 0) args["k"] = below(3);
+        TraceArgs args;
+        if (below(2) == 0) args.add("k", below(3));
         auto [mine, theirs] = domains(d);
         switch (below(6)) {
           case 0:
@@ -322,12 +323,10 @@ TEST(DomainSetTest, MergeByReferenceMatchesCopyMerge) {
 // order across domains: the merge orders them by args text with the
 // empty args last, as the dump "{}" sorted, and matches the copy-merge.
 TEST(DomainSetTest, ArgsOnlyTwinsSortByTextWithEmptyArgsLast) {
-  const std::vector<json::Object> args = {
-      {},
-      {{"k", json::Value(1)}},
-      {{"k", json::Value(json::Object{})}},
-      {{"a", json::Value("x")}},
-      {{"k", json::Value(0)}}};
+  const std::vector<TraceArgs> args = {
+      TraceArgs(), TraceArgs().add("k", 1),
+      TraceArgs().add("k", json::Object{}), TraceArgs().add("a", "x"),
+      TraceArgs().add("k", 0)};
   DomainSet set(2);
   CopyMergeSet ref(2);
   for (std::size_t i = 0; i < args.size(); ++i) {

@@ -121,9 +121,8 @@ TEST(Exporters, HostileStringsRoundTripThroughEveryArtifact) {
 
   const std::string weird = "svc \u00b5/\u8eca \xF0\x9F\x9A\x97 \x01\"\\";
   const std::string bad = "bad\xff bytes";
-  json::Object args;
-  args[weird] = weird;
-  telemetry::tracer().instant(5, weird, weird, weird, std::move(args));
+  telemetry::tracer().instant(5, weird, weird, weird,
+                              telemetry::TraceArgs().add(weird, weird));
   std::uint64_t id = telemetry::tracer().begin(10, "cat", bad, bad);
   telemetry::tracer().end(20, id);
   telemetry::count("runs", {{"svc", weird}});

@@ -15,10 +15,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string_view>
 
 #include "sim/simulator.hpp"
@@ -156,9 +159,8 @@ TEST_F(TelemetryTest, RegistryMergeAndReset) {
 
 TEST_F(TelemetryTest, ChromeTraceJsonRoundTrips) {
   Tracer t;
-  json::Object args;
-  args["bytes"] = 1234;
-  t.complete(1000, 500, "net", "xfer", "net/lte-up", std::move(args));
+  t.complete(1000, 500, "net", "xfer", "net/lte-up",
+             TraceArgs().add("bytes", 1234));
   std::uint64_t s = t.begin(2000, "task", "run", "dsf");
   t.instant(2500, "offload", "decide", "offload");
   t.end(3000, s);
@@ -346,6 +348,25 @@ class HostileCapture {
   /// Hostile args: nested values, non-finite and extreme numbers, escapes.
   json::Object args() { return object(0); }
 
+  /// One args member: the json::Value args_text() writes it from, and a
+  /// call adding the same value to a TraceArgs in the C++ type a
+  /// recording site passes.
+  struct Member {
+    json::Value value;
+    std::function<void(TraceArgs&, const std::string&)> add;
+  };
+
+  /// Hostile members by key (a repeated key keeps its first value), with
+  /// values of every type the recording sites pass: int, std::size_t and
+  /// int64 at their limits, doubles (non-finite and signed zero
+  /// included), bools, strings as std::string, std::string_view and
+  /// const char*, null, and nested objects and arrays.
+  std::map<std::string, Member> members() {
+    std::map<std::string, Member> out;
+    for (int n = below(6); n > 0; --n) out.emplace(text(), member());
+    return out;
+  }
+
   MetricsRegistry registry() {
     MetricsRegistry r;
     std::set<std::string> counters;  // one inc each: sums cannot overflow
@@ -472,6 +493,52 @@ class HostileCapture {
     return o;
   }
 
+  template <typename T>
+  static Member typed(T v) {
+    return {json::Value(v),
+            [v](TraceArgs& a, const std::string& key) { a.add(key, v); }};
+  }
+
+  Member member() {
+    switch (below(11)) {
+      case 0: {
+        const int odd[] = {std::numeric_limits<int>::min(),
+                           std::numeric_limits<int>::max(), 0, -1};
+        return typed(chance(0.5) ? odd[below(4)] : below(2001) - 1000);
+      }
+      case 1: {
+        const std::size_t odd[] = {0, std::numeric_limits<std::size_t>::max(),
+                                   std::size_t{1} << 63};
+        return typed(chance(0.5) ? odd[below(3)]
+                                 : static_cast<std::size_t>(rng_() % 100000));
+      }
+      case 2: return typed(integer());
+      case 3: return typed(number());
+      case 4: return typed(chance(0.5));
+      case 5: return typed(text());
+      case 6: {
+        static constexpr const char* kLiterals[] = {
+            "", "(hung)", "quote\"back\\slash", "\x01\x1f\x7f",
+            "\xC3\xA9\xF0\x9F\x9A\x97", "\xFF\xC0\xAF"};
+        return typed(kLiterals[below(6)]);
+      }
+      case 7: {
+        const std::string s = text();
+        return {json::Value(std::string_view(s)),
+                [s](TraceArgs& a, const std::string& key) {
+                  a.add(key, std::string_view(s));
+                }};
+      }
+      case 8: return typed(nullptr);
+      case 9: return typed(object(1));
+      default: {
+        json::Array arr;
+        for (int n = below(4); n > 0; --n) arr.push_back(value(1));
+        return typed(std::move(arr));
+      }
+    }
+  }
+
   std::mt19937_64 rng_;
 };
 
@@ -557,6 +624,49 @@ TEST(TelemetryExport, StreamingExportersMatchDomOnEdgeCases) {
   }
 }
 
+/// `obj`'s members added to a TraceArgs in key order.
+TraceArgs trace_args(const json::Object& obj) {
+  TraceArgs args;
+  for (const auto& [key, value] : obj) args.add(key, value);
+  return args;
+}
+
+// The writer against the object dump: random member sets, each value
+// passed in the C++ type a recording site passes and added in key order,
+// write exactly args_text() of the same object. An out-of-order or a
+// repeated key throws, so a writer that skipped the order check fails
+// here.
+TEST(TraceEventArgs, WriterMatchesArgsTextOfTheSameObject) {
+  EXPECT_EQ(TraceArgs().text(), "");
+  HostileCapture gen(20261020);
+  std::size_t multi = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::map<std::string, HostileCapture::Member> members = gen.members();
+    json::Object obj;
+    TraceArgs args;
+    for (const auto& [key, m] : members) {
+      obj.emplace(key, m.value);
+      m.add(args, key);
+    }
+    ASSERT_EQ(std::move(args).text(), args_text(obj)) << "set " << i;
+    if (members.empty()) continue;
+
+    const auto& [last_key, last] = *members.rbegin();
+    TraceArgs repeated;
+    for (const auto& [key, m] : members) m.add(repeated, key);
+    EXPECT_THROW(last.add(repeated, last_key), std::logic_error)
+        << "set " << i;
+    if (members.size() < 2) continue;
+    ++multi;
+    const auto& [first_key, first] = *members.begin();
+    TraceArgs reversed;
+    last.add(reversed, last_key);
+    EXPECT_THROW(first.add(reversed, first_key), std::logic_error)
+        << "set " << i;
+  }
+  EXPECT_GT(multi, 5000u);
+}
+
 // Every Tracer method records its args once, at record time, as the
 // object's compact dump; no args record as "".
 TEST(TraceEventArgs, RecordedTextIsTheObjectDump) {
@@ -566,9 +676,9 @@ TEST(TraceEventArgs, RecordedTextIsTheObjectDump) {
     const std::string want = obj.empty() ? "" : json::Value(obj).dump();
     EXPECT_EQ(args_text(obj), want);
     Tracer t;
-    t.complete(1, 2, "c", "n", "trk", obj);
-    t.end(3, t.begin(1, "c", "n", "trk", obj), obj);
-    t.instant(4, "c", "n", "trk", obj);
+    t.complete(1, 2, "c", "n", "trk", trace_args(obj));
+    t.end(3, t.begin(1, "c", "n", "trk", trace_args(obj)), trace_args(obj));
+    t.instant(4, "c", "n", "trk", trace_args(obj));
     ASSERT_EQ(t.events().size(), 4u);
     for (const TraceEvent& ev : t.events()) {
       ASSERT_EQ(ev.args, want) << "object " << i << " ph " << ev.ph;
@@ -596,7 +706,7 @@ TEST(TraceEventArgs, EdgeCases) {
   };
   for (const auto& [obj, text] : cases) {
     Tracer t;
-    t.instant(0, "c", "n", "trk", obj);
+    t.instant(0, "c", "n", "trk", trace_args(obj));
     EXPECT_EQ(t.events().back().args, text);
     if (!obj.empty()) EXPECT_EQ(text, json::Value(obj).dump());
   }
@@ -613,7 +723,7 @@ TEST(TraceEventArgs, EdgeCases) {
   EXPECT_EQ(t.events()[1].args, R"({"value":-0})");
 
   // Readers parse the text back.
-  t.instant(0, "c", "n", "trk", {{"run", 7}, {"tier", "edge"}});
+  t.instant(0, "c", "n", "trk", TraceArgs().add("run", 7).add("tier", "edge"));
   EXPECT_EQ(t.events().back().args_object(),
             (json::Object{{"run", 7}, {"tier", "edge"}}));
   EXPECT_TRUE(TraceEvent{}.args_object().empty());

@@ -7,8 +7,6 @@
 // Ten minutes of TF vehicle-detection requests (4/s). Expected shape: the governed
 // run ends with meaningfully more charge left, paying a bounded latency
 // premium after the switch; the ungoverned run burns the budget flat-out.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -90,23 +88,10 @@ void print_table() {
       "of the drive.\n\n");
 }
 
-void BM_GovernorCheck(benchmark::State& state) {
-  sim::Simulator sim(1);
-  core::OpenVdap cav(sim);
-  core::BatteryModel battery(sim, cav.board());
-  battery.start();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(battery.soc());
-  }
-}
-BENCHMARK(BM_GovernorCheck);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("battery");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 // ("avoiding executing unnecessary repeating operations"), cutting CNN
 // GFLOP per vehicle roughly by the overlap fraction for followers, at the
 // cost of millisecond-scale DSRC lookups.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -105,22 +103,10 @@ void print_table() {
       "overlap fraction,\npaying only millisecond-scale DSRC lookups.\n\n");
 }
 
-void BM_LocalLookup(benchmark::State& state) {
-  sim::Simulator sim(1);
-  core::CollaborationCache cache(sim, "cav", "veh-1");
-  cache.put("k", json::Value("v"));
-  for (auto _ : state) {
-    cache.lookup("k", [](std::optional<core::SharedResult>) {});
-  }
-}
-BENCHMARK(BM_LocalLookup);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("collab");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // Expected shape: the two-level design answers the hot queries at memory
 // latency ("in-memory database caches the frequently used data ... to
 // decrease the response latency of request").
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -93,57 +91,10 @@ void print_table() {
       "on average.\n\n");
 }
 
-void BM_MemDbGet(benchmark::State& state) {
-  ddi::MemDb db;
-  ddi::DataRecord rec;
-  rec.stream = "s";
-  rec.payload["v"] = 1;
-  db.put("k", rec, 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(db.get("k", 1));
-  }
-}
-BENCHMARK(BM_MemDbGet);
-
-void BM_DiskDbPut(benchmark::State& state) {
-  std::string dir =
-      (fs::temp_directory_path() / "vdap-bench-diskdb").string();
-  fs::remove_all(dir);
-  ddi::DiskDb db({dir, 16 << 20});
-  ddi::DataRecord rec;
-  rec.stream = "vehicle/obd";
-  rec.payload["speed_mps"] = 13.4;
-  sim::SimTime ts = 0;
-  for (auto _ : state) {
-    rec.timestamp = ts++;
-    db.put(rec);
-  }
-  state.SetItemsProcessed(state.iterations());
-  fs::remove_all(dir);
-}
-BENCHMARK(BM_DiskDbPut);
-
-void BM_RecordCodecRoundTrip(benchmark::State& state) {
-  ddi::DataRecord rec;
-  rec.stream = "vehicle/obd";
-  rec.timestamp = 123456;
-  rec.payload["speed_mps"] = 13.4;
-  rec.payload["rpm"] = 2100;
-  for (auto _ : state) {
-    std::vector<std::uint8_t> buf;
-    ddi::encode(rec, buf);
-    std::size_t off = 0;
-    benchmark::DoNotOptimize(ddi::decode(buf, off));
-  }
-}
-BENCHMARK(BM_RecordCodecRoundTrip);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("ddi");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // Expected shape: CPU-only saturates (the paper's motivation for
 // heterogeneous hardware); round-robin wastes the accelerators on
 // mismatched work; EFT/HEFT hold deadlines at a fraction of the latency.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -109,30 +107,10 @@ void print_table() {
       "classes to accelerators.\n\n");
 }
 
-void BM_GreedyEftPlacement(benchmark::State& state) {
-  sim::Simulator sim(1);
-  hw::VcuBoard board(sim, "vcu");
-  hw::populate_reference_1sthep(board);
-  vcu::ResourceRegistry reg;
-  for (const auto& d : board.devices()) reg.join(d.get());
-  vcu::GreedyEftScheduler sched;
-  auto dag = workload::apps::pedestrian_detection();
-  vcu::PlacementQuery q;
-  q.dag = &dag;
-  q.task_id = 1;
-  q.candidates = reg.candidates(dag.name(), dag.task(1).cls);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched.place(q));
-  }
-}
-BENCHMARK(BM_GreedyEftPlacement);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("dsf");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

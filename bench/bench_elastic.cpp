@@ -6,8 +6,6 @@
 // Expected shape: each static pipeline wins somewhere and loses somewhere
 // (onboard wastes the idle edge; remote dies on the highway); elastic
 // tracks the per-segment winner and never strands a release.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -102,24 +100,10 @@ void print_table() {
       "(uses >1 pipeline)\nand has the fewest failures/misses overall.\n\n");
 }
 
-void BM_PipelineEstimation(benchmark::State& state) {
-  sim::Simulator sim(7);
-  core::OpenVdap cav(sim);
-  auto svc = edgeos::make_polymorphic_multi(
-      workload::apps::a3_kidnapper_search(),
-      {net::Tier::kRsuEdge, net::Tier::kCloud});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cav.elastic().estimate(svc));
-  }
-}
-BENCHMARK(BM_PipelineEstimation);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("elastic");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -9,8 +9,6 @@
 // Expected shape: the rig holds deadlines but at hundreds of watts; the
 // 1stHEP holds them within tens of watts; the legacy controller fails the
 // workload outright.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -97,21 +95,10 @@ void print_table() {
       "selected heterogeneous processors).\n\n");
 }
 
-void BM_EnergyAccounting(benchmark::State& state) {
-  sim::Simulator sim(1);
-  hw::ComputeDevice dev(sim, hw::catalog::jetson_tx2_maxp());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dev.energy_joules());
-  }
-}
-BENCHMARK(BM_EnergyAccounting);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("energy");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 //
 // Paper bars:  packet loss .002/.006/.021/.070/.535/.617
 //              frame  loss .012/.027/.390/.763/.911/.980
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -70,31 +68,10 @@ void print_table() {
       ch.mean_capacity_mbps());
 }
 
-void BM_Upload720pAt35Mph(benchmark::State& state) {
-  for (auto _ : state) {
-    auto stats = net::run_fig2_cell(35.0, net::VideoStreamSpec::hd720(),
-                                    7, 60.0);
-    benchmark::DoNotOptimize(stats.packets_lost);
-  }
-}
-BENCHMARK(BM_Upload720pAt35Mph)->Unit(benchmark::kMillisecond);
-
-void BM_ChannelTraceConstruction(benchmark::State& state) {
-  net::LteMobilityParams lte;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    net::CellularChannel ch(lte, net::mph_to_mps(70.0), 300.0, seed++);
-    benchmark::DoNotOptimize(ch.mean_capacity_mbps());
-  }
-}
-BENCHMARK(BM_ChannelTraceConstruction)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("fig2");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // Paper: 334.5 / 242.8 / 114.3 / 153.9 / 26.8 ms at ~1 / 7.5 / 15 / 60 /
 // 250 W. "GPU#3 outperforms other kinds of processors in processing speed,
 // while its corresponding max power consumption is considerably bigger."
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -73,20 +71,10 @@ void print_table() {
       "energy dilemma.\n\n");
 }
 
-void BM_InceptionOnV100Model(benchmark::State& state) {
-  auto spec = hw::catalog::tesla_v100();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_inception(spec));
-  }
-}
-BENCHMARK(BM_InceptionOnV100Model);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("fig3");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

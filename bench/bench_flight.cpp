@@ -9,19 +9,14 @@
 //     digest matched the recorder-off run) — every cell is a pure
 //     function of (seed, config), independent of the shard/thread
 //     counts used to produce it (the flight sweep test proves it).
-//   * A flight-overhead table: the recorder-on / recorder-off
-//     wall-clock RATIO (best of 3 each, 2 decimals). Absolute wall
-//     times are never committed — the ratio is unit-free and
-//     machine-portable, and the 15% bench drift gate turns into exactly
+//   * A wall-plane flight-overhead table: the median recorder-on /
+//     recorder-off wall-clock RATIO of 15 alternating pairs
+//     (bench::record_overhead). Absolute wall times are never committed —
+//     the ratio is unit-free, and the gate's 15% wall-plane tolerance is
 //     the overhead budget the O(1)-append hot path has to keep: if the
-//     black box stops being cheap enough to leave on, this baseline
-//     catches it.
-#include <benchmark/benchmark.h>
-
+//     black box stops being cheap enough to leave on, this row catches it.
 #include "bench_output.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -84,54 +79,20 @@ void print_determinism_table() {
       "must not perturb it).\n\n");
 }
 
-double best_wall(const FleetScaleConfig& cfg, FleetScaleOutcome* out) {
-  double best = 1e300;
-  for (int i = 0; i < 3; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    *out = core::run_fleet_scale(cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
 void print_overhead_table() {
-  const int n = 10000;
-  FleetScaleOutcome off_out;
-  FleetScaleOutcome on_out;
-  const double off = best_wall(flight_config(n, false), &off_out);
-  const double on = best_wall(flight_config(n, true), &on_out);
-  util::TextTable table(
-      "flight overhead — 10k vehicles, recorder-on / recorder-off wall "
-      "ratio (best of 3; absolute seconds never committed)");
-  table.set_header({"vehicles", "overhead x", "digest match"});
-  table.add_row({std::to_string(n), util::TextTable::num(on / off, 2),
-                 on_out.digest == off_out.digest ? "yes" : "NO"});
-  bench::BenchOutput::record(table);
-  std::printf("%s", table.to_string().c_str());
-  std::printf("flight_on_s=%.3f flight_off_s=%.3f overhead=%.2fx "
-              "(raw walls not committed)\n\n", on, off, on / off);
+  constexpr int n = 10000;
+  bench::record_overhead(
+      "flight overhead — 10k vehicles, recorder-on / recorder-off wall ratio",
+      n, [](bool flight) {
+        return core::run_fleet_scale(flight_config(n, flight));
+      });
 }
-
-void BM_ScaleFlight(benchmark::State& state) {
-  const bool flight = state.range(0) != 0;
-  for (auto _ : state) {
-    FleetScaleOutcome r = core::run_fleet_scale(flight_config(2000, flight));
-    benchmark::DoNotOptimize(r.digest);
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_ScaleFlight)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("flight");
   print_determinism_table();
-  // The overhead RATIO is committed — it must run (and record) even when
-  // the bench gate collects tables with --benchmark_list_tests.
   print_overhead_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

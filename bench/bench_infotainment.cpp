@@ -7,8 +7,6 @@
 // Expected shape: clean playback when parked; growing rebuffer ratio with
 // speed (the downlink twin of Fig. 2's uplink story); deeper client
 // buffers trade startup delay for stall resistance.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -97,19 +95,10 @@ void print_table() {
       "buffered away.\n\n");
 }
 
-void BM_OneStreamingSession(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_session(35.0, 3, 1'500'000));
-  }
-}
-BENCHMARK(BM_OneStreamingSession)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("infotainment");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,27 +1,19 @@
 // Sharded columnar ingest scaling (DESIGN.md §6g): the fleet TSDB fed
 // synthetic wire streams from 1k to 1M frames per simulated second.
 //
-// Three sections:
+// Two committed tables:
 //   * A deterministic rate-scaling table — frames, samples, the
 //     DDI-queried fleet p95 of the ingested metric, anomaly/detection
 //     accounting and columnar storage footprint per ingest rate. The
 //     stream values are drawn from the same distribution at every rate,
 //     so the queried p95 must stay FLAT from 1k to 1M frames/s: the TSDB
-//     neither drops nor distorts under load. Committed as
-//     BENCH_ingest.json and held by the bench drift gate (>15% fails).
+//     neither drops nor distorts under load.
 //   * A deterministic pool before/after table — block-memory allocation
 //     vs reuse counts for the same append stream with and without the
-//     BlockPool (satellite: pool-allocated hot ingest path).
-//   * Wall-clock thread-scaling and pool-speedup tables printed for
-//     humans but NOT recorded (wall time is not byte-stable). The
-//     thread rows also re-assert byte-identical query output per thread
-//     count.
-#include <benchmark/benchmark.h>
-
+//     BlockPool.
 #include "bench_output.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -75,30 +67,20 @@ std::vector<std::string> make_batch(int batch, int vehicles,
   return lines;
 }
 
-struct RateRun {
-  fleet::ShardedIngestBackend backend;
-  double wall_seconds = 0.0;
-  explicit RateRun(const fleet::IngestOptions& opts) : backend(opts) {}
-};
-
 /// Ingests 1 simulated second of load at `rate` frames/s. Fleet width
 /// scales with the rate (rate/100 vehicles, 100 frames each), so the
 /// detection columns also document the O(V)-per-barrier cost model.
-void run_rate(RateRun* run, int rate) {
+void run_rate(fleet::ShardedIngestBackend* backend, int rate) {
   const int vehicles = std::max(8, rate / 100);
   const int per_vehicle_per_batch =
       std::max(1, rate / vehicles / kBatches);
   std::vector<std::uint64_t> seq(static_cast<std::size_t>(vehicles), 0);
-  const auto t0 = std::chrono::steady_clock::now();
   for (int b = 0; b < kBatches; ++b) {
     const std::vector<std::string> batch =
         make_batch(b, vehicles, per_vehicle_per_batch, &seq);
     std::vector<std::string_view> views(batch.begin(), batch.end());
-    run->backend.ingest_batch(views);
+    backend->ingest_batch(views);
   }
-  run->wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
 }
 
 double queried_p95(const fleet::ShardedIngestBackend& backend) {
@@ -121,9 +103,8 @@ void print_rate_table() {
     opts.shards = 8;
     opts.threads = sim::ThreadPool::hardware_threads();
     opts.block.block_samples = 32;  // ~3 sealed blocks per vehicle
-    RateRun run(opts);
-    run_rate(&run, rate);
-    const fleet::ShardedIngestBackend& b = run.backend;
+    fleet::ShardedIngestBackend b(opts);
+    run_rate(&b, rate);
     const double p95 = queried_p95(b);
     if (p95_min == 0.0 || p95 < p95_min) p95_min = p95;
     p95_max = std::max(p95_max, p95);
@@ -147,13 +128,13 @@ void print_rate_table() {
       "queried p95 is flat while frames scale 1000x; exactly one anomaly\n"
       "(the impaired vehicle) per row; means/pass tracks fleet width, not\n"
       "frame count (O(V) per barrier, not O(V) per frame).\n"
-      "p95_spread_1k_to_1M=%.1f%% (gate threshold 15%%)\n\n",
+      "p95_spread_1k_to_1M=%.1f%%\n\n",
       spread * 100.0);
 }
 
-/// Satellite: pool-allocated hot path, before/after. Same append stream
-/// through ColumnarStores with and without a BlockPool; the committed
-/// columns are the (deterministic) allocation vs reuse counts.
+/// Pool-allocated hot path, before/after: the (deterministic) allocation
+/// vs reuse counts of one append stream through a pooled ColumnarStore.
+/// The "no pool" row needs no run of its own (see below).
 void print_pool_table() {
   constexpr int kSeries = 64;
   constexpr int kAppends = 200000;
@@ -161,24 +142,14 @@ void print_pool_table() {
   opts.block_samples = 512;
   opts.max_blocks = 2;  // evictions recycle encode buffers through the pool
 
-  auto fill = [&](fleet::ColumnarStore* store) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int k = 0; k < kAppends; ++k) {
-      char name[8];
-      std::snprintf(name, sizeof name, "m%02d", k % kSeries);
-      store->observe(name, sim::usec(50) * k,
-                     20.0 + 0.01 * static_cast<double>(k % 1000));
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-
   fleet::BlockPool pool;
   fleet::ColumnarStore pooled(opts, &pool);
-  const double pooled_s = fill(&pooled);
-  fleet::ColumnarStore bare(opts, nullptr);
-  const double bare_s = fill(&bare);
+  for (int k = 0; k < kAppends; ++k) {
+    char name[8];
+    std::snprintf(name, sizeof name, "m%02d", k % kSeries);
+    pooled.observe(name, sim::usec(50) * k,
+                   20.0 + 0.01 * static_cast<double>(k % 1000));
+  }
 
   std::uint64_t seals = 0;
   for (const std::string& name : pooled.names()) {
@@ -207,78 +178,14 @@ void print_pool_table() {
   std::printf(
       "Expected shape: identical seal count both modes; pooled allocations\n"
       "collapse to the free-list working set with the remainder served by\n"
-      "reuse. (Wall clock, not committed: pooled %.0f ns/append vs bare "
-      "%.0f ns/append.)\n\n",
-      pooled_s / kAppends * 1e9, bare_s / kAppends * 1e9);
+      "reuse.\n\n");
 }
-
-void print_thread_table() {
-  const int rate = 100000;
-  util::TextTable table(
-      "ingest wall clock — 100k frames/s stream per thread count "
-      "(not committed: wall time)");
-  table.set_header({"threads", "wall s", "frames/s", "identical"});
-  std::string reference;
-  for (int threads :
-       {1, 2, std::max(2, sim::ThreadPool::hardware_threads())}) {
-    fleet::IngestOptions opts;
-    opts.shards = 8;
-    opts.threads = threads;
-    RateRun run(opts);
-    run_rate(&run, rate);
-    const std::string out =
-        run.backend.rollup_table() + run.backend.vehicle_table();
-    if (reference.empty()) reference = out;
-    table.add_row(
-        {std::to_string(threads), util::TextTable::num(run.wall_seconds, 3),
-         std::to_string(static_cast<long long>(
-             static_cast<double>(run.backend.frames_ingested()) /
-             run.wall_seconds)),
-         out == reference ? "yes" : "NO"});
-  }
-  std::printf("%s", table.to_string().c_str());
-  std::printf(
-      "Note: wall time includes frame generation + JSON decode; 'identical'\n"
-      "re-checks that thread count never changes the query-visible state.\n\n");
-}
-
-void BM_IngestBatch(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  fleet::IngestOptions opts;
-  opts.shards = 8;
-  opts.threads = threads;
-  const int vehicles = 1000;
-  std::vector<std::uint64_t> seq(vehicles, 0);
-  const std::vector<std::string> batch = make_batch(0, vehicles, 10, &seq);
-  const std::vector<std::string_view> views(batch.begin(), batch.end());
-  for (auto _ : state) {
-    state.PauseTiming();
-    fleet::ShardedIngestBackend backend(opts);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(backend.ingest_batch(views));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(views.size()));
-}
-BENCHMARK(BM_IngestBatch)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // The bench gate invokes every binary with --benchmark_list_tests to
-  // collect only the deterministic tables; the wall-clock sections would
-  // be dead weight there (and are not byte-stable anyway).
-  bool list_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--benchmark_list_tests", 0) == 0) {
-      list_only = true;
-    }
-  }
+int main() {
   vdap::bench::BenchOutput bench_out("ingest");
   print_rate_table();
   print_pool_table();
-  if (!list_only) print_thread_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -14,23 +14,18 @@
 //     health, ddi, faults, net), so the hashes pin those bytes too. On
 //     this path capture depends on the shard count (fleet.hpp), so the
 //     shard count is fixed and only the thread count is free.
-//   * A capture-overhead table: the capture-on / capture-off wall-clock
-//     RATIO (best of 3 each, 2 decimals). Absolute wall times are never
-//     committed — the ratio is unit-free and machine-portable, and the
-//     15% bench drift gate turns into exactly the overhead budget the
-//     sharded capture path has to keep: if turning the tracer on gets
-//     relatively slower, this baseline catches it.
+//   * A wall-plane capture-overhead table: the median capture-on /
+//     capture-off wall-clock RATIO of 15 alternating pairs
+//     (bench::record_overhead). Absolute wall times are never committed —
+//     the ratio is unit-free, and the gate's 15% wall-plane tolerance is
+//     the overhead budget the sharded capture path has to keep.
 //
 // When VDAP_OBS_ARTIFACTS names a directory, the capture-on run's merged
 // trace.json / metrics.jsonl / shards.jsonl are written there so the CI
 // bench-gate job can upload them for offline inspection with
 // `vdap-report` (check.sh exports it under build/bench-results/).
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -126,17 +121,6 @@ void print_platform_capture_table() {
       "a layer records different trace args or metrics.\n\n");
 }
 
-double best_wall(const FleetScaleConfig& cfg, FleetScaleOutcome* out) {
-  double best = 1e300;
-  for (int i = 0; i < 3; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    *out = core::run_fleet_scale(cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
 void write_artifacts(const FleetScaleOutcome& on) {
   const char* dir = std::getenv("VDAP_OBS_ARTIFACTS");
   if (dir == nullptr || *dir == '\0') return;
@@ -154,45 +138,21 @@ void write_artifacts(const FleetScaleOutcome& on) {
 }
 
 void print_overhead_table() {
-  const int n = 10000;
-  FleetScaleOutcome off_out;
-  FleetScaleOutcome on_out;
-  const double off = best_wall(obs_config(n, false), &off_out);
-  const double on = best_wall(obs_config(n, true), &on_out);
-  util::TextTable table(
-      "capture overhead — 10k vehicles, capture-on / capture-off wall "
-      "ratio (best of 3; absolute seconds never committed)");
-  table.set_header({"vehicles", "overhead x", "digest match"});
-  table.add_row({std::to_string(n), util::TextTable::num(on / off, 2),
-                 on_out.digest == off_out.digest ? "yes" : "NO"});
-  bench::BenchOutput::record(table);
-  std::printf("%s", table.to_string().c_str());
-  std::printf("capture_on_s=%.3f capture_off_s=%.3f overhead=%.2fx "
-              "(raw walls not committed)\n\n", on, off, on / off);
-  write_artifacts(on_out);
+  constexpr int n = 10000;
+  const FleetScaleOutcome on = bench::record_overhead(
+      "capture overhead — 10k vehicles, capture-on / capture-off wall ratio",
+      n, [](bool capture) {
+        return core::run_fleet_scale(obs_config(n, capture));
+      });
+  write_artifacts(on);
 }
-
-void BM_ScaleCapture(benchmark::State& state) {
-  const bool capture = state.range(0) != 0;
-  for (auto _ : state) {
-    FleetScaleOutcome r = core::run_fleet_scale(obs_config(2000, capture));
-    benchmark::DoNotOptimize(r.digest);
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_ScaleCapture)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("obs");
   print_capture_table();
   print_platform_capture_table();
-  // Unlike bench_shard's speedup table, the overhead RATIO is committed —
-  // it must run (and record) even when the bench gate collects tables
-  // with --benchmark_list_tests.
   print_overhead_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

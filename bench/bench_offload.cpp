@@ -8,8 +8,6 @@
 // cloud-only collapses with the cellular link (the Fig. 2 mechanism);
 // in-vehicle-only holds latency but burns the §III-B power budget; dynamic
 // edge offloading tracks the best of both.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -126,22 +124,10 @@ void print_table() {
       "offloading stays near the best column-wise.\n\n");
 }
 
-void BM_OffloadDecision(benchmark::State& state) {
-  sim::Simulator sim(7);
-  core::OpenVdap cav(sim);
-  auto dag = workload::apps::a3_kidnapper_search();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cav.offload().decide(dag));
-  }
-}
-BENCHMARK(BM_OffloadDecision);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("offload");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -10,8 +10,6 @@
 // the cellular bandwidth factor. Expected shape: with a fat pipe the best
 // cut moves work outward; as the pipe degrades the cut retreats toward the
 // vehicle; the chosen cut is never worse than the best pure-tier pipeline.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -103,24 +101,10 @@ void print_table() {
       "than the best pure-tier placement.\n\n");
 }
 
-void BM_EnumerateAndChooseCuts(benchmark::State& state) {
-  Setup s;
-  auto dag = workload::apps::license_plate_pipeline();
-  const std::vector<net::Tier> path = {
-      net::Tier::kOnBoard, net::Tier::kRsuEdge, net::Tier::kCloud};
-  for (auto _ : state) {
-    auto cuts = edgeos::make_path_split_pipelines(dag, path);
-    benchmark::DoNotOptimize(s.cav->elastic().choose(cuts));
-  }
-}
-BENCHMARK(BM_EnumerateAndChooseCuts);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("pathsplit");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

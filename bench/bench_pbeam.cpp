@@ -6,8 +6,6 @@
 // a small accuracy dip (making the model edge-deployable), and
 // personalization recovers accuracy on idiosyncratic drivers that the
 // fleet model misreads.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -117,35 +115,12 @@ void print_edge_latency() {
   std::printf("%s\n", table.to_string().c_str());
 }
 
-void BM_PBeamInference(benchmark::State& state) {
-  util::RngStream rng(1);
-  PBeam pbeam = PBeam::build(synth_fleet_dataset(100, rng), {}, rng);
-  DrivingFeatures f = sample_style_features(DrivingStyle::kNormal, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pbeam.aggressiveness(f));
-  }
-}
-BENCHMARK(BM_PBeamInference);
-
-void BM_DeepCompress(benchmark::State& state) {
-  util::RngStream rng(1);
-  for (auto _ : state) {
-    state.PauseTiming();
-    Mlp model({DrivingFeatures::kDim, 32, 16, kNumStyles}, rng);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(deep_compress(model, 0.6, 5));
-  }
-}
-BENCHMARK(BM_DeepCompress);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("pbeam");
   print_compression_sweep();
   print_personalization();
   print_edge_latency();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -10,24 +10,19 @@
 //     the profiler observes the run through seqlock snapshots and must
 //     not perturb a single deterministic byte (the `prof` sweep test
 //     proves it across the shard × thread matrix).
-//   * A prof-overhead table: the sampler-on / sampler-off wall-clock
-//     RATIO (best of 3 each, 2 decimals). Absolute wall times are never
-//     committed — the ratio is unit-free and machine-portable, and the
-//     15% bench drift gate becomes exactly the overhead budget the
-//     hot-path push/pop and the sampler thread have to keep: if leaving
-//     the profiler on stops being cheap, this baseline catches it.
+//   * A wall-plane prof-overhead table: the median sampler-on /
+//     sampler-off wall-clock RATIO of 15 alternating pairs
+//     (bench::record_overhead). Absolute wall times are never committed —
+//     the ratio is unit-free, and the gate's 15% wall-plane tolerance is
+//     the overhead budget the hot-path push/pop and the sampler thread
+//     have to keep.
 //
-// The sampler-on run's profile.jsonl is attached to the bench output as
-// BENCH_prof.profile.jsonl (BenchOutput::record_profile) — outside the
-// numeric gate, but bench_compare.py uses baseline/candidate profile
-// pairs to print the top regressed frames when the gate fails.
-#include <benchmark/benchmark.h>
-
+// The last sampler-on run's profile.jsonl is attached to the bench output
+// as BENCH_prof.profile.jsonl (BenchOutput::record_profile). The gate
+// does not compare it; when the gate fails, scripts/check.sh renders it
+// against the committed one with `vdap-report --profile --diff`.
 #include "bench_output.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -89,57 +84,19 @@ void print_determinism_table() {
       "moves when the sampler toggles (profiles are wall-plane only).\n\n");
 }
 
-double best_wall(const FleetScaleConfig& cfg, FleetScaleOutcome* out) {
-  double best = 1e300;
-  for (int i = 0; i < 3; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    *out = core::run_fleet_scale(cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
 void print_overhead_table() {
-  const int n = 10000;
-  FleetScaleOutcome off_out;
-  FleetScaleOutcome on_out;
-  const double off = best_wall(prof_config(n, false), &off_out);
-  const double on = best_wall(prof_config(n, true), &on_out);
-  util::TextTable table(
-      "prof overhead — 10k vehicles, sampler-on / sampler-off wall ratio "
-      "(best of 3; absolute seconds never committed)");
-  table.set_header({"vehicles", "overhead x", "digest match"});
-  table.add_row({std::to_string(n), util::TextTable::num(on / off, 2),
-                 on_out.digest == off_out.digest ? "yes" : "NO"});
-  bench::BenchOutput::record(table);
-  // The profile itself rides along (outside the numeric gate) so a failed
-  // gate can name the frames that absorbed the regression.
-  bench::BenchOutput::record_profile(on_out.profile_jsonl);
-  std::printf("%s", table.to_string().c_str());
-  std::printf("prof_on_s=%.3f prof_off_s=%.3f overhead=%.2fx "
-              "(raw walls not committed)\n\n", on, off, on / off);
+  constexpr int n = 10000;
+  const FleetScaleOutcome on = bench::record_overhead(
+      "prof overhead — 10k vehicles, sampler-on / sampler-off wall ratio", n,
+      [](bool prof) { return core::run_fleet_scale(prof_config(n, prof)); });
+  bench::BenchOutput::record_profile(on.profile_jsonl);
 }
-
-void BM_ScaleProf(benchmark::State& state) {
-  const bool prof = state.range(0) != 0;
-  for (auto _ : state) {
-    FleetScaleOutcome r = core::run_fleet_scale(prof_config(2000, prof));
-    benchmark::DoNotOptimize(r.digest);
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_ScaleProf)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("prof");
   print_determinism_table();
-  // The overhead RATIO is committed — it must run (and record) even when
-  // the bench gate collects tables with --benchmark_list_tests.
   print_overhead_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 //   (b) reliability: compromises injected into a container service at
 //       random times; measured detection + recovery latency and service
 //       availability over a 10-minute window.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -108,24 +106,11 @@ void print_reliability_table() {
       "(<= 3.5 s);\nTEE services resist every injected internal attack.\n\n");
 }
 
-void BM_AttestVerify(benchmark::State& state) {
-  sim::Simulator sim(1);
-  edgeos::SecurityModule sec(sim);
-  sec.install("svc", edgeos::IsolationMode::kTee);
-  auto token = *sec.attest("svc");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sec.verify("svc", token));
-  }
-}
-BENCHMARK(BM_AttestVerify);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("security");
   print_overhead_table();
   print_reliability_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,20 +1,12 @@
 // Sharded-simulator scaling (DESIGN.md §6f): run_fleet_scale fleets from
 // 1k to 100k vehicles on the lock-step sharded runner.
 //
-// Two sections:
-//   * A deterministic digest table (frames, samples, FNV digest per fleet
-//     size) — byte-stable per seed and INDEPENDENT of the shard/thread
-//     counts used to produce it, so it is committed as BENCH_shard.json
-//     and sits under the bench drift gate. Any nondeterminism in the
-//     sharded core shows up here as a baseline diff.
-//   * A wall-clock speedup table (1 shard/1 thread vs 8/8 at 100k
-//     vehicles) printed for humans but NOT recorded — wall time is not
-//     byte-stable. The CI scaling job greps it for the >2x criterion.
-#include <benchmark/benchmark.h>
-
+// One committed table: frames, samples, wire MB, drops and the FNV digest
+// per fleet size — byte-stable per seed and INDEPENDENT of the
+// shard/thread counts used to produce it. Any nondeterminism in the
+// sharded core shows up here as a baseline diff.
 #include "bench_output.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -28,12 +20,14 @@ using namespace vdap;
 using core::FleetScaleConfig;
 using core::FleetScaleOutcome;
 
-FleetScaleConfig scale_config(int vehicles, int shards, int threads) {
+FleetScaleConfig scale_config(int vehicles) {
   FleetScaleConfig cfg;
   cfg.vehicles = vehicles;
   cfg.seed = 7;
-  cfg.shards = shards;
-  cfg.threads = threads;
+  // Run on many shards with every core: the digest is identical at 1/1
+  // (the sweep test proves it), so use the fast configuration.
+  cfg.shards = 8;
+  cfg.threads = sim::ThreadPool::hardware_threads();
   cfg.epoch = sim::seconds(1);
   // Light per-vehicle schedule: the point is fleet WIDTH (100k calendar
   // queues' worth of events), not per-vehicle depth.
@@ -52,10 +46,7 @@ void print_digest_table() {
   table.set_header({"vehicles", "frames", "samples", "wire MB", "dropped",
                     "digest"});
   for (int n : {1000, 10000, 100000}) {
-    // Run on many shards with every core: the digest is identical at
-    // 1/1 (the sweep test proves it), so use the fast configuration.
-    FleetScaleOutcome r = core::run_fleet_scale(
-        scale_config(n, 8, sim::ThreadPool::hardware_threads()));
+    FleetScaleOutcome r = core::run_fleet_scale(scale_config(n));
     char digest[32];
     std::snprintf(digest, sizeof digest, "%016llx",
                   static_cast<unsigned long long>(r.digest));
@@ -72,72 +63,10 @@ void print_digest_table() {
       "matter how many shards or threads produced them.\n\n");
 }
 
-double timed_run(const FleetScaleConfig& cfg, std::uint64_t* digest) {
-  const auto t0 = std::chrono::steady_clock::now();
-  FleetScaleOutcome r = core::run_fleet_scale(cfg);
-  const auto t1 = std::chrono::steady_clock::now();
-  *digest = r.digest;
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-void print_speedup_table() {
-  const int n = 100000;
-  std::uint64_t d_serial = 0;
-  std::uint64_t d_parallel = 0;
-  const double serial = timed_run(scale_config(n, 1, 1), &d_serial);
-  const double parallel = timed_run(scale_config(n, 8, 8), &d_parallel);
-  util::TextTable table("sharded fleet-scale wall clock — 100k vehicles "
-                        "(not committed: wall time)");
-  table.set_header({"shards", "threads", "wall s", "speedup", "digest"});
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(d_serial));
-  table.add_row({"1", "1", util::TextTable::num(serial, 2), "1.0", buf});
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(d_parallel));
-  table.add_row({"8", "8", util::TextTable::num(parallel, 2),
-                 util::TextTable::num(serial / parallel, 2), buf});
-  std::printf("%s", table.to_string().c_str());
-  // hardware_threads bounds the achievable speedup: on a 1-core box the
-  // 8/8 run degenerates to serial (and that is expected, not a failure).
-  std::printf("speedup_8x8_vs_1x1=%.2f digests_match=%s hardware_threads=%d\n\n",
-              serial / parallel, d_serial == d_parallel ? "yes" : "NO",
-              sim::ThreadPool::hardware_threads());
-}
-
-void BM_ScaleEpochs(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    FleetScaleOutcome r =
-        core::run_fleet_scale(scale_config(2000, shards, threads));
-    benchmark::DoNotOptimize(r.digest);
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_ScaleEpochs)
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({4, 4})
-    ->Args({8, 8})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // The bench gate invokes every binary with --benchmark_list_tests to
-  // collect only the deterministic tables; the wall-clock section would
-  // be dead weight there (and is not byte-stable anyway).
-  bool list_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--benchmark_list_tests", 0) == 0) {
-      list_only = true;
-    }
-  }
+int main() {
   vdap::bench::BenchOutput bench_out("shard");
   print_digest_table();
-  if (!list_only) print_speedup_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

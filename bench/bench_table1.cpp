@@ -3,8 +3,6 @@
 //
 // Paper values: Lane Detection 13.57 ms, Vehicle Detection (Haar) 269.46 ms,
 // Vehicle Detection (TensorFlow) 13 971.98 ms; Haar ≈ 51x faster than TF.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -65,29 +63,10 @@ void print_table() {
       tf_ms / haar_ms);
 }
 
-// Microbenchmark: wall-clock cost of simulating one Table I release.
-void BM_SimulateLaneDetection(benchmark::State& state) {
-  auto dag = workload::apps::lane_detection();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_on_ec2_ms(dag));
-  }
-}
-BENCHMARK(BM_SimulateLaneDetection);
-
-void BM_SimulateTfDetection(benchmark::State& state) {
-  auto dag = workload::apps::vehicle_detection_tf();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_on_ec2_ms(dag));
-  }
-}
-BENCHMARK(BM_SimulateTfDetection);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("table1");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -9,8 +9,6 @@
 // fleet size; the dynamic planner's pipeline mix shifts away from the RSU
 // as it saturates, keeping the deadline-met rate roughly flat — while a
 // forced everyone-to-the-RSU policy degrades.
-#include <benchmark/benchmark.h>
-
 #include "bench_output.hpp"
 
 #include <cstdio>
@@ -114,20 +112,10 @@ void print_table() {
       "deadline-met roughly flat.\n\n");
 }
 
-void BM_FleetOfFourSixtySeconds(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_fleet(4, false));
-  }
-}
-BENCHMARK(BM_FleetOfFourSixtySeconds)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   vdap::bench::BenchOutput bench_out("xedge");
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Full local gate: the tier-1 build + test run from ROADMAP.md, a flake
 # catcher repeating the platform/fleet/obs/flight/prof suites, the bench
-# regression gate (BENCH_*.json vs bench/baselines/, >15% drift fails,
-# --strict: missing baselines fail rather than auto-seed) plus a
-# vdap-report render of bench_obs's trace.json/metrics.jsonl and a
-# 20k-vehicle scaling smoke that compares the capture exports of a 1x1
-# and an 8x4 run byte for byte, then an
+# regression gate (BENCH_*.json vs bench/baselines/: sim-plane cells must
+# match exactly, the three wall-plane overhead ratios within 15%, and a
+# result file or table on one side only fails; on failure it renders
+# bench_prof's profile against the committed one) plus a vdap-report
+# render of bench_obs's trace.json/metrics.jsonl and a 20k-vehicle
+# scaling smoke that compares the capture exports of a 1x1 and an 8x4
+# run byte for byte, then an
 # AddressSanitizer+UBSan build running the chaos/soak, telemetry-trace,
 # SLO-health, fleet-telemetry, sharded-simulator, sharded-ingest,
 # shard-observability, flight-recorder and profiling suites (the
@@ -21,8 +23,9 @@
 #                       skip ctest, the flake catcher and sanitizers (the
 #                       CI bench job)
 #   --bench-rebaseline  regenerate bench/baselines/ from this build and
-#                       exit (bench tables are deterministic — fixed seeds
-#                       — so the refreshed files are byte-stable)
+#                       exit (sim-plane tables are deterministic — fixed
+#                       seeds — so only the wall-plane overhead rows and
+#                       BENCH_prof.profile.jsonl move between refreshes)
 #   --tsan              additionally build with ThreadSanitizer and run the
 #                       sharded + fleet + ingest suites under it (the
 #                       thread-pool epoch runner drives all concurrent code)
@@ -46,13 +49,11 @@ echo "== tier-1: build + full ctest (JOBS=$JOBS) =="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 
-# Emits every bench's BENCH_*.json into $1 without timing loops:
-# the paper tables print from main() before RunSpecifiedBenchmarks(), so
-# --benchmark_list_tests skips the (wall-clock, non-deterministic) part.
-# One run per bench/bench_*.cpp source: a leftover binary of a removed
-# bench never runs, and a source without a built binary (a stale build
-# dir, or a target dropped from bench/CMakeLists.txt) fails rather than
-# silently shrinking the result set.
+# Emits every bench's BENCH_*.json into $1. One run per
+# bench/bench_*.cpp source: a leftover binary of a removed bench never
+# runs, and a source without a built binary (a stale build dir, or a
+# target dropped from bench/CMakeLists.txt) fails rather than silently
+# shrinking the result set.
 run_benches() {
   local out_dir="$1"
   local src name
@@ -64,7 +65,7 @@ run_benches() {
       echo "       (stale build? re-run cmake, or remove the source)" >&2
       exit 1
     fi
-    (cd "$out_dir" && "$ROOT/build/bench/$name" --benchmark_list_tests=true >/dev/null)
+    (cd "$out_dir" && "$ROOT/build/bench/$name" >/dev/null)
   done
 }
 
@@ -124,12 +125,13 @@ for f in trace.json metrics.jsonl; do
   rm "$SMOKE/smoke-1x1/$f"
 done
 
-# --strict: a bench without a committed baseline fails here (and in CI)
-# instead of being auto-seeded; --bench-rebaseline is the seeding path.
-# --report: print the full drift report even on success, so every run
-# shows how close each metric sat to the 15% gate.
-python3 scripts/bench_compare.py bench/baselines build/bench-results \
-        --strict --report
+if ! python3 scripts/bench_compare.py bench/baselines build/bench-results; then
+  # Name the frames that absorbed a wall-clock regression: the last
+  # sampler-on profile of bench_prof against the committed one.
+  build/tools/vdap-report --profile build/bench-results/BENCH_prof.profile.jsonl \
+      --diff bench/baselines/BENCH_prof.profile.jsonl
+  exit 1
+fi
 # Parse what the exporters wrote: a malformed trace.json or metrics.jsonl
 # fails the gate here instead of a reader later. The rendered tables stay
 # next to the artifacts.

@@ -201,7 +201,7 @@ void ColumnarSeries::seal(BlockPool* pool) {
   s.min = *std::min_element(active_.values.begin(), active_.values.end());
   s.max = *std::max_element(active_.values.begin(), active_.values.end());
   for (double v : active_.values) s.sum += v;
-  s.sketch.set_sample_cap(opts_.sketch_cap);
+  s.sketch.set_sample_cap(kSketchCap);
   s.sketch.add_bulk(active_.values.data(), active_.values.size());
   s.bytes = pool != nullptr ? pool->acquire_bytes() : std::string{};
   columnar_encode_to(active_, &s.bytes);
@@ -277,7 +277,7 @@ ColumnarSeries::RangeAgg ColumnarSeries::range(sim::SimTime from,
 util::Histogram ColumnarSeries::sketch(sim::SimTime from,
                                        sim::SimTime to) const {
   util::Histogram out;
-  out.set_sample_cap(opts_.sketch_cap);
+  out.set_sample_cap(kSketchCap);
   if (from > to) return out;
   for (std::size_t b = 0; b < sealed_.size(); ++b) {
     const Sealed& s = sealed_[b];
@@ -290,7 +290,7 @@ util::Histogram ColumnarSeries::sketch(sim::SimTime from,
   }
   if (active_hits) {
     util::Histogram a;
-    a.set_sample_cap(opts_.sketch_cap);
+    a.set_sample_cap(kSketchCap);
     a.add_bulk(active_.values.data(), active_.values.size());
     out.merge(a);
   }

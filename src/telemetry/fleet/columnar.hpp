@@ -124,9 +124,10 @@ class ColumnarSeries {
     std::size_t block_samples = 512;
     /// Sealed-block budget; overflow evicts oldest (with accounting).
     std::size_t max_blocks = 256;
-    /// Per-block quantile sketch cap (deterministic thinning).
-    std::size_t sketch_cap = 256;
   };
+
+  /// Per-block quantile sketch cap (deterministic thinning).
+  static constexpr std::size_t kSketchCap = 256;
 
   /// Exact aggregate over the closed time interval [from, to].
   struct RangeAgg {

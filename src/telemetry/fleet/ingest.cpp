@@ -587,7 +587,7 @@ std::string ShardedIngestBackend::rollup_table() const {
     double max = 0.0;
     bool have_max = false;
     util::Histogram sketch;
-    sketch.set_sample_cap(opts_.block.sketch_cap);
+    sketch.set_sample_cap(ColumnarSeries::kSketchCap);
     for (const auto& [name, v] : vehicles) {
       const ColumnarSeries* series = v->store.series(metric);
       if (series == nullptr) continue;
@@ -671,7 +671,7 @@ QueryResult ShardedIngestBackend::run_query(const Query& query) const {
   // Rows fold in vehicle-name order: the fleet sum is a floating-point
   // fold and the fleet sketch thins by position.
   util::Histogram fleet_sketch;
-  fleet_sketch.set_sample_cap(opts_.block.sketch_cap);
+  fleet_sketch.set_sample_cap(ColumnarSeries::kSketchCap);
   bool have_minmax = false;
   auto fold = [&](RangeRow& rr) {
     const ColumnarSeries::RangeAgg& agg = rr.row.agg;

@@ -38,7 +38,16 @@ class Value {
   Value(bool b) : data_(b) {}
   Value(int i) : data_(static_cast<std::int64_t>(i)) {}
   Value(std::int64_t i) : data_(i) {}
-  Value(std::uint64_t i) : data_(static_cast<std::int64_t>(i)) {}
+  /// A value above INT64_MAX is stored as the nearest double, which is
+  /// what a JSON reader reads back anyway.
+  Value(std::uint64_t i) {
+    if (i <= static_cast<std::uint64_t>(
+                 std::numeric_limits<std::int64_t>::max())) {
+      data_ = static_cast<std::int64_t>(i);
+    } else {
+      data_ = static_cast<double>(i);
+    }
+  }
   Value(double d) : data_(d) {}
   Value(const char* s) : data_(std::string(s)) {}
   Value(std::string s) : data_(std::move(s)) {}

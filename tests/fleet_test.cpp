@@ -1336,6 +1336,43 @@ TEST(Shipper, DeliversFramesAndAccountsDrops) {
   EXPECT_EQ(s.samples_acked, samples);
 }
 
+TEST(Shipper, PendingBuffersKeepTheNewest512SamplesAnd64Events) {
+  sim::Simulator sim(5);
+  net::Topology topo(sim);
+  std::vector<std::string> delivered;
+  telemetry::fleet::TelemetryShipper shipper(
+      sim, "cav-0", topo,
+      [&](const std::string& bytes) { delivered.push_back(bytes); });
+  // Never started, so everything below lands in one flush window.
+  for (int i = 0; i < 600; ++i) shipper.observe("m", i);
+  for (int i = 0; i < 70; ++i) {
+    telemetry::analysis::HealthEvent e;
+    e.service = "svc";
+    e.observed = i;
+    shipper.on_health_event(e);
+  }
+  shipper.flush_now();
+  sim.run_until(sim::seconds(30));
+
+  ASSERT_EQ(delivered.size(), 1u);
+  const std::optional<WireFrame> frame = wire_decode(delivered[0]);
+  ASSERT_TRUE(frame.has_value());
+  const std::vector<WireSample>& samples = frame->samples.at("m");
+  ASSERT_EQ(samples.size(), 512u);
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    EXPECT_EQ(samples[k].second, static_cast<double>(88 + k)) << k;
+  }
+  ASSERT_EQ(frame->events.size(), 64u);
+  for (std::size_t k = 0; k < frame->events.size(); ++k) {
+    EXPECT_EQ(frame->events[k].observed, static_cast<double>(6 + k)) << k;
+  }
+  const auto& s = shipper.stats();
+  EXPECT_EQ(s.samples_recorded, 600u);
+  EXPECT_EQ(s.samples_dropped, 88u);
+  EXPECT_TRUE(shipper.idle());
+  EXPECT_EQ(s.samples_recorded, s.samples_acked + s.samples_dropped);
+}
+
 // --- end-to-end fleet scenarios ---------------------------------------------
 
 core::FleetConfig quick_config(const std::string& tag) {

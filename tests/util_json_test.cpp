@@ -104,6 +104,14 @@ TEST(JsonValue, AsIntIsDefinedOutsideInt64) {
   EXPECT_EQ(parse(R"({"at":-1e300})").get_int("at"), kMin);
 }
 
+TEST(JsonValue, UnsignedAboveInt64IsTheNearestDouble) {
+  EXPECT_EQ(Value(std::uint64_t{9223372036854775807u}).dump(),
+            "9223372036854775807");
+  EXPECT_EQ(Value(std::uint64_t{1} << 63).dump(), "9.223372036854776e+18");
+  EXPECT_EQ(Value(std::numeric_limits<std::size_t>::max()).dump(),
+            "1.8446744073709552e+19");
+}
+
 TEST(JsonParse, Document) {
   Value v = parse(R"({"name":"vdap","version":1,"pi":3.25,
                       "tags":["edge","cav"],"nested":{"ok":true},

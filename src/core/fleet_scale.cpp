@@ -8,6 +8,7 @@
 #include "net/topology.hpp"
 #include "sim/sharded.hpp"
 #include "telemetry/shard_report.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace vdap::core {
@@ -83,6 +84,7 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
   struct VehicleState {
     std::uint64_t digest = util::kFnv1aBasis;  // frames in delivery order
     std::unique_ptr<fleet::TelemetryShipper> shipper;
+    util::RngStream* load = nullptr;  // the producer's draws
     sim::Simulator::PeriodicHandle tick;
   };
   std::vector<VehicleState> vehicles(static_cast<std::size_t>(n));
@@ -109,18 +111,18 @@ FleetScaleOutcome run_fleet_scale(const FleetScaleConfig& config) {
 
     // Per-vehicle stream name ⇒ the draw sequence depends only on
     // (seed, i), never on which shard hosts the vehicle.
-    util::RngStream* rng = &shard_sim.rng(util::format("scale.load/%d", i));
-    fleet::TelemetryShipper* shipper = v->shipper.get();
+    v->load = &shard_sim.rng(util::format("scale.load/%d", i));
     const sim::SimDuration phase =
         sim::usec(137) * (i % 97);  // de-synchronize tick timestamps
+    // `[v, per_tick]` fits std::function's local buffer.
     v->tick = shard_sim.every(
         config.sample_period,
-        [rng, shipper, per_tick]() {
+        [v, per_tick]() {
           for (int k = 0; k < per_tick; ++k) {
-            shipper->observe("svc.latency_ms",
-                             rng->normal_min(25.0, 8.0, 0.1));
+            v->shipper->observe("svc.latency_ms",
+                                v->load->normal_min(25.0, 8.0, 0.1));
           }
-          shipper->count("svc.samples", per_tick);
+          v->shipper->count("svc.samples", per_tick);
         },
         phase);
   }

@@ -31,6 +31,14 @@ net::LinkSpec shipping_spec(const net::Topology& topo,
   return spec;
 }
 
+/// The entry `name` names in one of the pending maps, made on first use.
+template <typename Map>
+typename Map::mapped_type& pending_entry(Map& pending, std::string_view name) {
+  auto it = pending.find(name);
+  if (it == pending.end()) it = pending.try_emplace(std::string(name)).first;
+  return it->second;
+}
+
 }  // namespace
 
 TelemetryShipper::TelemetryShipper(sim::Simulator& sim, std::string vehicle,
@@ -51,18 +59,25 @@ TelemetryShipper::~TelemetryShipper() {
 }
 
 void TelemetryShipper::count(std::string_view name, std::int64_t by) {
-  pending_counters_[std::string(name)] += by;
+  PendingCounter& c = pending_entry(pending_counters_, name);
+  c.delta += by;
+  c.touched = true;
+  pending_ = true;
 }
 
 void TelemetryShipper::gauge(std::string_view name, double value) {
   if (!std::isfinite(value)) return;
-  pending_gauges_[std::string(name)] = value;
+  PendingGauge& g = pending_entry(pending_gauges_, name);
+  g.value = value;
+  g.touched = true;
+  pending_ = true;
 }
 
 void TelemetryShipper::observe(std::string_view name, double value) {
   if (!std::isfinite(value)) return;
-  std::vector<WireSample>& buf = pending_samples_[std::string(name)];
+  std::vector<WireSample>& buf = pending_entry(pending_samples_, name);
   buf.emplace_back(sim_.now(), value);
+  pending_ = true;
   ++stats_.samples_recorded;
   if (buf.size() > kMaxSamplesPerMetric) {
     buf.erase(buf.begin());
@@ -80,6 +95,7 @@ void TelemetryShipper::on_health_event(const analysis::HealthEvent& event) {
   w.target = event.target;
   w.implicated_tier = event.implicated_tier;
   pending_events_.push_back(std::move(w));
+  pending_ = true;
   if (pending_events_.size() > kMaxEvents) {
     pending_events_.erase(pending_events_.begin());
   }
@@ -103,28 +119,29 @@ void TelemetryShipper::flush_now() { cut_frame(); }
 
 void TelemetryShipper::cut_frame() {
   PROF_SCOPE("shipper/cut_frame");
-  if (pending_counters_.empty() && pending_gauges_.empty() &&
-      pending_samples_.empty() && pending_events_.empty()) {
-    return;
-  }
-  WireFrame frame;
-  frame.vehicle = vehicle_;
-  frame.seq = ++seq_;
-  frame.created = sim_.now();
-  frame.counters = std::move(pending_counters_);
-  frame.gauges = std::move(pending_gauges_);
-  frame.samples = std::move(pending_samples_);
-  frame.events = std::move(pending_events_);
-  pending_counters_.clear();
-  pending_gauges_.clear();
-  pending_samples_.clear();
-  pending_events_.clear();
-
+  if (!pending_) return;
+  pending_ = false;
+  WireWriter frame;
   Outbound ob;
-  for (const auto& [metric, samples] : frame.samples) {
-    ob.samples += samples.size();
+  for (auto& [name, c] : pending_counters_) {
+    if (!c.touched) continue;
+    frame.counter(name, c.delta);
+    c = PendingCounter{};
   }
-  ob.bytes = wire_encode(frame);
+  for (const WireHealthEvent& ev : pending_events_) frame.event(ev);
+  pending_events_.clear();
+  for (auto& [name, g] : pending_gauges_) {
+    if (!g.touched) continue;
+    frame.gauge(name, g.value);
+    g.touched = false;
+  }
+  for (auto& [name, samples] : pending_samples_) {
+    if (samples.empty()) continue;
+    frame.series(name, samples);
+    ob.samples += samples.size();
+    samples.clear();
+  }
+  ob.bytes = frame.finish(++seq_, sim_.now(), vehicle_);
   ++stats_.frames_enqueued;
   mirror_count("fleet.shipper.enqueued", 1);
   enqueue(std::move(ob));

@@ -125,11 +125,26 @@ class TelemetryShipper {
   Options opts_;
   std::unique_ptr<net::Link> link_;
 
-  // Payload pending the next cut.
-  std::map<std::string, std::int64_t> pending_counters_;
-  std::map<std::string, double> pending_gauges_;
-  std::map<std::string, std::vector<WireSample>> pending_samples_;
+  // Payload pending the next cut. The entries stay resident across cuts:
+  // the producer finds them by string_view, and each cut writes the
+  // touched ones through a WireWriter and resets them in place, so a
+  // sample vector keeps its capacity and a steady producer allocates
+  // nothing per frame. An entry untouched since the last cut is left out
+  // of the frame; a counter touched with 0 is not.
+  struct PendingCounter {
+    std::int64_t delta = 0;
+    bool touched = false;
+  };
+  struct PendingGauge {
+    double value = 0.0;
+    bool touched = false;
+  };
+  std::map<std::string, PendingCounter, std::less<>> pending_counters_;
+  std::map<std::string, PendingGauge, std::less<>> pending_gauges_;
+  /// A series is touched while it holds samples.
+  std::map<std::string, std::vector<WireSample>, std::less<>> pending_samples_;
   std::vector<WireHealthEvent> pending_events_;
+  bool pending_ = false;  // anything recorded since the last cut
 
   /// Frames waiting behind the in-flight one, at most max_queue. An
   /// empty queue allocates nothing, so an idle vehicle pays for none.

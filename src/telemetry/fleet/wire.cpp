@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <exception>
+#include <stdexcept>
 
 #include "util/json.hpp"
 
@@ -336,91 +337,113 @@ std::optional<WireFrame> FrameReader::finish(std::string* error) {
   return std::move(frame_);
 }
 
-/// Writes the ',' before a list element unless it is the list's first,
-/// which directly follows the opening '{' or '['.
-void separate(std::string& out) {
-  if (out.back() != '{' && out.back() != '[') out.push_back(',');
+/// This thread's frame buffer, which every WireWriter on it fills.
+std::string& frame_buffer() {
+  thread_local std::string out;
+  return out;
 }
 
 }  // namespace
 
+WireWriter::WireWriter() : out_(frame_buffer()) { out_.assign(1, '{'); }
+
+void WireWriter::open(Section section) {
+  if (section == section_) {
+    out_.push_back(',');
+    return;
+  }
+  if (section < section_) {
+    throw std::logic_error("wire: frame section written out of key order");
+  }
+  close_section();
+  section_ = section;
+  switch (section) {
+    case Section::kCounters: out_ += "\"counters\":{"; break;
+    case Section::kEvents: out_ += "\"events\":["; break;
+    case Section::kGauges: out_ += "\"gauges\":{"; break;
+    case Section::kSamples: out_ += "\"samples\":{"; break;
+    case Section::kNone: break;
+  }
+}
+
+void WireWriter::close_section() {
+  if (section_ == Section::kNone) return;
+  out_ += section_ == Section::kEvents ? "]," : "},";
+}
+
+void WireWriter::counter(std::string_view name, std::int64_t delta) {
+  open(Section::kCounters);
+  json::append_string(out_, name);
+  out_.push_back(':');
+  json::append_int(out_, delta);
+}
+
+void WireWriter::event(const WireHealthEvent& ev) {
+  open(Section::kEvents);
+  out_ += "{\"at\":";
+  json::append_int(out_, ev.at);
+  out_ += ",\"kind\":";
+  json::append_string(out_, ev.kind);
+  out_ += ",\"observed\":";
+  json::append_double(out_, ev.observed);
+  out_ += ",\"service\":";
+  json::append_string(out_, ev.service);
+  out_ += ",\"severity\":";
+  json::append_string(out_, ev.severity);
+  out_ += ",\"target\":";
+  json::append_double(out_, ev.target);
+  if (!ev.implicated_tier.empty()) {
+    out_ += ",\"tier\":";
+    json::append_string(out_, ev.implicated_tier);
+  }
+  out_.push_back('}');
+}
+
+void WireWriter::gauge(std::string_view name, double value) {
+  open(Section::kGauges);
+  json::append_string(out_, name);
+  out_.push_back(':');
+  json::append_double(out_, value);
+}
+
+void WireWriter::series(std::string_view name,
+                        const std::vector<WireSample>& samples) {
+  open(Section::kSamples);
+  json::append_string(out_, name);
+  out_ += ":[";
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (i > 0) out_.push_back(',');
+    out_.push_back('[');
+    json::append_int(out_, samples[i].first);
+    out_.push_back(',');
+    json::append_double(out_, samples[i].second);
+    out_.push_back(']');
+  }
+  out_.push_back(']');
+}
+
+std::string WireWriter::finish(std::uint64_t seq, sim::SimTime created,
+                               std::string_view vehicle) {
+  close_section();
+  out_ += "\"seq\":";
+  json::append_int(out_, static_cast<std::int64_t>(seq));
+  out_ += ",\"t\":";
+  json::append_int(out_, created);
+  out_ += ",\"v\":";
+  json::append_string(out_, vehicle);
+  out_.push_back('}');
+  return std::string(out_);
+}
+
 std::string wire_encode(const WireFrame& frame) {
   // Keys in sorted (json::Object) order, empty sections omitted; the
-  // Wire.EncoderMatchesObjectEncoder test pins these bytes. The frame is
-  // built in a buffer this thread reuses (shards encode concurrently), so
-  // the only allocation is the exact-size copy returned.
-  thread_local std::string out;
-  out.assign(1, '{');
-  if (!frame.counters.empty()) {
-    out += "\"counters\":{";
-    for (const auto& [name, v] : frame.counters) {
-      separate(out);
-      json::append_string(out, name);
-      out.push_back(':');
-      json::append_int(out, v);
-    }
-    out += "},";
-  }
-  if (!frame.events.empty()) {
-    out += "\"events\":[";
-    for (const WireHealthEvent& ev : frame.events) {
-      separate(out);
-      out += "{\"at\":";
-      json::append_int(out, ev.at);
-      out += ",\"kind\":";
-      json::append_string(out, ev.kind);
-      out += ",\"observed\":";
-      json::append_double(out, ev.observed);
-      out += ",\"service\":";
-      json::append_string(out, ev.service);
-      out += ",\"severity\":";
-      json::append_string(out, ev.severity);
-      out += ",\"target\":";
-      json::append_double(out, ev.target);
-      if (!ev.implicated_tier.empty()) {
-        out += ",\"tier\":";
-        json::append_string(out, ev.implicated_tier);
-      }
-      out.push_back('}');
-    }
-    out += "],";
-  }
-  if (!frame.gauges.empty()) {
-    out += "\"gauges\":{";
-    for (const auto& [name, v] : frame.gauges) {
-      separate(out);
-      json::append_string(out, name);
-      out.push_back(':');
-      json::append_double(out, v);
-    }
-    out += "},";
-  }
-  if (!frame.samples.empty()) {
-    out += "\"samples\":{";
-    for (const auto& [name, vec] : frame.samples) {
-      separate(out);
-      json::append_string(out, name);
-      out += ":[";
-      for (const WireSample& s : vec) {
-        separate(out);
-        out.push_back('[');
-        json::append_int(out, s.first);
-        out.push_back(',');
-        json::append_double(out, s.second);
-        out.push_back(']');
-      }
-      out.push_back(']');
-    }
-    out += "},";
-  }
-  out += "\"seq\":";
-  json::append_int(out, static_cast<std::int64_t>(frame.seq));
-  out += ",\"t\":";
-  json::append_int(out, frame.created);
-  out += ",\"v\":";
-  json::append_string(out, frame.vehicle);
-  out.push_back('}');
-  return std::string(out);
+  // Wire.EncoderMatchesObjectEncoder test pins these bytes.
+  WireWriter w;
+  for (const auto& [name, delta] : frame.counters) w.counter(name, delta);
+  for (const WireHealthEvent& ev : frame.events) w.event(ev);
+  for (const auto& [name, value] : frame.gauges) w.gauge(name, value);
+  for (const auto& [name, samples] : frame.samples) w.series(name, samples);
+  return w.finish(frame.seq, frame.created, frame.vehicle);
 }
 
 std::optional<WireFrame> wire_decode(std::string_view line,

@@ -10,11 +10,12 @@
 // Counters carry DELTAS since the previous frame (the aggregator
 // accumulates), gauges carry last values, samples carry (sim-time µs,
 // value) pairs, and events carry HealthEvents observed since the previous
-// frame. wire_encode writes the bytes directly: keys in the canonical
-// sorted order json::Object would give ("v" last), numbers and strings
-// through util::json's writers. So a frame's bytes are a deterministic
-// function of its content, and the Wire.EncoderMatchesObjectEncoder test
-// pins them. wire_decode reads a line in one pass of json::Lexer straight
+// frame. WireWriter, which wire_encode and the shipper's cut both write
+// through, writes the bytes directly: keys in the canonical sorted order
+// json::Object would give ("v" last), numbers and strings through
+// util::json's writers. So a frame's bytes are a deterministic function of
+// its content, and the Wire.EncoderMatchesObjectEncoder test pins them.
+// wire_decode reads a line in one pass of json::Lexer straight
 // into a WireFrame, with no json::Value tree, and keeps the old
 // tree decoder's behaviour exactly (DESIGN.md §6e; pinned by the
 // WireDecoderDifferential tests): last of duplicate keys wins, errors come
@@ -59,6 +60,42 @@ struct WireFrame {
   std::map<std::string, double> gauges;          // last values
   std::map<std::string, std::vector<WireSample>> samples;
   std::vector<WireHealthEvent> events;
+};
+
+/// Writes one frame line section by section, in the wire's key order:
+/// counter entries, then events, gauges and sample series, then finish()
+/// with the header fields. A section is written only once an entry of it
+/// is, so an empty one is omitted; an entry of an earlier section after a
+/// later one throws std::logic_error. Names within a section go out in
+/// the order given, which callers keep sorted (they iterate sorted maps).
+///
+/// This is the one encoder of the format: wire_encode writes a WireFrame
+/// through it, and TelemetryShipper writes its pending buffers through it
+/// at each cut without building a WireFrame. The line is built in a buffer
+/// its thread reuses (shards encode concurrently), so one writer at a time
+/// per thread, and finish() returns an exact-size copy: one allocation per
+/// frame.
+class WireWriter {
+ public:
+  WireWriter();
+
+  void counter(std::string_view name, std::int64_t delta);
+  void event(const WireHealthEvent& event);
+  void gauge(std::string_view name, double value);
+  void series(std::string_view name, const std::vector<WireSample>& samples);
+  /// Closes the line with "seq", "t" and "v" and returns it.
+  std::string finish(std::uint64_t seq, sim::SimTime created,
+                     std::string_view vehicle);
+
+ private:
+  enum class Section { kNone, kCounters, kEvents, kGauges, kSamples };
+  /// Starts an entry of `section`: its separator, or the previous
+  /// section's close and this one's key.
+  void open(Section section);
+  void close_section();
+
+  std::string& out_;
+  Section section_ = Section::kNone;
 };
 
 /// Serializes a frame to one line of JSON (no trailing newline).

@@ -1,5 +1,7 @@
 #include "util/json.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -182,25 +184,21 @@ void append_int(std::string& out, std::int64_t i) {
   out.append(buf, r.ptr);
 }
 
-void append_double(std::string& out, double d) {
-  if (!std::isfinite(d)) {
-    // JSON has no NaN/Inf; emit null (matches common lenient serializers).
-    out += "null";
-    return;
-  }
+namespace {
+
+/// `%.Pg` at the smallest P whose text parses back to `d`, by trial.
+/// `general` at precision P is exactly `%.Pg`; no P-digit text round-trips
+/// for P below the digit count of the shortest round-trip form, so the
+/// trial starts there and steps up until the text parses back (%.17g
+/// always does).
+void append_double_by_trial(std::string& out, double d) {
   char buf[32];
   char* const end = buf + sizeof(buf);
-  // No P-digit text round-trips for P below the digit count of the
-  // shortest round-trip form, so start there.
   char* p = std::to_chars(buf, end, d, std::chars_format::scientific).ptr;
   int prec = 0;
   for (const char* c = buf; c != p && *c != 'e'; ++c) {
     if (*c >= '0' && *c <= '9') ++prec;
   }
-  // `general` at precision P is exactly `%.Pg`. That correctly rounded
-  // text can still miss the rounding interval where it is asymmetric
-  // (exact powers of two, e.g. 2^-1017 needs 17 digits where the shortest
-  // form has 16), so step up until it parses back; %.17g always does.
   for (;; ++prec) {
     p = std::to_chars(buf, end, d, std::chars_format::general, prec).ptr;
     if (prec >= 17) break;
@@ -208,6 +206,66 @@ void append_double(std::string& out, double d) {
     if (std::from_chars(buf, p, back).ec == std::errc() && back == d) break;
   }
   out.append(buf, p);
+}
+
+}  // namespace
+
+void append_double(std::string& out, double d) {
+  if (!std::isfinite(d)) {
+    // JSON has no NaN/Inf; emit null (matches common lenient serializers).
+    out += "null";
+    return;
+  }
+  // The shortest round-trip digits are the correctly rounded P-digit
+  // digits, so they are %.Pg's digits, wherever the rounding interval is
+  // symmetric. At an exact power of two the interval below is half the
+  // one above, and the correctly rounded text can miss it (2^-1017 needs
+  // 17 digits where the shortest form has 16): those take the trial.
+  const auto bits = std::bit_cast<std::uint64_t>(d);
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  constexpr std::uint64_t kExponent = std::uint64_t{0x7ff} << 52;
+  if ((bits & kMantissa) == 0 && (bits & kExponent) != 0) {
+    append_double_by_trial(out, d);
+    return;
+  }
+  // One conversion: d[.ddd]e±XX with the shortest digits. Scientific is
+  // %.Pg's own layout when X < -4 or X >= P, and then the text is already
+  // %.Pg's (the digits carry no trailing zero, and both write at least two
+  // exponent digits).
+  char buf[32];
+  const char* const end =
+      std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::scientific)
+          .ptr;
+  const char* digits = buf;
+  if (*digits == '-') ++digits;
+  const char* const e = std::find(digits, end, 'e');
+  int exp = 0;
+  std::from_chars(e + 1 + (e[1] == '+'), end, exp);
+  const int prec = e - digits > 1 ? static_cast<int>(e - digits) - 1 : 1;
+  if (exp < -4 || exp >= prec) {
+    out.append(buf, static_cast<std::size_t>(end - buf));
+    return;
+  }
+  // Fixed, as %.Pg lays it out: P significant digits, the point after
+  // digit X + 1, no trailing zeros (so no point when nothing follows it).
+  if (digits != buf) out += '-';
+  if (exp < 0) {
+    out += "0.";
+    out.append(static_cast<std::size_t>(-exp - 1), '0');
+    out += digits[0];
+    if (prec > 1) out.append(digits + 2, e);
+    return;
+  }
+  out += digits[0];
+  if (prec == 1) return;
+  // The scientific form's fraction starts at digits + 2; %.Pg puts its
+  // point X digits into it.
+  const char* const point = digits + 2 + exp;
+  out.append(digits + 2, point);
+  if (point != e) {
+    out += '.';
+    out.append(point, e);
+  }
 }
 
 namespace {

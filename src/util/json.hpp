@@ -320,7 +320,9 @@ void append_string(std::string& out, std::string_view s);
 /// Appends `i` in decimal.
 void append_int(std::string& out, std::int64_t i);
 /// Appends `d` as `%.Pg` with the smallest P in 1..17 whose text parses
-/// back to `d`; NaN and ±Inf (which JSON lacks) append `null`.
+/// back to `d`; NaN and ±Inf (which JSON lacks) append `null`. One
+/// shortest-form std::to_chars call gives the text, except at exact
+/// powers of two, which search P by trial.
 void append_double(std::string& out, double d);
 /// Appends `v` compact, exactly as v.dump() returns it.
 void append_value(std::string& out, const Value& v);

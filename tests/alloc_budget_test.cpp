@@ -74,15 +74,19 @@ void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 namespace vdap {
 namespace {
 
-// The budgets: measured values plus about 5%. Measured 7.82
-// allocations per frame, 10.01 per vehicle at setup, and 8,342 B of live
-// heap per vehicle. A frame path with per-vehicle deques and a heap
-// closure per event measures 26.57, 24.01 and 9,877 B, and fails all
-// three; a runner that decodes each delivered frame to count its samples
-// measures 13.82 allocations per frame, and fails the first.
-constexpr double kAllocsPerFrame = 8.2;
-constexpr double kSetupAllocsPerVehicle = 10.5;
-constexpr double kLiveBytesPerVehicle = 8780.0;
+// The budgets: measured values plus about 5%. Measured 2.52
+// allocations per frame, 9.01 per vehicle at setup, and 6,145 B of live
+// heap per vehicle. History, each failing what came after it:
+//   * per-vehicle deques and a heap closure per event: 26.57, 24.01 and
+//     9,877 B;
+//   * a runner that decodes each delivered frame to count its samples:
+//     13.82 allocations per frame;
+//   * pending maps moved into a WireFrame at every cut, a 24-byte tick
+//     closure and two 2,504-byte std::mt19937_64 states per vehicle:
+//     7.82, 10.01 and 8,303 B, which fail all three.
+constexpr double kAllocsPerFrame = 2.65;
+constexpr double kSetupAllocsPerVehicle = 9.5;
+constexpr double kLiveBytesPerVehicle = 6450.0;
 
 struct Footprint {
   std::uint64_t frames = 0;

@@ -13,9 +13,11 @@
 #include <cstdio>
 #include <initializer_list>
 #include <limits>
+#include <map>
 #include <optional>
 #include <random>
 #include <set>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -1371,6 +1373,226 @@ TEST(Shipper, PendingBuffersKeepTheNewest512SamplesAnd64Events) {
   EXPECT_EQ(s.samples_dropped, 88u);
   EXPECT_TRUE(shipper.idle());
   EXPECT_EQ(s.samples_recorded, s.samples_acked + s.samples_dropped);
+}
+
+// The pending maps and cut TelemetryShipper used before its buffers became
+// resident, kept verbatim as the reference: every cut moved the maps into
+// a WireFrame and encoded it with wire_encode. The transport is left out,
+// so cut_frame() returns the frame it would have enqueued.
+namespace map_cut {
+
+constexpr std::size_t kMaxSamplesPerMetric = 512;
+constexpr std::size_t kMaxEvents = 64;
+
+struct Outbound {
+  std::uint64_t samples = 0;
+  std::string bytes;
+};
+
+class Shipper {
+ public:
+  Shipper(sim::Simulator& sim, std::string vehicle)
+      : sim_(sim), vehicle_(std::move(vehicle)) {}
+
+  void count(std::string_view name, std::int64_t by = 1) {
+    pending_counters_[std::string(name)] += by;
+  }
+
+  void gauge(std::string_view name, double value) {
+    if (!std::isfinite(value)) return;
+    pending_gauges_[std::string(name)] = value;
+  }
+
+  void observe(std::string_view name, double value) {
+    if (!std::isfinite(value)) return;
+    std::vector<WireSample>& buf = pending_samples_[std::string(name)];
+    buf.emplace_back(sim_.now(), value);
+    ++stats_.samples_recorded;
+    if (buf.size() > kMaxSamplesPerMetric) {
+      buf.erase(buf.begin());
+      ++stats_.samples_dropped;
+    }
+  }
+
+  void on_health_event(const telemetry::analysis::HealthEvent& event) {
+    WireHealthEvent w;
+    w.at = event.at;
+    w.kind = std::string(telemetry::analysis::to_string(event.kind));
+    w.severity = std::string(telemetry::analysis::to_string(event.severity));
+    w.service = event.service;
+    w.observed = event.observed;
+    w.target = event.target;
+    w.implicated_tier = event.implicated_tier;
+    pending_events_.push_back(std::move(w));
+    if (pending_events_.size() > kMaxEvents) {
+      pending_events_.erase(pending_events_.begin());
+    }
+  }
+
+  std::optional<Outbound> cut_frame() {
+    if (pending_counters_.empty() && pending_gauges_.empty() &&
+        pending_samples_.empty() && pending_events_.empty()) {
+      return std::nullopt;
+    }
+    WireFrame frame;
+    frame.vehicle = vehicle_;
+    frame.seq = ++seq_;
+    frame.created = sim_.now();
+    frame.counters = std::move(pending_counters_);
+    frame.gauges = std::move(pending_gauges_);
+    frame.samples = std::move(pending_samples_);
+    frame.events = std::move(pending_events_);
+    pending_counters_.clear();
+    pending_gauges_.clear();
+    pending_samples_.clear();
+    pending_events_.clear();
+
+    Outbound ob;
+    for (const auto& [metric, samples] : frame.samples) {
+      ob.samples += samples.size();
+    }
+    ob.bytes = wire_encode(frame);
+    ++stats_.frames_enqueued;
+    return ob;
+  }
+
+  const telemetry::fleet::TelemetryShipper::Stats& stats() const {
+    return stats_;
+  }
+
+ private:
+  sim::Simulator& sim_;
+  std::string vehicle_;
+  std::map<std::string, std::int64_t> pending_counters_;
+  std::map<std::string, double> pending_gauges_;
+  std::map<std::string, std::vector<WireSample>> pending_samples_;
+  std::vector<WireHealthEvent> pending_events_;
+  std::uint64_t seq_ = 0;
+  telemetry::fleet::TelemetryShipper::Stats stats_;
+};
+
+}  // namespace map_cut
+
+TEST(Shipper, ResidentBuffersCutTheFramesTheMapCutDid) {
+  // Random operation sequences on a shipper and on the map cut: counts
+  // (0 and negative included), gauges and observations (NaN and ±inf
+  // included), health events, names that need JSON escapes, windows of
+  // more than 512 samples of one metric, metrics live in one window and
+  // absent from the next, and windows with nothing new. Every frame must
+  // be byte-equal, and so must the accounting.
+  const std::vector<std::string> names = {
+      "svc.latency_ms", "svc.samples", "a", "a\"b\\c", "tab\tname",
+      "\xc3\xbcnicode", "ctl\x01", "loc.x", "", "z"};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::size_t frames = 0;
+  std::size_t empty_windows = 0;
+  std::size_t long_windows = 0;
+  for (std::uint64_t trial = 1; trial <= 24; ++trial) {
+    std::mt19937_64 rng(trial);
+    sim::Simulator sim(trial);
+    net::Topology topo(sim);
+    telemetry::fleet::TelemetryShipper::Options opts;
+    opts.max_queue = 4096;
+    opts.max_attempts = 1000;  // a lossy attempt must not drop a frame
+    std::vector<std::string> delivered;
+    const std::string vehicle = trial % 2 == 0 ? "cav-7" : "cav-\"q\"\n";
+    telemetry::fleet::TelemetryShipper shipper(
+        sim, vehicle, topo,
+        [&](const std::string& bytes) { delivered.push_back(bytes); }, opts);
+    map_cut::Shipper reference(sim, vehicle);
+    std::vector<std::string> expected;
+    std::uint64_t expected_samples = 0;
+
+    auto value = [&]() {
+      switch (rng() % 16) {
+        case 0: return nan;
+        case 1: return inf;
+        case 2: return -inf;
+        case 3: return 0.0;
+        default:
+          return std::ldexp(static_cast<double>(rng() % 2000000) - 1e6,
+                            static_cast<int>(rng() % 40) - 30);
+      }
+    };
+    for (int window = 0; window < 40; ++window) {
+      // The metrics live in this window: a random subset of the names.
+      std::vector<const std::string*> live;
+      for (const std::string& n : names) {
+        if (rng() % 3 == 0) live.push_back(&n);
+      }
+      const std::uint64_t shape = rng() % 8;
+      int ops = static_cast<int>(rng() % 60);
+      if (shape == 0 || live.empty()) {
+        ops = 0;
+        ++empty_windows;
+      } else if (shape == 1) {
+        ops = 600 + static_cast<int>(rng() % 200);
+        ++long_windows;
+      }
+      for (int k = 0; k < ops; ++k) {
+        sim.run_until(sim.now() + static_cast<sim::SimDuration>(rng() % 700));
+        const std::string& name = *live[rng() % live.size()];
+        const std::uint64_t op = shape == 1 ? 2 : rng() % 7;
+        if (op == 0) {
+          const std::int64_t by =
+              rng() % 4 == 0 ? 0 : static_cast<std::int64_t>(rng() % 100) - 30;
+          shipper.count(name, by);
+          reference.count(name, by);
+        } else if (op == 1) {
+          const double v = value();
+          shipper.gauge(name, v);
+          reference.gauge(name, v);
+        } else if (op <= 4) {
+          // A long window piles its samples onto one metric.
+          const std::string& series = shape == 1 ? *live[0] : name;
+          const double v = value();
+          shipper.observe(series, v);
+          reference.observe(series, v);
+        } else if (op == 5) {
+          telemetry::analysis::HealthEvent e;
+          e.kind = static_cast<telemetry::analysis::HealthEventKind>(rng() % 4);
+          e.severity = static_cast<telemetry::analysis::Severity>(rng() % 2);
+          e.at = sim.now();
+          e.service = name;
+          e.observed = value();
+          e.target = value();
+          e.implicated_tier = rng() % 2 == 0 ? "" : name;
+          shipper.on_health_event(e);
+          reference.on_health_event(e);
+        } else {
+          shipper.count(name);
+          reference.count(name);
+        }
+      }
+      shipper.flush_now();
+      if (std::optional<map_cut::Outbound> ob = reference.cut_frame()) {
+        expected.push_back(std::move(ob->bytes));
+        expected_samples += ob->samples;
+      }
+      sim.run_until(sim.now() + sim::msec(200));
+    }
+    sim.run_until(sim.now() + sim::seconds(60));
+
+    ASSERT_TRUE(shipper.idle()) << "trial " << trial;
+    ASSERT_EQ(delivered.size(), expected.size()) << "trial " << trial;
+    for (std::size_t f = 0; f < expected.size(); ++f) {
+      ASSERT_EQ(delivered[f], expected[f]) << "trial " << trial << " frame " << f;
+    }
+    frames += expected.size();
+    const auto& got = shipper.stats();
+    const auto& want = reference.stats();
+    EXPECT_EQ(got.frames_enqueued, want.frames_enqueued);
+    EXPECT_EQ(got.frames_acked, want.frames_enqueued);
+    EXPECT_EQ(got.frames_dropped, 0u);
+    EXPECT_EQ(got.samples_recorded, want.samples_recorded);
+    EXPECT_EQ(got.samples_dropped, want.samples_dropped);
+    EXPECT_EQ(got.samples_acked, expected_samples);
+  }
+  // The generator must keep every shape of window busy.
+  EXPECT_GT(frames, 500u);
+  EXPECT_GT(empty_windows, 50u);
+  EXPECT_GT(long_windows, 50u);
 }
 
 // --- end-to-end fleet scenarios ---------------------------------------------

@@ -16,6 +16,9 @@
 #include <string_view>
 #include <vector>
 
+#include "util/rng.hpp"
+#include "util/strings.hpp"
+
 namespace vdap::json {
 namespace {
 
@@ -412,6 +415,41 @@ TEST_P(JsonFormatRandomBits, MatchesTrialLoop) {
 
 INSTANTIATE_TEST_SUITE_P(Quarters, JsonFormatRandomBits,
                          ::testing::Values(0, 1, 2, 3));
+
+class JsonFormatProducerValues : public ::testing::TestWithParam<int> {};
+
+// 4 x 500,000 = 2M latencies drawn as run_fleet_scale's producer draws
+// them, normal_min(25, 8, 0.1) on a vehicle's load stream: the values the
+// frame path formats most.
+TEST_P(JsonFormatProducerValues, MatchesTrialLoop) {
+  util::RngStream load(7, util::format("scale.load/%d", GetParam()));
+  std::vector<double> values(500000);
+  for (double& d : values) d = load.normal_min(25.0, 8.0, 0.1);
+  EXPECT_EQ(format_mismatches(values), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Quarters, JsonFormatProducerValues,
+                         ::testing::Values(0, 1, 2, 3));
+
+TEST(JsonFormat, MatchesTrialLoopOnLocationFixes) {
+  // loc.x and loc.y as run_fleet's vehicles report them: radius·cos and
+  // radius·sin of an angle sweeping the ring, through the zeros of both,
+  // where a fix shrinks to the round-off of cos(π/2) and prints in
+  // scientific form.
+  constexpr int kVehicles = 256;
+  std::vector<double> values;
+  for (int i = 0; i < kVehicles; ++i) {
+    const double radius = 200.0 + 25.0 * static_cast<double>(i);
+    for (int t = 0; t <= 960; ++t) {  // one lap, every 0.5 s
+      const double angle =
+          2.0 * 3.14159265358979323846 *
+          (static_cast<double>(i) / kVehicles + t * 0.5 / 480.0);
+      values.push_back(radius * std::cos(angle));
+      values.push_back(radius * std::sin(angle));
+    }
+  }
+  EXPECT_EQ(format_mismatches(values), 0);
+}
 
 TEST(JsonFormat, MatchesTrialLoopOnPowersOfTwo) {
   // 2^e for every e a double can hold, subnormal powers included, both
